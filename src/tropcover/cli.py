@@ -37,12 +37,16 @@ def _read_cover(path):
     return serialize.cover_from_obj(_read_json(path))
 
 
-def _parse_point(spec: str) -> Point:
-    """"v" for a vertex, "e@p/q" for an edge point."""
-    if "@" in spec:
-        eid, off = spec.rsplit("@", 1)
-        return Point.on_edge(eid, rat(off))
-    return Point.at_vertex(spec)
+def _parse_point(graph: MetricGraph, spec: str) -> Point:
+    """The vertex named spec if there is one, else the edge point "e@p/q"."""
+    if spec in graph.vertex_ids or "@" not in spec:
+        return graph.vertex_point(spec)
+    eid, off = spec.rsplit("@", 1)
+    try:
+        offset = rat(off)
+    except (ValueError, ZeroDivisionError):
+        raise MalformedGraphError("--at: bad offset %r" % off)
+    return graph.point(eid, offset)
 
 
 def _emit(args, text: str):
@@ -129,7 +133,7 @@ def cmd_divisor(args):
         return "true\n" if is_principal(d) else "false\n"
     # reduce
     d = serialize.divisor_from_obj(graph, _read_json(args.divisors[0]))
-    q = graph.check_point(_parse_point(args.at))
+    q = _parse_point(graph, args.at)
     red = reduce_at(d, q)
     return serialize.dumps(serialize.divisor_to_obj(red))
 
@@ -138,7 +142,7 @@ def cmd_jac(args):
     graph = _read_graph(args.graph)
     lat = period_lattice(graph)
     d = serialize.divisor_from_obj(graph, _read_json(args.divisor))
-    coords, _cert = abel_jacobi(lat, d)
+    coords = abel_jacobi(lat, d)
     tree = [e for e in graph.edge_ids if e not in lat.cycles.nontree]
     return serialize.dumps(serialize.jacobian_point_to_obj(coords, tree))
 
@@ -226,13 +230,11 @@ def build_parser():
         "characteristics, double covers, Prym varieties, and the mod-2 pairing.",
     )
     parser.add_argument("--pretty", action="store_true", help="aligned text output")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
     parser.add_argument("--out", help="write output to a file instead of stdout")
     # the same flags are accepted after the verb; SUPPRESS keeps a
     # flag given before the verb from being clobbered by the default
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="verb", required=True)
 

@@ -16,15 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .divisors import Divisor
-from .errors import AugmentedGraphError, CoverError, CycleError
+from .errors import CoverError, CycleError, PointError
 from .graphs import (
     CycleSpace,
     MetricGraph,
     Point,
     check_even_subgraph,
+    is_even_subgraph,
+    require_unaugmented,
     virtualize,
 )
 from .rationals import rat
@@ -44,7 +46,9 @@ class DoubleCover:
         self.bits = bits  # construction metadata (may be None for parsed covers)
         self.involution_e = self._pair_edges()
         self.dilation = frozenset(te for te, d in self.edge_map.values() if d == 2)
-        self._sharp_cache = {}
+        # the package's one cache for this cover: per eps, the virtualized
+        # source and the homology action; the virtual loops' vertices
+        self._memo = {}
 
     def _pair_edges(self):
         fibers: Dict[str, List[str]] = {}
@@ -67,16 +71,21 @@ class DoubleCover:
 
     def source_sharp(self, eps=1):
         """(unaugmented source graph with virtual loops, loop registry)."""
-        eps = rat(eps)
-        if eps not in self._sharp_cache:
-            self._sharp_cache[eps] = virtualize(self.source, eps)
-        return self._sharp_cache[eps]
+        key = ("sharp", rat(eps))
+        if key not in self._memo:
+            _, registry = self._memo[key] = virtualize(self.source, eps)
+            # loop ids depend on the source alone, so one map serves every eps
+            self._memo["loop_vertex"] = {
+                lid: v for v, lids in registry.items() for lid in lids
+            }
+        return self._memo[key]
 
-    def _loop_base(self, eid: str) -> Optional[str]:
-        """Basepoint vertex if eid is a virtual loop id, else None."""
-        if eid in self.edge_map:
-            return None
-        return eid.rsplit("!", 1)[0]
+    def loop_vertex(self, eid: str) -> str:
+        """The source vertex carrying a virtual loop of source_sharp()."""
+        owner = self._memo.get("loop_vertex", {}).get(eid)
+        if owner is None:
+            raise PointError("%r is neither a source edge nor a virtual loop" % eid)
+        return owner
 
     # -- point maps -------------------------------------------------------
 
@@ -84,9 +93,8 @@ class DoubleCover:
         """Image in the target of a point of a virtualized source."""
         if p.is_vertex:
             return Point.at_vertex(self.vertex_map[p.id])
-        base = self._loop_base(p.id)
-        if base is not None:
-            return Point.at_vertex(self.vertex_map[base])
+        if p.id not in self.edge_map:
+            return Point.at_vertex(self.vertex_map[self.loop_vertex(p.id)])
         te, d = self.edge_map[p.id]
         return self.target.point(te, p.offset * d)
 
@@ -94,10 +102,10 @@ class DoubleCover:
         sharp, _ = self.source_sharp(eps)
         if p.is_vertex:
             return Point.at_vertex(self.involution_v.get(p.id, p.id))
-        base = self._loop_base(p.id)
-        if base is not None:
-            return sharp.point(p.id, rat(eps) - p.offset)
-        return sharp.point(self.involution_e[p.id], p.offset)
+        if p.id in self.edge_map:
+            return sharp.point(self.involution_e[p.id], p.offset)
+        self.loop_vertex(p.id)  # only a virtual loop lies outside edge_map
+        return sharp.point(p.id, rat(eps) - p.offset)
 
     def lifts_of_point(self, p: Point):
         """[(source point, local degree)] over a target point."""
@@ -118,11 +126,6 @@ class DoubleCover:
 
 
 # -- construction --------------------------------------------------------
-
-
-def _require_unaugmented(graph: MetricGraph):
-    if graph.is_augmented():
-        raise AugmentedGraphError("cover targets must be unaugmented")
 
 
 def _interior_graph(graph: MetricGraph, cycle: frozenset):
@@ -196,7 +199,7 @@ def _build_cover(graph: MetricGraph, cycle: frozenset, bits: Dict[str, int]):
 def free_covers(graph: MetricGraph) -> List[DoubleCover]:
     """All 2^g degree-2 covering spaces, in bit-vector order over the
     non-tree edges (the all-zero vector is the disconnected trivial cover)."""
-    _require_unaugmented(graph)
+    require_unaugmented(graph)
     cs = CycleSpace(graph)
     out = []
     for mask in range(1 << len(cs.nontree)):
@@ -207,7 +210,7 @@ def free_covers(graph: MetricGraph) -> List[DoubleCover]:
 
 def free_cover(graph: MetricGraph, bits: Dict[str, int]) -> DoubleCover:
     """One covering space from sheet-swap bits on the non-tree edges."""
-    _require_unaugmented(graph)
+    require_unaugmented(graph)
     cs = CycleSpace(graph)
     unknown = set(bits) - set(cs.nontree)
     if unknown:
@@ -217,7 +220,7 @@ def free_cover(graph: MetricGraph, bits: Dict[str, int]) -> DoubleCover:
 
 def covers_with_dilation(graph: MetricGraph, cycle) -> List[DoubleCover]:
     """The 2^h unramified double covers dilated exactly along the cycle."""
-    _require_unaugmented(graph)
+    require_unaugmented(graph)
     cycle = check_even_subgraph(graph, cycle)
     if not cycle:
         raise CycleError("dilation cycle must be nonempty; use free_covers")
@@ -335,8 +338,6 @@ def verify_cover(cover: DoubleCover) -> CoverReport:
             complain("edge involution is not an isometry at %r" % se)
 
     dilation = frozenset(cover.dilation)
-    from .graphs import is_even_subgraph
-
     if not is_even_subgraph(tgt, dilation):
         complain("dilation set is not an even subgraph")
 

@@ -13,8 +13,7 @@ from typing import Dict, Iterable, Optional
 
 from . import linalg
 from .errors import DegreeError, PointError, SlopeError
-from .graphs import MetricGraph, Point, Refinement, refine
-from .rationals import rat
+from .graphs import MetricGraph, PLFunction, Point, refine
 
 ZERO = Fraction(0)
 
@@ -92,20 +91,13 @@ class Divisor:
             "%d*%r" % (a, p) for p, a in self.items()
         )
 
-    def map_points(self, graph: MetricGraph, fn) -> "Divisor":
-        """Push every support point through fn onto another host graph."""
-        return Divisor(graph, [(fn(p), a) for p, a in self.items()])
-
     def component_degrees(self):
         """Degree per connected component, keyed by the component tuple."""
-        comps = self.graph.components()
-        degs = {comp: 0 for comp in comps}
+        comp_of = self.graph.components_by_vertex()
+        degs = dict.fromkeys(self.graph.components(), 0)
         for p, a in self._coeffs.items():
             vid = p.id if p.is_vertex else self.graph.ends(p.id)[0]
-            for comp in comps:
-                if vid in comp:
-                    degs[comp] += a
-                    break
+            degs[comp_of[vid]] += a
         return degs
 
 
@@ -121,53 +113,6 @@ def canonical_divisor(graph: MetricGraph) -> Divisor:
 
 
 # -- piecewise linear functions ------------------------------------------
-
-
-class PLFunction:
-    """Continuous piecewise linear function with values on a refinement."""
-
-    def __init__(self, refinement: Refinement, values: Dict[str, Fraction]):
-        self.refinement = refinement
-        self.graph = refinement.base
-        self.values = {v: rat(x) for v, x in values.items()}
-        for v in refinement.graph.vertex_ids:
-            if v not in self.values:
-                raise PointError("missing value at refinement vertex %r" % v)
-
-    @staticmethod
-    def from_distance_field(field) -> "PLFunction":
-        return PLFunction(field.refinement, dict(field.values))
-
-    def value(self, p: Point) -> Fraction:
-        rp = self.refinement.to_refined_point(p)
-        if rp.is_vertex:
-            return self.values[rp.id]
-        t, h = self.refinement.graph.ends(rp.id)
-        ell = self.refinement.graph.length(rp.id)
-        vt, vh = self.values[t], self.values[h]
-        return vt + (vh - vt) * rp.offset / ell
-
-    def _breakpoints(self):
-        pts = []
-        for v in self.refinement.graph.vertex_ids:
-            pts.append(self.refinement.to_base_point(Point.at_vertex(v)))
-        return pts
-
-    def _combine(self, other: "PLFunction", sign: int) -> "PLFunction":
-        if not self.graph.same_model(other.graph):
-            raise PointError("functions live on different graphs")
-        ref = refine(self.graph, self._breakpoints() + other._breakpoints())
-        vals = {}
-        for v in ref.graph.vertex_ids:
-            bp = ref.to_base_point(Point.at_vertex(v))
-            vals[v] = self.value(bp) + sign * other.value(bp)
-        return PLFunction(ref, vals)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
 
 
 def divisor_of(f: PLFunction) -> Divisor:
@@ -191,7 +136,8 @@ def divisor_of(f: PLFunction) -> Divisor:
             if a
         ],
     )
-    assert div.degree() == 0
+    if div.degree() != 0:
+        raise DegreeError("div(f) has degree %d, not 0" % div.degree())
     return div
 
 
@@ -216,7 +162,10 @@ class UnitSubdivision:
         cuts = []
         for eid in graph.edge_ids:
             n = graph.length(eid) * self.scale
-            assert n.denominator == 1
+            if n.denominator != 1:
+                raise PointError(
+                    "scale %d does not cut edge %r into whole steps" % (self.scale, eid)
+                )
             for k in range(1, int(n)):
                 cuts.append(graph.point(eid, k * step))
         self.refinement = refine(graph, cuts)
@@ -327,8 +276,7 @@ def is_principal(D: Divisor) -> bool:
             raise DegreeError("is_principal needs a degree-0 divisor")
         return False
     lat = period_lattice(D.graph)
-    v, _ = abel_jacobi(lat, D)
-    return lattice_contains(lat, v)
+    return lattice_contains(lat, abel_jacobi(lat, D))
 
 
 def principal_function(D: Divisor) -> Optional[PLFunction]:

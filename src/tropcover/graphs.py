@@ -12,9 +12,16 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from math import lcm
+from typing import Dict, Iterable, Union
 
-from .errors import CycleError, MalformedGraphError, PointError
+from .errors import (
+    AugmentedGraphError,
+    CycleError,
+    MalformedGraphError,
+    PointError,
+    SlopeError,
+)
 from .rationals import rat
 
 ZERO = Fraction(0)
@@ -83,6 +90,9 @@ class MetricGraph:
             adj[head].append((eid, 1))
         # edge-ends at each vertex; a loop contributes both of its ends
         self._adj = {v: tuple(sorted(ends)) for v, ends in adj.items()}
+        # the package's one cache for this immutable graph: components,
+        # the period lattice
+        self._memo = {}
 
     # -- basic accessors -------------------------------------------------
 
@@ -115,40 +125,42 @@ class MetricGraph:
     def is_augmented(self) -> bool:
         return any(g > 0 for g in self._genus.values())
 
-    def total_length(self) -> Fraction:
-        return sum((self.length(e) for e in self.edge_ids), ZERO)
-
     # -- connectivity and genus ------------------------------------------
+
+    def _component_data(self):
+        data = self._memo.get("components")
+        if data is None:
+            seen = set()
+            comps = []
+            for root in self.vertex_ids:
+                if root in seen:
+                    continue
+                stack = [root]
+                comp = []
+                seen.add(root)
+                while stack:
+                    v = stack.pop()
+                    comp.append(v)
+                    for eid, end in self._adj[v]:
+                        w = self.other_end(eid, end)
+                        if w not in seen:
+                            seen.add(w)
+                            stack.append(w)
+                comps.append(tuple(sorted(comp)))
+            index = {v: comp for comp in comps for v in comp}
+            data = self._memo["components"] = (tuple(comps), index)
+        return data
 
     def components(self):
         """Vertex sets of connected components, each sorted, listed by min id."""
-        seen = set()
-        comps = []
-        for root in self.vertex_ids:
-            if root in seen:
-                continue
-            stack = [root]
-            comp = []
-            seen.add(root)
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for eid, end in self._adj[v]:
-                    w = self.other_end(eid, end)
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            comps.append(tuple(sorted(comp)))
-        return comps
+        return self._component_data()[0]
+
+    def components_by_vertex(self) -> Dict[str, tuple]:
+        """Each vertex id mapped to its component, as listed by components()."""
+        return self._component_data()[1]
 
     def is_connected(self) -> bool:
         return len(self.vertex_ids) <= 1 or len(self.components()) == 1
-
-    def component_of(self, vid: str):
-        for comp in self.components():
-            if vid in comp:
-                return comp
-        raise PointError("unknown vertex %r" % vid)
 
     def genus(self) -> int:
         """First Betti number plus the total vertex genus."""
@@ -177,8 +189,15 @@ class MetricGraph:
         return Point.at_vertex(vid)
 
     def check_point(self, p: Point) -> Point:
+        """p itself when it is a point of this graph in normal form, else
+        its normal form (an edge end becomes the vertex)."""
         if p.is_vertex:
-            return self.vertex_point(p.id)
+            if p.id not in self._genus:
+                raise PointError("unknown vertex %r" % p.id)
+            return p
+        edge = self._edges.get(p.id)
+        if edge is not None and 0 < p.offset < edge[2]:
+            return p
         return self.point(p.id, p.offset)
 
     # -- equality (used by divisors to assert a common host) -------------
@@ -253,7 +272,6 @@ class CycleSpace:
     def __init__(self, graph: MetricGraph):
         self.graph = graph
         parent = {}  # vid -> (edge id, end used to arrive) or None for roots
-        order = []
         seen = set()
         forest = set()
         for root in graph.vertex_ids:
@@ -264,7 +282,6 @@ class CycleSpace:
             queue = [root]
             while queue:
                 v = queue.pop(0)
-                order.append(v)
                 for eid, end in graph.ends_at(v):
                     w = graph.other_end(eid, end)
                     if w not in seen:
@@ -274,7 +291,6 @@ class CycleSpace:
                         queue.append(w)
         self.parent = parent
         self.forest = frozenset(forest)
-        self.order = tuple(order)
         self.nontree = tuple(e for e in graph.edge_ids if e not in forest)
         self.basis = [self._fundamental_cycle(e) for e in self.nontree]
 
@@ -320,10 +336,6 @@ class CycleSpace:
             out.append(acc)
         return out
 
-    def expand(self, chain):
-        """Coefficients of a cycle (edge vector) on the fundamental basis."""
-        return [chain.get(e, 0) for e in self.nontree]
-
 
 def is_even_subgraph(graph: MetricGraph, edge_set) -> bool:
     for eid in edge_set:
@@ -342,14 +354,36 @@ def check_even_subgraph(graph: MetricGraph, edge_set) -> frozenset:
     return es
 
 
+def require_unaugmented(graph: MetricGraph):
+    if graph.is_augmented():
+        raise AugmentedGraphError(
+            "the graph carries vertex genus; virtualize it first"
+        )
+
+
 # -- refinement ----------------------------------------------------------
+
+
+def _fresh(name: str, taken) -> str:
+    """name, primed until taken does not hold it.
+
+    A generated name ends in a number, so priming one never turns it into
+    another generated name.
+    """
+    while name in taken:
+        name += "'"
+    return name
 
 
 class Refinement:
     """A model refinement: new vertices at prescribed edge-interior points.
 
     Each refined edge covers an interval [a, b] of a base edge, oriented the
-    same way.  Vertices of the base survive with their ids and genus.
+    same way.  Vertices of the base survive with their ids and genus.  A new
+    vertex is named "e@t" and the k-th piece of a cut edge "e#k", primed
+    when the base already uses the name; `origin` maps each new vertex to
+    its base point and `seg` each refined edge to its interval, so ids are
+    never parsed.
     """
 
     def __init__(self, base: MetricGraph, points: Iterable[Point]):
@@ -357,43 +391,51 @@ class Refinement:
         for p in points:
             p = base.check_point(p)
             if not p.is_vertex:
-                by_edge.setdefault(p.id, set()).add(p.offset)
+                by_edge.setdefault(p.id, {})[p.offset] = p
         vertices = [(v, base.genus_of(v)) for v in base.vertex_ids]
         edges = []
+        origin = {}  # new vertex id -> base point
         seg = {}  # refined eid -> (base eid, a, b)
         pieces = {}  # base eid -> list of refined eids in offset order
         for eid in base.edge_ids:
-            tail, head = base.ends(eid)
-            ell = base.length(eid)
-            cuts = sorted(by_edge.get(eid, ()))
+            tail, head, ell = base._edges[eid]
+            cuts = by_edge.get(eid)
             if not cuts:
                 edges.append((eid, tail, head, ell))
                 seg[eid] = (eid, ZERO, ell)
                 pieces[eid] = [eid]
                 continue
-            stops = [ZERO] + cuts + [ell]
-            names = [tail] + ["%s@%s" % (eid, t) for t in cuts] + [head]
-            for mid in names[1:-1]:
-                vertices.append((mid, 0))
+            stops = [ZERO]
+            names = [tail]
+            for t in sorted(cuts):
+                vid = _fresh("%s@%s" % (eid, t), base._genus)
+                vertices.append((vid, 0))
+                origin[vid] = cuts[t]
+                stops.append(t)
+                names.append(vid)
+            stops.append(ell)
+            names.append(head)
             ids = []
             for k in range(len(stops) - 1):
-                reid = "%s#%d" % (eid, k)
+                reid = _fresh("%s#%d" % (eid, k), base._edges)
                 edges.append((reid, names[k], names[k + 1], stops[k + 1] - stops[k]))
                 seg[reid] = (eid, stops[k], stops[k + 1])
                 ids.append(reid)
             pieces[eid] = ids
         self.base = base
         self.graph = MetricGraph(vertices, edges)
+        self.origin = origin
         self.seg = seg
         self.pieces = pieces
 
     def to_base_point(self, p: Point) -> Point:
         """Map a point of the refined model back to the base model."""
         if p.is_vertex:
-            if p.id in self.base._genus:
-                return p
-            eid, off = p.id.rsplit("@", 1)
-            return self.base.point(eid, Fraction(off))
+            if p.id in self.origin:
+                return self.origin[p.id]
+            if p.id not in self.base._genus:
+                raise PointError("unknown vertex %r" % p.id)
+            return p
         beid, a, _ = self.seg[p.id]
         return self.base.point(beid, a + p.offset)
 
@@ -408,19 +450,61 @@ class Refinement:
                 return self.graph.point(reid, p.offset - a)
         raise PointError("point %r not covered by refinement" % (p,))
 
-    def interval(self, reid: str):
-        """(base edge id, a, b) covered by a refined edge."""
-        return self.seg[reid]
-
 
 def refine(graph: MetricGraph, points: Iterable[Point]) -> Refinement:
     return Refinement(graph, points)
 
 
+# -- piecewise linear functions ------------------------------------------
+
+
+class PLFunction:
+    """Continuous piecewise linear function with values on a refinement."""
+
+    def __init__(self, refinement: Refinement, values: Dict[str, Fraction]):
+        self.refinement = refinement
+        self.graph = refinement.base
+        self.values = {v: rat(x) for v, x in values.items()}
+        for v in refinement.graph.vertex_ids:
+            if v not in self.values:
+                raise PointError("missing value at refinement vertex %r" % v)
+
+    def value(self, p: Point) -> Fraction:
+        rp = self.refinement.to_refined_point(p)
+        if rp.is_vertex:
+            return self.values[rp.id]
+        t, h = self.refinement.graph.ends(rp.id)
+        ell = self.refinement.graph.length(rp.id)
+        vt, vh = self.values[t], self.values[h]
+        return vt + (vh - vt) * rp.offset / ell
+
+    def _breakpoints(self):
+        pts = []
+        for v in self.refinement.graph.vertex_ids:
+            pts.append(self.refinement.to_base_point(Point.at_vertex(v)))
+        return pts
+
+    def _combine(self, other: "PLFunction", sign: int) -> "PLFunction":
+        if not self.graph.same_model(other.graph):
+            raise PointError("functions live on different graphs")
+        ref = refine(self.graph, self._breakpoints() + other._breakpoints())
+        vals = {}
+        for v in ref.graph.vertex_ids:
+            bp = ref.to_base_point(Point.at_vertex(v))
+            vals[v] = self.value(bp) + sign * other.value(bp)
+        return PLFunction(ref, vals)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+
 # -- distance fields -----------------------------------------------------
 
 
-class DistanceField:
+class DistanceField(PLFunction):
     """Exact shortest-path distance to a point or to an even subgraph.
 
     Values are stored at the vertices of a refinement that includes the
@@ -441,25 +525,21 @@ class DistanceField:
             self.source_cycle = cyc
             self.source = cyc
             seed_points = []
-        self.graph = graph
 
         first = refine(graph, seed_points)
-        dist = self._dijkstra(first)
-        ridges = self._find_ridges(first, dist)
+        ridges = self._find_ridges(first, self._dijkstra(first))
         self.ridge_base_points = tuple(sorted(ridges))
-
-        self.refinement = refine(graph, list(seed_points) + list(ridges))
-        values = {}
-        for v in self.refinement.graph.vertex_ids:
-            bp = self.refinement.to_base_point(Point.at_vertex(v))
-            values[v] = _eval_on(first, dist, bp)
-        self.values = values
+        ref = refine(graph, seed_points + ridges)
+        super().__init__(ref, self._dijkstra(ref))
         self._check_slopes()
 
     def _seed_vertices(self, ref: Refinement):
         if self.source_cycle is None:
             rp = ref.to_refined_point(self.source)
-            assert rp.is_vertex
+            if not rp.is_vertex:
+                raise PointError(
+                    "source %r is not a vertex of its refinement" % (self.source,)
+                )
             return {rp.id}
         seeds = set()
         for eid in self.source_cycle:
@@ -478,11 +558,11 @@ class DistanceField:
         return frozenset(out)
 
     def _dijkstra(self, ref: Refinement):
+        """Distances from the seeds, found in integer multiples of 1/scale."""
         g = ref.graph
+        scale = lcm(*(g.length(e).denominator for e in g.edge_ids))
         dist = {}
-        heap = []
-        for v in self._seed_vertices(ref):
-            heapq.heappush(heap, (ZERO, v))
+        heap = [(0, v) for v in sorted(self._seed_vertices(ref))]  # sorted: a heap
         while heap:
             d, v = heapq.heappop(heap)
             if v in dist:
@@ -491,8 +571,10 @@ class DistanceField:
             for eid, end in g.ends_at(v):
                 w = g.other_end(eid, end)
                 if w not in dist:
-                    heapq.heappush(heap, (d + g.length(eid), w))
-        return dist
+                    ell = g.length(eid)
+                    step = ell.numerator * (scale // ell.denominator)
+                    heapq.heappush(heap, (d + step, w))
+        return {v: Fraction(d, scale) for v, d in dist.items()}
 
     def _find_ridges(self, ref: Refinement, dist):
         zero = self._zero_edges(ref)
@@ -505,7 +587,7 @@ class DistanceField:
             # meeting point of the two descent directions, when interior
             tt = (ell + dist[h] - dist[t]) / 2
             if 0 < tt < ell:
-                beid, a, _ = ref.interval(reid)
+                beid, a, _ = ref.seg[reid]
                 ridges.append(ref.base.point(beid, a + tt))
         return ridges
 
@@ -514,24 +596,12 @@ class DistanceField:
         zero = self._zero_edges(self.refinement)
         for reid in g.edge_ids:
             t, h = g.ends(reid)
-            delta = self.values[h] - self.values[t]
-            if reid in zero:
-                assert delta == 0, "nonzero slope on source"
-            else:
-                assert abs(delta) == g.length(reid), "slope not +-1 off source"
-
-    def value(self, p: Point) -> Fraction:
-        """Distance at any base point."""
-        rp = self.refinement.to_refined_point(p)
-        if rp.is_vertex:
-            return self.values[rp.id]
-        t, h = self.refinement.graph.ends(rp.id)
-        ell = self.refinement.graph.length(rp.id)
-        return min(self.values[t] + rp.offset, self.values[h] + ell - rp.offset)
-
-    def ridge_points(self):
-        """Interior points where two descent directions meet, as base points."""
-        return self.ridge_base_points
+            slope = (self.values[h] - self.values[t]) / g.length(reid)
+            if abs(slope) != (0 if reid in zero else 1):
+                raise SlopeError(
+                    "distance field has slope %s on %r, not %s"
+                    % (slope, reid, "0 on the source" if reid in zero else "+-1")
+                )
 
 
 def distance_field(graph: MetricGraph, source) -> DistanceField:
@@ -540,22 +610,14 @@ def distance_field(graph: MetricGraph, source) -> DistanceField:
     return DistanceField(graph, source)
 
 
-def _eval_on(ref: Refinement, dist, p: Point) -> Fraction:
-    rp = ref.to_refined_point(p)
-    if rp.is_vertex:
-        return dist[rp.id]
-    t, h = ref.graph.ends(rp.id)
-    ell = ref.graph.length(rp.id)
-    return min(dist[t] + rp.offset, dist[h] + ell - rp.offset)
-
-
 # -- virtualization of vertex genus --------------------------------------
 
 
 def virtualize(graph: MetricGraph, eps=1):
     """Replace vertex genus by loops of length eps; returns (graph, registry).
 
-    The registry maps each vertex of positive genus to the ids of its loops.
+    The registry maps each vertex of positive genus to the ids of its loops,
+    named "v!k" and primed when the graph already uses the name.
     """
     eps = rat(eps)
     if eps <= 0:
@@ -566,7 +628,7 @@ def virtualize(graph: MetricGraph, eps=1):
     for v in graph.vertex_ids:
         loops = []
         for k in range(graph.genus_of(v)):
-            lid = "%s!%d" % (v, k)
+            lid = _fresh("%s!%d" % (v, k), graph._edges)
             edges.append((lid, v, v, eps))
             loops.append(lid)
         if loops:

@@ -8,13 +8,12 @@ Everything is exact, so lattice membership is a yes/no question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from . import linalg
 from .divisors import Divisor
-from .errors import DegreeError
+from .errors import DegreeError, PointError
 from .graphs import CycleSpace, MetricGraph, Point, refine
 
 ZERO = Fraction(0)
@@ -61,27 +60,18 @@ class PeriodLattice:
 
 def period_lattice(graph: MetricGraph) -> PeriodLattice:
     """Memoized on the (immutable) graph instance."""
-    lat = getattr(graph, "_period_lattice", None)
+    lat = graph._memo.get("period_lattice")
     if lat is None:
-        lat = PeriodLattice(graph)
-        graph._period_lattice = lat
+        lat = graph._memo["period_lattice"] = PeriodLattice(graph)
     return lat
 
 
-@dataclass
-class PathCertificate:
-    """Basepoints (one per component) and the total path 1-chain.
+def abel_jacobi(lat: PeriodLattice, D: Divisor, q: Point = None) -> List[Fraction]:
+    """Coordinates of a component-wise degree-0 divisor.
 
-    The chain is a list of (base edge id, a, b, coeff) segments whose
-    boundary is the divisor; it can be pushed through a harmonic morphism.
+    The path 1-chain runs from a basepoint per component (q's, where given,
+    else the component's least vertex) to each support point.
     """
-
-    basepoints: Tuple[str, ...]
-    segments: Tuple[Tuple[str, Fraction, Fraction, int], ...]
-
-
-def abel_jacobi(lat: PeriodLattice, D: Divisor, q: Point = None):
-    """(coordinates, certificate) of a component-wise degree-0 divisor."""
     graph = lat.graph
     if any(d != 0 for d in D.component_degrees().values()):
         raise DegreeError("abel_jacobi needs degree 0 on every component")
@@ -91,37 +81,26 @@ def abel_jacobi(lat: PeriodLattice, D: Divisor, q: Point = None):
         pts.append(q)
     ref = refine(graph, pts)
     cs = CycleSpace(ref.graph)
-
-    # basepoint per component: q's vertex where applicable, else min id
-    comps = ref.graph.components()
-    bases = {}
-    for comp in comps:
-        bases[comp] = comp[0]
+    comp_of = ref.graph.components_by_vertex()
+    bases = {comp: comp[0] for comp in ref.graph.components()}
     if q is not None:
-        qv = ref.to_refined_point(q)
-        qv = qv.id if qv.is_vertex else ref.graph.ends(qv.id)[0]
-        for comp in comps:
-            if qv in comp:
-                bases[comp] = qv
+        qv = ref.to_refined_point(q).id
+        bases[comp_of[qv]] = qv
 
     chain: Dict[str, int] = {}  # refined edge id -> coefficient
     for p, a in D.items():
         rp = ref.to_refined_point(p)
-        assert rp.is_vertex
-        comp = next(c for c in comps if rp.id in c)
-        for e, c in cs.tree_chain(bases[comp], rp.id).items():
+        if not rp.is_vertex:
+            raise PointError("support point %r is not a vertex of its refinement" % (p,))
+        for e, c in cs.tree_chain(bases[comp_of[rp.id]], rp.id).items():
             chain[e] = chain.get(e, 0) + a * c
 
     segments = []
-    for reid in sorted(chain):
-        c = chain[reid]
+    for reid, c in chain.items():
         if c:
-            beid, a, b = ref.interval(reid)
+            beid, a, b = ref.seg[reid]
             segments.append((beid, a, b, c))
-    cert = PathCertificate(
-        basepoints=tuple(sorted(set(bases.values()))), segments=tuple(segments)
-    )
-    return lat.pair_chain(segments), cert
+    return lat.pair_chain(segments)
 
 
 def lattice_contains(lat: PeriodLattice, v) -> bool:

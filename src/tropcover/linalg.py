@@ -75,12 +75,6 @@ def rref(M):
     return A, pivots
 
 
-def rank(M):
-    if not M:
-        return 0
-    return len(rref(M)[1])
-
-
 def left_nullspace(M):
     """Basis rows y with y M = 0, from the rref of the transpose."""
     if not M:

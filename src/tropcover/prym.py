@@ -18,6 +18,7 @@ from .divisors import Divisor, is_principal
 from .errors import CoverError, DegreeError, PrymError
 from .graphs import CycleSpace, Point
 from .jacobian import abel_jacobi, period_lattice
+from .rationals import rat
 from .theta import two_torsion_divisor
 
 
@@ -26,11 +27,9 @@ class HomologyAction:
 
     def __init__(self, cover: DoubleCover, eps=1):
         self.cover = cover
-        self.eps = eps
         self.sharp, self.registry = cover.source_sharp(eps)
         self.lattice = period_lattice(self.sharp)
         cs = self.lattice.cycles
-        g = len(cs.basis)
         self.matrix = []  # row j = coordinates of the image of basis cycle j
         for cyc in cs.basis:
             image = {}
@@ -54,6 +53,15 @@ class HomologyAction:
             self.push_matrix.append(
                 [Fraction(lifted.get(nt, 0)) for nt in cs.nontree]
             )
+        # membership data: rows of the left null space of Id - J, and the
+        # lattice generators projected onto them
+        g = len(self.matrix)
+        diff = linalg.mat_sub(linalg.identity(g), self.matrix)
+        self.null = linalg.left_nullspace(diff)
+        self.gens = []
+        if self.null:
+            proj = linalg.mat_mul(self.null, self.lattice.gram)
+            self.gens = [[row[j] for row in proj] for j in range(g)]
 
     def _iota_edge(self, eid: str) -> Tuple[str, int]:
         """Image of an oriented edge under the involution, with sign."""
@@ -61,6 +69,7 @@ class HomologyAction:
             if self.cover.edge_map[eid][1] == 2:
                 return eid, 1  # dilated edges are fixed pointwise
             return self.cover.involution_e[eid], 1
+        self.cover.loop_vertex(eid)  # only a virtual loop lies outside edge_map
         return eid, -1  # virtual loops are reversed in place
 
     def act(self, v) -> List[Fraction]:
@@ -69,32 +78,16 @@ class HomologyAction:
 
     def fixed_complement_rank(self) -> int:
         """rank(Id - involution), the dimension of the Prym."""
-        g = len(self.matrix)
-        return linalg.rank(linalg.mat_sub(linalg.identity(g), self.matrix))
-
-    def _membership_data(self):
-        """(nullspace rows of Id - J, projected lattice generators), cached."""
-        if not hasattr(self, "_mdata"):
-            g = len(self.matrix)
-            diff = linalg.mat_sub(linalg.identity(g), self.matrix)
-            null = linalg.left_nullspace(diff)
-            gens = []
-            if null:
-                proj = linalg.mat_mul(null, self.lattice.gram)
-                gens = [[row[j] for row in proj] for j in range(g)]
-            self._mdata = (null, gens)
-        return self._mdata
+        return len(self.matrix) - len(self.null)
 
 
 def homology_action(cover: DoubleCover, eps=1) -> HomologyAction:
     """Memoized per cover and virtual-loop length."""
-    cache = getattr(cover, "_action_cache", None)
-    if cache is None:
-        cache = cover._action_cache = {}
-    key = Fraction(eps)
-    if key not in cache:
-        cache[key] = HomologyAction(cover, eps)
-    return cache[key]
+    key = ("action", rat(eps))
+    act = cover._memo.get(key)
+    if act is None:
+        act = cover._memo[key] = HomologyAction(cover, eps)
+    return act
 
 
 def prym_contains(cover: DoubleCover, D: Divisor, eps=1) -> bool:
@@ -117,13 +110,10 @@ def prym_contains(cover: DoubleCover, D: Divisor, eps=1) -> bool:
         # with even degree on each copy
         return all(d % 2 == 0 for d in D.component_degrees().values())
     act = homology_action(cover, eps)
-    if len(act.matrix) == 0:
+    if not act.null:
         return True
-    null, gens = act._membership_data()
-    if not null:
-        return True
-    v, _ = abel_jacobi(act.lattice, D)
-    return linalg.in_lattice(gens, linalg.mat_vec(null, v))
+    v = abel_jacobi(act.lattice, D)
+    return linalg.in_lattice(act.gens, linalg.mat_vec(act.null, v))
 
 
 def kernel_component_count(cover: DoubleCover, eps=1) -> int:

@@ -84,7 +84,7 @@ def graph_from_obj(obj) -> MetricGraph:
 
 
 def _point_key(p: Point):
-    return (p.id, p.offset if p.on_edge else Fraction(-1))
+    return (p.id, Fraction(-1) if p.is_vertex else p.offset)
 
 
 def divisor_to_obj(D: Divisor) -> list:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .divisors import Divisor
-from .errors import AugmentedGraphError
+from .errors import CycleError, DegreeError, SlopeError
 from .graphs import (
     CycleSpace,
     DistanceField,
@@ -22,6 +22,7 @@ from .graphs import (
     Point,
     check_even_subgraph,
     distance_field,
+    require_unaugmented,
 )
 
 
@@ -34,18 +35,11 @@ class ThetaCharacteristic:
     basepoint: Optional[Point]  # used when cycle is empty
 
 
-def _require_unaugmented(graph: MetricGraph):
-    if graph.is_augmented():
-        raise AugmentedGraphError(
-            "theta construction needs a genus-free model; virtualize first"
-        )
-
-
 def theta_characteristic(
     graph: MetricGraph, cycle=frozenset(), p: Optional[Point] = None
 ) -> ThetaCharacteristic:
     """The theta-characteristic divisor for one even subgraph (or the basepoint one)."""
-    _require_unaugmented(graph)
+    require_unaugmented(graph)
     cycle = check_even_subgraph(graph, cycle)
     if cycle:
         field = distance_field(graph, cycle)
@@ -63,7 +57,7 @@ def theta_characteristic(
         indeg = 0
         cyclic_ends = 0
         for reid, end in g.ends_at(v):
-            base_eid = ref.interval(reid)[0]
+            base_eid = ref.seg[reid][0]
             if base_eid in cycle:
                 cyclic_ends += 1
                 continue
@@ -74,13 +68,20 @@ def theta_characteristic(
             elif v == other:
                 # a loop surviving refinement: distances tie at both ends,
                 # which cannot happen off the source after ridge insertion
-                raise AssertionError("unsplit loop off the source")
-        assert cyclic_ends % 2 == 0
+                raise SlopeError("loop %r off the source has slope 0" % reid)
+        if cyclic_ends % 2:
+            raise CycleError(
+                "vertex %r has an odd number (%d) of source ends" % (v, cyclic_ends)
+            )
         indeg += cyclic_ends // 2  # totally cyclic: half the ends come in
         if indeg != 1:
             coeffs.append((ref.to_base_point(Point.at_vertex(v)), indeg - 1))
     div = Divisor(graph, coeffs)
-    assert div.degree() == graph.genus() - 1
+    if div.degree() != graph.genus() - 1:
+        raise DegreeError(
+            "theta divisor has degree %d, not g - 1 = %d"
+            % (div.degree(), graph.genus() - 1)
+        )
     return ThetaCharacteristic(
         cycle=cycle,
         divisor=div,
@@ -103,6 +104,6 @@ def two_torsion_divisor(
 
 def enumerate_theta(graph: MetricGraph, p: Optional[Point] = None):
     """All 2^g theta characteristics, in cycle-span order (empty one first)."""
-    _require_unaugmented(graph)
+    require_unaugmented(graph)
     cs = CycleSpace(graph)
     return [theta_characteristic(graph, c, p) for c in cs.even_subgraphs()]

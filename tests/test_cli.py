@@ -115,6 +115,27 @@ def test_divisor_and_jac_commands(tmp_path):
     assert len(obj["coords"]) == 3 and obj["basis"] == "fundamental"
 
 
+def test_user_ids_shaped_like_generated_ids(tmp_path):
+    g = tmp_path / "g.json"
+    g.write_text(
+        '{"vertices":[{"id":"A"},{"id":"B"},{"id":"f@3"}],"edges":['
+        '{"id":"e","tail":"A","head":"B","length":"2"},'
+        '{"id":"f","tail":"A","head":"B","length":"4"},'
+        '{"id":"x","tail":"B","head":"f@3","length":"1"}]}'
+    )
+    code, out, _ = run("theta", str(g))
+    assert code == 0 and len(out.splitlines()) == 2
+    d = tmp_path / "d.json"
+    d.write_text('[{"at":{"vertex":"f@3"},"coeff":1}]')
+    # --at names the vertex f@3, not offset 3 on edge f
+    code, out, _ = run("divisor", "reduce", str(g), str(d), "--at", "f@3")
+    assert code == 0 and json.loads(out) == [{"at": {"vertex": "f@3"}, "coeff": 1}]
+    code, out, _ = run("divisor", "reduce", str(g), str(d), "--at", "f@1/2")
+    assert code == 0 and json.loads(out) == [{"at": {"vertex": "B"}, "coeff": 1}]
+    code, _, err = run("divisor", "reduce", str(g), str(d), "--at", "f@x")
+    assert code == 2 and err
+
+
 def test_degree_precondition_exits_3(tmp_path):
     bad = tmp_path / "deg1.json"
     bad.write_text('[{"at":{"vertex":"A"},"coeff":1}]')

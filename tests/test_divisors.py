@@ -55,9 +55,7 @@ def test_divisor_of_constant_is_zero(k4):
 
 def test_divisor_of_loop_tent(unit_loop):
     """Rising with slope 1 to the antipode and back down."""
-    field = distance_field(unit_loop, Point.at_vertex("p"))
-    f = PLFunction.from_distance_field(field)
-    d = divisor_of(f)
+    d = divisor_of(distance_field(unit_loop, Point.at_vertex("p")))
     expected = Divisor(
         unit_loop, [(Point.at_vertex("p"), -2), (mid("loop"), 2)]
     )
@@ -68,10 +66,8 @@ def test_theta_field_identity(k4):
     """The two distance fields differ by a function cutting out the
     difference of the doubled theta divisors."""
     tri = frozenset(["BC", "BD", "CD"])
-    f_gamma = PLFunction.from_distance_field(distance_field(k4, tri))
-    f_p = PLFunction.from_distance_field(
-        distance_field(k4, Point.at_vertex("A"))
-    )
+    f_gamma = distance_field(k4, tri)
+    f_p = distance_field(k4, Point.at_vertex("A"))
     d = divisor_of(f_gamma - f_p)
     L_gamma = theta_characteristic(k4, tri).divisor
     L_0 = theta_characteristic(k4).divisor

@@ -100,6 +100,24 @@ def test_refined_points_round_trip(k4):
     assert ref.to_base_point(rp) == mid
 
 
+def test_refine_avoids_user_ids_shaped_like_generated_ones():
+    g = MetricGraph(
+        ["A", "B", "f@3"],
+        [("f", "A", "B", 4), ("e", "A", "B", 2), ("e#0", "A", "B", 3),
+         ("x", "B", "f@3", 1)],
+    )
+    cuts = [Point.on_edge("f", 3), Point.on_edge("e", 1)]
+    ref = refine(g, cuts)
+    assert ref.graph.genus() == g.genus()
+    assert ref.graph.ends("e#0") == ("A", "B") and ref.graph.length("e#0") == 3
+    assert ref.graph.ends("x") == ("B", "f@3")
+    for p in cuts:
+        rp = ref.to_refined_point(p)
+        assert rp.is_vertex and rp.id not in g.vertex_ids
+        assert ref.to_base_point(rp) == p
+    assert ref.to_base_point(Point.at_vertex("f@3")) == Point.at_vertex("f@3")
+
+
 def test_even_subgraph_count_and_closure():
     rng = random.Random(11)
     for _ in range(15):
@@ -136,6 +154,16 @@ def test_virtualize_genus_eps_independent():
             assert sharp.length(lid) == Fraction(eps)
 
 
+def test_virtualize_avoids_a_user_edge_named_like_a_loop():
+    g = MetricGraph([("u", 1), "v"], [("u!0", "u", "v", 1)])
+    sharp, registry = virtualize(g, Fraction(1, 2))
+    (lid,) = registry["u"]
+    assert lid != "u!0"
+    assert sharp.ends(lid) == ("u", "u") and sharp.length(lid) == Fraction(1, 2)
+    assert sharp.ends("u!0") == ("u", "v") and sharp.length("u!0") == 1
+    assert sharp.genus() == 1
+
+
 def test_distance_field_matches_vertex_oracle():
     rng = random.Random(23)
     for _ in range(15):
@@ -154,7 +182,7 @@ def test_distance_field_from_cycle(k4):
         assert field.value(Point.at_vertex(v)) == 0
     assert field.value(Point.at_vertex("A")) == 1
     # ridge points of the triangle field sit at the midpoints of the star
-    ridges = field.ridge_points()
+    ridges = field.ridge_base_points
     assert Point.on_edge("AB", Fraction(1, 2)) not in ridges
 
 

@@ -1,6 +1,7 @@
 """Prym varieties, component counts, and the mod-2 pairing."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from tropcover import (
     involution_divisor,
     kernel_component_count,
     pairing_table,
+    period_lattice,
     prym_contains,
     weil_pairing,
 )
@@ -55,8 +57,8 @@ def test_homology_action_respects_involution(cube_cover):
     for _ in range(5):
         a, b = rng.choice(pts), rng.choice(pts)
         D = Divisor(sharp, [(a, 1), (b, -1)])
-        v, _ = abel_jacobi(act.lattice, D)
-        iv, _ = abel_jacobi(act.lattice, involution_divisor(cube_cover, D))
+        v = abel_jacobi(act.lattice, D)
+        iv = abel_jacobi(act.lattice, involution_divisor(cube_cover, D))
         diff = [x - y for x, y in zip(act.act(v), iv)]
         from tropcover import lattice_contains
 
@@ -74,8 +76,8 @@ def test_pushforward_matrix(cube_cover):
     for _ in range(5):
         a, b = rng.choice(pts), rng.choice(pts)
         D = Divisor(sharp, [(a, 1), (b, -1)])
-        v, _ = abel_jacobi(act.lattice, D)
-        down, _ = abel_jacobi(tlat, pushforward(cube_cover, D))
+        v = abel_jacobi(act.lattice, D)
+        down = abel_jacobi(tlat, pushforward(cube_cover, D))
         pv = linalg.mat_vec(act.push_matrix, v)
         assert lattice_contains(tlat, [x - y for x, y in zip(pv, down)])
 
@@ -122,10 +124,10 @@ def test_prym_invariant_under_equivalence(cube_cover):
     )
     # shift by the principal divisor of a tent function on one edge
     from tropcover import distance_field
-    from tropcover.divisors import PLFunction, divisor_of
+    from tropcover.divisors import divisor_of
 
     field = distance_field(sharp, Point.at_vertex("A^0"))
-    shift = divisor_of(PLFunction.from_distance_field(field))
+    shift = divisor_of(field)
     assert prym_contains(cube_cover, D + shift)
 
 
@@ -197,3 +199,21 @@ def test_trivial_cover_prym(k4):
     D = Divisor(sharp, [(x0, 1), (y0, -1), (x1, -1), (y1, 1)])
     # pushforward is A - B + B - A = 0, sheet degrees are 0: in the Prym
     assert prym_contains(trivial, D)
+
+
+def test_memos_return_the_same_object(cube_cover):
+    target = cube_cover.target
+    assert period_lattice(target) is period_lattice(target)
+    assert cube_cover.source_sharp() is cube_cover.source_sharp()
+    act = homology_action(cube_cover)
+    assert homology_action(cube_cover) is act
+    assert homology_action(cube_cover, Fraction(1)) is act
+    half = homology_action(cube_cover, Fraction(1, 2))
+    assert half is not act
+    assert homology_action(cube_cover, Fraction(1, 2)) is half
+    # a float eps is refused even when an equal exact key is cached
+    with pytest.raises(TypeError) as sharp_err:
+        cube_cover.source_sharp(0.5)
+    with pytest.raises(TypeError) as action_err:
+        homology_action(cube_cover, 0.5)
+    assert str(action_err.value) == str(sharp_err.value)

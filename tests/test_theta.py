@@ -29,6 +29,18 @@ def mid(eid):
     return Point.on_edge(eid, Fraction(1, 2))
 
 
+def test_theta_beside_a_user_vertex_named_like_a_cut():
+    """The basepoint field cuts f at offset 3, whose default name is taken."""
+    g = MetricGraph(
+        ["A", "B", "f@3"],
+        [("e", "A", "B", 2), ("f", "A", "B", 4), ("x", "B", "f@3", 1)],
+    )
+    chars = enumerate_theta(g)
+    assert len(chars) == 2 ** g.genus()
+    assert sum(1 for t in chars if not t.effective) == 1
+    assert chars[0].field.ridge_base_points == (Point.on_edge("f", 3),)
+
+
 def test_k4_basepoint_characteristic(k4):
     t = theta_characteristic(k4, p=Point.at_vertex("A"))
     expected = Divisor(
@@ -128,7 +140,7 @@ def test_torsion_bijection():
         cs = CycleSpace(g)
         classes = set()
         for c in cs.even_subgraphs():
-            v, _ = abel_jacobi(lat, two_torsion_divisor(g, c))
+            v = abel_jacobi(lat, two_torsion_divisor(g, c))
             classes.add(canonical(lat, v))
         assert classes == set(torsion_points(lat, 2))
 
