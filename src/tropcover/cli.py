@@ -12,7 +12,7 @@ import sys
 from . import serialize
 from .covers import covers_with_dilation, free_cover, free_covers, pullback, pushforward, verify_cover
 from .divisors import equivalent, is_principal, reduce_at
-from .errors import MalformedGraphError, TropcoverError
+from .errors import MalformedGraphError, PointError, TropcoverError
 from .graphs import CycleSpace, MetricGraph, Point, validate
 from .jacobian import abel_jacobi, period_lattice
 from .prym import kernel_component_count, pairing_table, prym_contains
@@ -38,15 +38,22 @@ def _read_cover(path):
 
 
 def _parse_point(graph: MetricGraph, spec: str) -> Point:
-    """The vertex named spec if there is one, else the edge point "e@p/q"."""
-    if spec in graph.vertex_ids or "@" not in spec:
-        return graph.vertex_point(spec)
-    eid, off = spec.rsplit("@", 1)
+    """The vertex named spec if there is one, else the edge point "e@p/q".
+
+    A spec that names no point of the graph is malformed input, as the
+    same point in a divisor file is.
+    """
     try:
-        offset = rat(off)
-    except (ValueError, ZeroDivisionError):
-        raise MalformedGraphError("--at: bad offset %r" % off)
-    return graph.point(eid, offset)
+        if spec in graph.vertex_ids or "@" not in spec:
+            return graph.vertex_point(spec)
+        eid, off = spec.rsplit("@", 1)
+        try:
+            offset = rat(off)
+        except (ValueError, ZeroDivisionError):
+            raise PointError("bad offset %r" % off) from None
+        return graph.point(eid, offset)
+    except PointError as exc:
+        raise MalformedGraphError("--at: %s" % exc) from None
 
 
 def _emit(args, text: str):

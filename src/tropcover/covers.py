@@ -47,7 +47,8 @@ class DoubleCover:
         self.involution_e = self._pair_edges()
         self.dilation = frozenset(te for te, d in self.edge_map.values() if d == 2)
         # the package's one cache for this cover: per eps, the virtualized
-        # source and the homology action; the virtual loops' vertices
+        # source and the homology action; the virtual loops' vertices; the
+        # fibers over target vertices and edges
         self._memo = {}
 
     def _pair_edges(self):
@@ -107,22 +108,27 @@ class DoubleCover:
         self.loop_vertex(p.id)  # only a virtual loop lies outside edge_map
         return sharp.point(p.id, rat(eps) - p.offset)
 
+    def _fibers(self):
+        """(target vertex -> [(source vertex, local degree)], target edge ->
+        [(source edge, dilation degree)]), each fiber sorted by source id."""
+        fibers = self._memo.get("fibers")
+        if fibers is None:
+            over_v, over_e = {}, {}
+            for sv, tv in sorted(self.vertex_map.items()):
+                d = 2 if self.involution_v.get(sv, sv) == sv else 1
+                over_v.setdefault(tv, []).append((sv, d))
+            for se, (te, d) in sorted(self.edge_map.items()):
+                over_e.setdefault(te, []).append((se, d))
+            fibers = self._memo["fibers"] = (over_v, over_e)
+        return fibers
+
     def lifts_of_point(self, p: Point):
         """[(source point, local degree)] over a target point."""
         p = self.target.check_point(p)
+        over_v, over_e = self._fibers()
         if p.is_vertex:
-            out = []
-            for sv, tv in sorted(self.vertex_map.items()):
-                if tv == p.id:
-                    d = 2 if self.involution_v.get(sv, sv) == sv else 1
-                    out.append((Point.at_vertex(sv), d))
-            return out
-        out = []
-        for se in sorted(self.edge_map):
-            te, d = self.edge_map[se]
-            if te == p.id:
-                out.append((Point.on_edge(se, p.offset / d), d))
-        return out
+            return [(Point.at_vertex(sv), d) for sv, d in over_v.get(p.id, ())]
+        return [(Point.on_edge(se, p.offset / d), d) for se, d in over_e.get(p.id, ())]
 
 
 # -- construction --------------------------------------------------------
@@ -377,15 +383,10 @@ def involution_divisor(cover: DoubleCover, D: Divisor, eps=1) -> Divisor:
 def pullback_kernel(cover: DoubleCover, eps=1):
     """Even subgraphs c with phi^* D_c principal, by exhaustive testing."""
     from .divisors import is_principal
-    from .theta import two_torsion_divisor
+    from .theta import two_torsion_divisors
 
-    cs = CycleSpace(cover.target)
-    out = []
-    for c in cs.even_subgraphs():
-        D = two_torsion_divisor(cover.target, c)
-        if is_principal(pullback(cover, D, eps)):
-            out.append(c)
-    return out
+    evens, torsion = two_torsion_divisors(cover.target)
+    return [c for c, D in zip(evens, torsion) if is_principal(pullback(cover, D, eps))]
 
 
 # -- isomorphism invariant ------------------------------------------------

@@ -43,7 +43,7 @@ class Divisor:
         return tuple(sorted(self._coeffs))
 
     def items(self):
-        return tuple((p, self._coeffs[p]) for p in self.support())
+        return tuple(sorted(self._coeffs.items()))
 
     def degree(self) -> int:
         return sum(self._coeffs.values())

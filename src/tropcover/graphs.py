@@ -47,6 +47,11 @@ class Point:
     def is_vertex(self) -> bool:
         return self.kind == "vertex"
 
+    def __hash__(self):
+        # equal offsets share numerator and denominator; hashing those skips
+        # the modular inverse that hashing a Fraction costs
+        return hash((self.kind, self.id, self.offset.numerator, self.offset.denominator))
+
     def __repr__(self):
         if self.is_vertex:
             return "Point(%s)" % self.id
@@ -313,15 +318,6 @@ class CycleSpace:
         for e, c in self._root_chain(head).items():
             cyc[e] = cyc.get(e, 0) - c
         return {e: c for e, c in cyc.items() if c}
-
-    def tree_chain(self, src: str, dst: str):
-        """Forest chain from src to dst (same component), as {eid: +-1}."""
-        up_src = self._root_chain(src)
-        up_dst = self._root_chain(dst)
-        chain = dict(up_dst)
-        for e, c in up_src.items():
-            chain[e] = chain.get(e, 0) - c
-        return {e: c for e, c in chain.items() if c}
 
     def even_subgraphs(self):
         """All 2^g even subgraphs, as frozensets of edge ids, in span order."""

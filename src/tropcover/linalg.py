@@ -5,7 +5,7 @@ tiny (the genus of a graph and its covers), so clarity beats asymptotics.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
 def identity(n):
@@ -93,63 +93,80 @@ def left_nullspace(M):
     return basis
 
 
-def _integerize(rows):
-    """Scale rational rows to integers by the lcm of all denominators."""
-    denom = 1
-    for row in rows:
-        for x in row:
-            d = Fraction(x).denominator
-            denom = denom * d // gcd(denom, d)
-    return [[int(Fraction(x) * denom) for x in row] for row in rows]
+def integer_row(row):
+    """The row scaled by the lcm of its denominators, as ints."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+class IntegerLattice:
+    """The integer span of rational vectors, for repeated membership tests.
+
+    The generators are scaled to integers by the lcm of their denominators
+    once, then brought to Hermite normal form by unimodular column
+    operations (Cohen, A Course in Computational Algebraic Number Theory,
+    2.4): each pivot column is zero above its pivot row and has a positive
+    pivot, and the earlier columns' entries in that row are reduced modulo
+    the pivot, which keeps the entries bounded.  contains() is integer
+    back-substitution.
+    """
+
+    def __init__(self, gens, dim: int):
+        gens = [list(g) for g in gens]
+        if any(len(g) != dim for g in gens):
+            raise ValueError("dimension mismatch")
+        den = lcm(*(x.denominator for g in gens for x in g))
+        active = [[x.numerator * (den // x.denominator) for x in g] for g in gens]
+        pivots = []  # (row, column) in row order
+        for i in range(dim):
+            live = [c for c in active if c[i]]
+            if not live:
+                continue
+            while len(live) > 1:
+                # Euclid on row i: reduce every column by the smallest entry
+                p = min(live, key=lambda c: abs(c[i]))
+                for c in live:
+                    if c is not p:
+                        f = c[i] // p[i]
+                        for k in range(i, dim):
+                            c[k] -= f * p[k]
+                live = [c for c in live if c[i]]
+            p = live[0]
+            if p[i] < 0:
+                p[:] = [-x for x in p]
+            for _, c in pivots:
+                f = c[i] // p[i]
+                if f:
+                    for k in range(i, dim):
+                        c[k] -= f * p[k]
+            pivots.append((i, p))
+            active = [c for c in active if c is not p and any(c)]
+        self.dim = dim
+        self.den = den
+        self.pivots = pivots
+
+    def contains(self, v) -> bool:
+        """Whether v (ints or Fractions) is an integer combination of the
+        generators."""
+        if len(v) != self.dim:
+            raise ValueError("dimension mismatch")
+        den = self.den
+        b = []
+        for x in v:
+            d = x.denominator
+            if den % d:
+                return False
+            b.append(x.numerator * (den // d))
+        for i, c in self.pivots:
+            f, r = divmod(b[i], c[i])
+            if r:
+                return False
+            if f:
+                for k in range(i, self.dim):
+                    b[k] -= f * c[k]
+        return not any(b)
 
 
 def in_lattice(gens, v):
-    """Whether v is an integer combination of the given rational vectors.
-
-    gens: list of generator vectors (each of the ambient dimension).
-    Works by unimodular column reduction of the generator matrix to column
-    echelon form, then greedy divisibility checks row by row.
-    """
-    dim = len(v)
-    if not gens:
-        return all(Fraction(x) == 0 for x in v)
-    scaled = _integerize([list(g) for g in gens] + [list(v)])
-    cols = [list(row) for row in scaled[:-1]]  # generators as columns
-    b = list(scaled[-1])
-    used = []  # (row, column index into cols) pivots in order
-    active = list(range(len(cols)))
-    for i in range(dim):
-        live = [c for c in active if cols[c][i] != 0]
-        while len(live) > 1:
-            # combine the two columns via an extended gcd step
-            c1, c2 = live[0], live[1]
-            a, bb = cols[c1][i], cols[c2][i]
-            x, y, g = _xgcd(a, bb)
-            new1 = [x * cols[c1][k] + y * cols[c2][k] for k in range(dim)]
-            new2 = [
-                (-bb // g) * cols[c1][k] + (a // g) * cols[c2][k] for k in range(dim)
-            ]
-            cols[c1], cols[c2] = new1, new2
-            live = [c for c in active if cols[c][i] != 0]
-        if live:
-            c = live[0]
-            used.append((i, c))
-            active.remove(c)
-    # forward-substitute: fix each pivot variable, require integrality
-    for i, c in used:
-        if b[i] % cols[c][i]:
-            return False
-        q = b[i] // cols[c][i]
-        for k in range(dim):
-            b[k] -= q * cols[c][k]
-    return all(x == 0 for x in b)
-
-
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return x0, y0, a
+    """Whether v is an integer combination of the given rational vectors."""
+    return IntegerLattice(gens, len(v)).contains(v)

@@ -10,16 +10,17 @@ the pulled-back two-torsion divisor lands in the Prym.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import List, Tuple
 
 from . import linalg
 from .covers import DoubleCover, free_covers, pullback, pushforward
 from .divisors import Divisor, is_principal
 from .errors import CoverError, DegreeError, PrymError
-from .graphs import CycleSpace, Point
-from .jacobian import abel_jacobi, period_lattice
+from .graphs import Point
+from .jacobian import period_lattice, scaled_abel_jacobi
 from .rationals import rat
-from .theta import two_torsion_divisor
+from .theta import two_torsion_divisor, two_torsion_divisors
 
 
 class HomologyAction:
@@ -53,15 +54,19 @@ class HomologyAction:
             self.push_matrix.append(
                 [Fraction(lifted.get(nt, 0)) for nt in cs.nontree]
             )
-        # membership data: rows of the left null space of Id - J, and the
-        # lattice generators projected onto them
+        # membership data: rows of the left null space of Id - J, each
+        # scaled to integers (which moves the projected class and lattice
+        # alike), and the lattice generators projected onto them
         g = len(self.matrix)
         diff = linalg.mat_sub(linalg.identity(g), self.matrix)
-        self.null = linalg.left_nullspace(diff)
-        self.gens = []
-        if self.null:
-            proj = linalg.mat_mul(self.null, self.lattice.gram)
-            self.gens = [[row[j] for row in proj] for j in range(g)]
+        self.null = [linalg.integer_row(y) for y in linalg.left_nullspace(diff)]
+        lat = self.lattice
+        proj = [
+            [sum(map(mul, row, col)) for col in lat.scaled_gram]  # Gram is symmetric
+            for row in self.null
+        ]
+        self.gens = [[Fraction(row[j], lat.scale) for row in proj] for j in range(g)]
+        self.prym_lattice = linalg.IntegerLattice(self.gens, len(self.null))
 
     def _iota_edge(self, eid: str) -> Tuple[str, int]:
         """Image of an oriented edge under the involution, with sign."""
@@ -112,8 +117,9 @@ def prym_contains(cover: DoubleCover, D: Divisor, eps=1) -> bool:
     act = homology_action(cover, eps)
     if not act.null:
         return True
-    v = abel_jacobi(act.lattice, D)
-    return linalg.in_lattice(act.gens, linalg.mat_vec(act.null, v))
+    nums, den = scaled_abel_jacobi(act.lattice, D)
+    proj = [Fraction(sum(map(mul, row, nums)), den) for row in act.null]
+    return act.prym_lattice.contains(proj)
 
 
 def kernel_component_count(cover: DoubleCover, eps=1) -> int:
@@ -142,9 +148,8 @@ def weil_pairing(cover: DoubleCover, cycle, eps=1) -> int:
 def pairing_table(graph, eps=1):
     """(even subgraphs, matrix): rows follow free_covers order, columns the
     even-subgraph order, entries the mod-2 pairing."""
-    evens = CycleSpace(graph).even_subgraphs()
     covers = free_covers(graph)
-    torsion = [two_torsion_divisor(graph, s) for s in evens]
+    evens, torsion = two_torsion_divisors(graph)
     table = [
         [0 if prym_contains(c, pullback(c, D, eps), eps) else 1 for D in torsion]
         for c in covers

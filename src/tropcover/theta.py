@@ -102,6 +102,14 @@ def two_torsion_divisor(
     return theta_characteristic(graph, cycle).divisor - base.divisor
 
 
+def two_torsion_divisors(graph: MetricGraph):
+    """(even subgraphs, [L_c - L_0 for each c]) in cycle-span order, from
+    one enumerate_theta, so L_0 is built once."""
+    chars = enumerate_theta(graph)
+    base = chars[0].divisor
+    return [t.cycle for t in chars], [t.divisor - base for t in chars]
+
+
 def enumerate_theta(graph: MetricGraph, p: Optional[Point] = None):
     """All 2^g theta characteristics, in cycle-span order (empty one first)."""
     require_unaugmented(graph)

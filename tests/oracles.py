@@ -1,0 +1,165 @@
+"""Independent implementations that the tests check the library against.
+
+Each one takes a different route from the library code it checks:
+Abel-Jacobi through a refinement at the support (the library reads
+per-graph tables), Abel-Jacobi along an explicitly given spanning tree,
+and lattice membership by column echelon reduction redone on every call
+(the library keeps a Hermite normal form).
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from tropcover import CycleSpace, refine
+from tropcover.divisors import UnitSubdivision
+
+
+def refined_abel_jacobi(lat, D):
+    """Abel-Jacobi coordinates from the refinement of the graph at supp(D).
+
+    Each support point becomes a vertex; the chain runs from the root of
+    each component along the refined graph's own spanning forest, and its
+    pieces are paired with the lattice's basis cycles as segments of base
+    edges.  The result agrees with abel_jacobi modulo the lattice, not
+    necessarily as vectors.
+    """
+    ref = refine(lat.graph, D.support())
+    root_chain = _root_chains(ref.graph, CycleSpace(ref.graph).forest)
+    chain = {}  # refined edge id -> coefficient
+    for p, a in D.items():
+        for e, c in root_chain[ref.to_refined_point(p).id].items():
+            chain[e] = chain.get(e, 0) + a * c
+    out = [Fraction(0)] * lat.rank
+    for reid, c in chain.items():
+        beid, a, b = ref.seg[reid]
+        for j, cyc in enumerate(lat.basis):
+            out[j] += (b - a) * c * cyc.get(beid, 0)
+    return out
+
+
+def tree_abel_jacobi(graph, D, tree):
+    """Coordinates of a degree-0 divisor along the spanning tree `tree`.
+
+    The length-weighted pairing of the chain sum a_p path(p) with the
+    fundamental cycle of each non-tree edge (run tail to head), where
+    path(p) is the tree path from the root to p, and for a point at offset
+    t on an edge e the tree path to e's tail plus the segment [0, t] of e.
+    """
+    root_chain = _root_chains(graph, tree)
+    walked = {}  # edge id -> signed length walked along it
+    for p, a in D.items():
+        if p.is_vertex:
+            start = p.id
+        else:
+            start = graph.ends(p.id)[0]
+            walked[p.id] = walked.get(p.id, 0) + a * p.offset
+        for e, c in root_chain[start].items():
+            walked[e] = walked.get(e, 0) + a * c * graph.length(e)
+    coords = []
+    for e in graph.edge_ids:
+        if e in tree:
+            continue
+        t, h = graph.ends(e)
+        cycle = {e: 1}
+        for f, c in root_chain[t].items():
+            cycle[f] = cycle.get(f, 0) + c
+        for f, c in root_chain[h].items():
+            cycle[f] = cycle.get(f, 0) - c
+        coords.append(sum((c * walked.get(f, 0) for f, c in cycle.items()), Fraction(0)))
+    return coords
+
+
+def _root_chains(graph, tree):
+    """Each vertex mapped to its path from its component's root in the
+    spanning forest `tree`, as {edge id: +1 along the edge, -1 against}."""
+    adj = {v: [] for v in graph.vertex_ids}
+    for e in tree:
+        t, h = graph.ends(e)
+        adj[t].append((e, h, 1))
+        adj[h].append((e, t, -1))
+    root_chain = {}
+    for root in graph.vertex_ids:
+        if root in root_chain:
+            continue
+        root_chain[root] = {}
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for e, w, sign in adj[v]:
+                if w not in root_chain:
+                    root_chain[w] = dict(root_chain[v])
+                    root_chain[w][e] = sign
+                    stack.append(w)
+    return root_chain
+
+
+def laplacian_columns(graph, D):
+    """(columns of the unit-subdivision Laplacian, chip vector of D)."""
+    sub = UnitSubdivision(graph, list(D.support()))
+    nbr = sub.neighbors()
+    verts = sub.refinement.graph.vertex_ids
+    idx = {v: i for i, v in enumerate(verts)}
+    chips = [0] * len(verts)
+    for p, a in D.items():
+        chips[idx[sub.vertex_of(p)]] += a
+    cols = []
+    for v in verts:
+        col = [0] * len(verts)
+        col[idx[v]] = sum(nbr[v].values())
+        for u, m in nbr[v].items():
+            col[idx[u]] = -m
+        cols.append(col)
+    return cols, chips
+
+
+def echelon_in_lattice(gens, v):
+    """Whether v is an integer combination of the rational vectors gens.
+
+    Scales generators and v together to integers, reduces the generators to
+    column echelon form by extended-gcd steps, then substitutes forward,
+    requiring divisibility at every pivot.
+    """
+    dim = len(v)
+    if not gens:
+        return all(Fraction(x) == 0 for x in v)
+    rows = [list(g) for g in gens] + [list(v)]
+    denom = 1
+    for row in rows:
+        for x in row:
+            d = Fraction(x).denominator
+            denom = denom * d // gcd(denom, d)
+    scaled = [[int(Fraction(x) * denom) for x in row] for row in rows]
+    cols = scaled[:-1]
+    b = scaled[-1]
+    used = []
+    active = list(range(len(cols)))
+    for i in range(dim):
+        live = [c for c in active if cols[c][i] != 0]
+        while len(live) > 1:
+            c1, c2 = live[0], live[1]
+            a, bb = cols[c1][i], cols[c2][i]
+            x, y, g = _xgcd(a, bb)
+            new1 = [x * cols[c1][k] + y * cols[c2][k] for k in range(dim)]
+            new2 = [(-bb // g) * cols[c1][k] + (a // g) * cols[c2][k] for k in range(dim)]
+            cols[c1], cols[c2] = new1, new2
+            live = [c for c in active if cols[c][i] != 0]
+        if live:
+            used.append((i, live[0]))
+            active.remove(live[0])
+    for i, c in used:
+        if b[i] % cols[c][i]:
+            return False
+        q = b[i] // cols[c][i]
+        for k in range(dim):
+            b[k] -= q * cols[c][k]
+    return all(x == 0 for x in b)
+
+
+def _xgcd(a, b):
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return x0, y0, a

@@ -4,11 +4,13 @@ import contextlib
 import io
 import json
 import os
+import random
+from fractions import Fraction
 
-
-from tropcover import serialize
+from tropcover import enumerate_theta, serialize
 from tropcover.cli import main
-from conftest import build_k4
+from conftest import build_k4, random_graph
+from oracles import tree_abel_jacobi
 
 HERE = os.path.dirname(__file__)
 DATA = os.path.join(HERE, "data")
@@ -134,6 +136,41 @@ def test_user_ids_shaped_like_generated_ids(tmp_path):
     assert code == 0 and json.loads(out) == [{"at": {"vertex": "B"}, "coeff": 1}]
     code, _, err = run("divisor", "reduce", str(g), str(d), "--at", "f@x")
     assert code == 2 and err
+
+
+def test_at_off_the_graph_exits_2(tmp_path):
+    # a point the graph does not have is malformed input, as in a divisor file
+    for spec in ("zz", "XX@1/2", "AB@3", "AB@1/0"):
+        code, _, err = run("divisor", "reduce", K4, ZERO, "--at", spec)
+        assert code == 2 and err.startswith("error: --at:"), spec
+    bad = tmp_path / "d.json"
+    bad.write_text('[{"at":{"edge":"AB","offset":"3"},"coeff":1}]')
+    code, _, _ = run("divisor", "reduce", K4, str(bad), "--at", "A")
+    assert code == 2
+
+
+def test_jac_coordinates_follow_the_printed_tree(tmp_path):
+    """jac prints the tree-path pairing over the tree it prints, also for
+    divisors supported inside edges (two-torsion L_c - L_0)."""
+    fractional = tmp_path / "g.json"
+    fractional.write_text(
+        serialize.dumps(serialize.graph_to_obj(random_graph(random.Random(5), min_genus=2)))
+    )
+    checked = 0
+    for path in (K4, str(fractional)):
+        graph = serialize.graph_from_obj(json.loads(open(path).read()))
+        chars = enumerate_theta(graph)
+        for t in chars[1:]:
+            D = t.divisor - chars[0].divisor
+            div = tmp_path / "d.json"
+            div.write_text(serialize.dumps(serialize.divisor_to_obj(D)))
+            code, out, _ = run("jac", path, str(div))
+            assert code == 0
+            obj = json.loads(out)
+            coords = [Fraction(c) for c in obj["coords"]]
+            assert coords == tree_abel_jacobi(graph, D, set(obj["tree"])), (path, t.cycle)
+            checked += any(not p.is_vertex for p in D.support())
+    assert checked >= 8
 
 
 def test_degree_precondition_exits_3(tmp_path):

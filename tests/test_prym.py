@@ -21,9 +21,10 @@ from tropcover import (
     pairing_table,
     period_lattice,
     prym_contains,
+    pullback_kernel,
     weil_pairing,
 )
-from tropcover import linalg
+from tropcover import linalg, theta
 from conftest import random_graph
 
 TRIANGLE = frozenset(["BC", "BD", "CD"])
@@ -174,6 +175,23 @@ def test_pairing_table_k4(k4):
     for cover, row in zip(covers, table):
         for cycle, bit in zip(evens, row):
             assert bit == cocycle_value(cover, cycle)
+
+
+def test_pairing_table_builds_each_theta_characteristic_once(k4, monkeypatch):
+    calls = []
+    original = theta.theta_characteristic
+
+    def counting(graph, cycle=frozenset(), p=None):
+        calls.append(cycle)
+        return original(graph, cycle, p)
+
+    monkeypatch.setattr(theta, "theta_characteristic", counting)
+    evens, table = pairing_table(k4)
+    assert len(calls) == 8 and len(set(calls)) == 8
+    assert evens == CycleSpace(k4).even_subgraphs()
+    calls.clear()
+    assert pullback_kernel(free_covers(k4)[7]) == [frozenset()]
+    assert len(calls) == 8
 
 
 def test_pairing_table_random_graphs():
