@@ -29,6 +29,7 @@ from .graphs import (
     require_unaugmented,
     virtualize,
 )
+from .jacobian import Tables
 from .rationals import rat
 
 HALF = Fraction(1, 2)
@@ -363,6 +364,32 @@ def pullback(cover: DoubleCover, D: Divisor, eps=1) -> Divisor:
         for sp, d in cover.lifts_of_point(p):
             out.append((sp, d * a))
     return Divisor(sharp, out)
+
+
+def pullback_tables(cover: DoubleCover, lat) -> Tables:
+    """Abel-Jacobi tables on the target whose coordinates for D are those
+    of pullback(cover, D) in lat, the period lattice of the virtualized
+    source.
+
+    A target vertex v pulls back to its fiber, weighted by local degree,
+    so pot*[v] = sum of d * pot[lift].  A point at offset t on an edge e
+    pulls back to offset t/d on each lift, and lifts keep e's orientation,
+    so it contributes pot*[tail e] + t * col*[e] with col*[e] the sum of
+    col[lift] (d * t/d = t).
+    """
+    over_v, over_e = cover._fibers()
+    pot = {}
+    for v in cover.target.vertex_ids:
+        acc = [0] * lat.rank
+        for sv, d in over_v.get(v, ()):
+            for j, x in enumerate(lat.pot[sv]):
+                acc[j] += d * x
+        pot[v] = acc
+    col = {
+        e: tuple(map(sum, zip(*(lat.col[se] for se, _ in over_e.get(e, ())))))
+        for e in cover.target.edge_ids
+    }
+    return Tables(cover.target, lat.scale, lat.rank, pot, col)
 
 
 def pushforward(cover: DoubleCover, D: Divisor, eps=1) -> Divisor:

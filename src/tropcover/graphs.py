@@ -275,8 +275,9 @@ class CycleSpace:
     """
 
     def __init__(self, graph: MetricGraph):
-        self.graph = graph
-        parent = {}  # vid -> (edge id, end used to arrive) or None for roots
+        # no reference to the graph is kept: a period lattice in the graph's
+        # memo holds its cycle space, and a reference back would be a cycle
+        parent = {}  # vid -> (edge id, end used to arrive, previous vid) or None
         seen = set()
         forest = set()
         for root in graph.vertex_ids:
@@ -291,27 +292,26 @@ class CycleSpace:
                     w = graph.other_end(eid, end)
                     if w not in seen:
                         seen.add(w)
-                        parent[w] = (eid, end)
+                        parent[w] = (eid, end, v)
                         forest.add(eid)
                         queue.append(w)
         self.parent = parent
         self.forest = frozenset(forest)
         self.nontree = tuple(e for e in graph.edge_ids if e not in forest)
-        self.basis = [self._fundamental_cycle(e) for e in self.nontree]
+        self.basis = [self._fundamental_cycle(graph, e) for e in self.nontree]
 
     def _root_chain(self, vid: str):
         """Edge chain from the component root down to vid, as {eid: +-1}."""
         chain = {}
         v = vid
         while self.parent[v] is not None:
-            eid, end = self.parent[v]
-            # arrived at v along the edge; +1 if traversed tail->head
+            eid, end, v = self.parent[v]
+            # arrived along the edge; +1 if traversed tail->head
             chain[eid] = chain.get(eid, 0) + (1 if end == 0 else -1)
-            v = self.graph.end_vertex(eid, end)
         return chain
 
-    def _fundamental_cycle(self, eid: str):
-        tail, head = self.graph.ends(eid)
+    def _fundamental_cycle(self, graph: MetricGraph, eid: str):
+        tail, head = graph.ends(eid)
         cyc = {eid: 1}
         for e, c in self._root_chain(tail).items():
             cyc[e] = cyc.get(e, 0) + c

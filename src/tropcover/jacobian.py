@@ -11,9 +11,11 @@ a yes/no question, answered in integers.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from math import lcm
-from typing import List, Tuple
+from operator import mul
+from typing import Dict, List, NamedTuple, Tuple
 
 from . import linalg
 from .divisors import Divisor
@@ -22,8 +24,6 @@ from .errors import DegreeError, PointError
 # refine is bound here as well as in graphs and divisors: the benchmark's
 # tracer patches every module binding of it and checks this one
 from .graphs import CycleSpace, MetricGraph, Point, refine  # noqa: F401
-
-ZERO = Fraction(0)
 
 
 class PeriodLattice:
@@ -35,10 +35,14 @@ class PeriodLattice:
     cycle, pot[v] the pairing of v's root path in the fundamental tree with
     each basis cycle (times scale), and scaled_gram the Gram matrix (times
     scale).
+
+    The graph is held through a weak reference: its memo holds the
+    lattice, and a strong reference back would leave both to the cyclic
+    garbage collector.
     """
 
     def __init__(self, graph: MetricGraph):
-        self.graph = graph
+        self._graph = weakref.ref(graph)
         self.cycles = cs = CycleSpace(graph)
         self.basis = cs.basis
         g = self.rank = len(self.basis)
@@ -60,7 +64,38 @@ class PeriodLattice:
                 for j, x in enumerate(self.col[e]):
                     acc[j] += c * width[e] * x
             self.pot[v] = acc
-        self._lattice = None  # the Gram columns as a linalg.IntegerLattice
+        self._span = None  # gram_span(), built on first use
+        self._inverse = None  # scaled_gram^-1 as (ints, denominator), likewise
+
+    @property
+    def graph(self) -> MetricGraph:
+        graph = self._graph()
+        if graph is None:
+            raise ReferenceError(
+                "the lattice's graph no longer exists: keep the graph while using its lattice"
+            )
+        return graph
+
+    def gram_span(self) -> linalg.IntegerLattice:
+        """The lattice spanned by the Gram matrix columns, built on first
+        use: coordinates alone never need it."""
+        if self._span is None:
+            # the Gram matrix is symmetric, so its rows are its columns
+            self._span = linalg.IntegerLattice(self.scaled_gram, self.rank, self.scale)
+        return self._span
+
+
+class Tables(NamedTuple):
+    """What scaled_abel_jacobi reads, for tables that a PeriodLattice does
+    not own: points of `graph`, coordinates in a basis of rank `rank`,
+    pot[v] scaled by `scale` and col[e] as in PeriodLattice (the pullback
+    of a cover's source tables to its target, see covers.pullback_tables)."""
+
+    graph: MetricGraph
+    scale: int
+    rank: int
+    pot: Dict[str, List[int]]
+    col: Dict[str, Tuple[int, ...]]
 
 
 def period_lattice(graph: MetricGraph) -> PeriodLattice:
@@ -86,11 +121,12 @@ def abel_jacobi(lat: PeriodLattice, D: Divisor, q: Point = None) -> List[Fractio
     return [Fraction(x, den) for x in nums]
 
 
-def scaled_abel_jacobi(lat: PeriodLattice, D: Divisor) -> Tuple[List[int], int]:
+def scaled_abel_jacobi(lat, D: Divisor) -> Tuple[List[int], int]:
     """(integer numerators, common denominator) of abel_jacobi(lat, D).
 
     The sum of a * pot[v] over vertex points v, plus a * (pot[tail(e)] +
-    t * col[e]) over points at offset t on an edge e.
+    t * col[e]) over points at offset t on an edge e.  lat is a
+    PeriodLattice or Tables.
     """
     graph = lat.graph
     if not D.graph.same_model(graph):
@@ -119,19 +155,29 @@ def scaled_abel_jacobi(lat: PeriodLattice, D: Divisor) -> Tuple[List[int], int]:
 
 def lattice_contains(lat: PeriodLattice, v) -> bool:
     """Whether v lies in the lattice spanned by the Gram matrix columns."""
-    if lat._lattice is None:  # built on first use: coordinates alone never need it
-        # the Gram matrix is symmetric, so its rows are its columns
-        lat._lattice = linalg.IntegerLattice(lat.gram, lat.rank)
-    return lat._lattice.contains(v)
+    return lat.gram_span().contains(v)
 
 
 def canonical(lat: PeriodLattice, v) -> Tuple[Fraction, ...]:
     """Representative with Gram^-1 v in [0,1)^g."""
+    den = lcm(*(x.denominator for x in v))
+    return _reduce(lat, [x.numerator * (den // x.denominator) for x in v], den)
+
+
+def _reduce(lat: PeriodLattice, nums, den: int) -> Tuple[Fraction, ...]:
+    """canonical() of nums / den, in integers: with Gram = S / scale and
+    S^-1 = N / d, the coordinates x = Gram^-1 v are scale * N nums / (d *
+    den), and Gram times their fractional parts is S r / (scale * d * den)
+    for r = scale * N nums mod d * den."""
     if lat.rank == 0:
         return ()
-    x = linalg.solve(lat.gram, list(v))
-    frac = [xi - (xi.numerator // xi.denominator) for xi in x]
-    return tuple(linalg.mat_vec(lat.gram, frac))
+    if lat._inverse is None:
+        lat._inverse = linalg.integer_inverse(lat.scaled_gram)
+    inv, d = lat._inverse
+    q = d * den
+    r = [lat.scale * sum(map(mul, row, nums)) % q for row in inv]
+    q *= lat.scale
+    return tuple(Fraction(sum(map(mul, row, r)), q) for row in lat.scaled_gram)
 
 
 def add_points(lat: PeriodLattice, v, w) -> Tuple[Fraction, ...]:
@@ -143,7 +189,6 @@ def torsion_points(lat: PeriodLattice, m: int):
     if m < 2:
         raise ValueError("m must be at least 2")
     g = lat.rank
-    cols = list(zip(*lat.gram)) if g else []
     out = []
     for mask in range(m**g):
         z = []
@@ -151,9 +196,7 @@ def torsion_points(lat: PeriodLattice, m: int):
         for _ in range(g):
             z.append(k % m)
             k //= m
-        v = [
-            sum((Fraction(z[j], m) * cols[j][i] for j in range(g)), ZERO)
-            for i in range(g)
-        ]
-        out.append(canonical(lat, v))
+        # Gram z / m, over the denominator m * scale
+        nums = [sum(map(mul, row, z)) for row in lat.scaled_gram]
+        out.append(_reduce(lat, nums, m * lat.scale))
     return out

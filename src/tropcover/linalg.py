@@ -1,11 +1,11 @@
-"""Small exact linear algebra: rational elimination and integer lattices.
+"""Small exact linear algebra: elimination and integer lattices.
 
 Matrices are lists of row lists holding Fractions (or ints).  Sizes here are
 tiny (the genus of a graph and its covers), so clarity beats asymptotics.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def identity(n):
@@ -23,10 +23,6 @@ def mat_mul(A, B):
         [sum((A[i][t] * B[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
         for i in range(n)
     ]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def transpose(M):
@@ -52,7 +48,9 @@ def solve(M, b):
 
 
 def rref(M):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    """Reduced row echelon form in Fractions; returns (rows, pivot column
+    indices).  The library eliminates in integers (integer_rref); this is
+    the reference the tests hold it to."""
     A = [[Fraction(x) for x in row] for row in M]
     pivots = []
     r = 0
@@ -75,34 +73,81 @@ def rref(M):
     return A, pivots
 
 
+def integer_rref(M):
+    """Gauss-Jordan elimination of an integer matrix in integers; returns
+    (rows, pivot column indices).
+
+    Each row is a nonzero integer multiple of the same row of rref(M): the
+    pivots, the row swaps and the zero pattern are rref's, because clearing a
+    column by cross-multiplication (p * row - c * pivot row) scales every
+    row by a nonzero integer where rref subtracts a Fraction multiple.  Rows
+    are divided by the gcd of their entries to keep them small.
+    """
+    A = [list(row) for row in M]
+    pivots = []
+    r = 0
+    ncols = len(A[0]) if A else 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(A)) if A[i][col]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        prow = A[r]
+        p = prow[col]
+        for i, row in enumerate(A):
+            c = row[col]
+            if i != r and c:
+                row = [p * x - c * y for x, y in zip(row, prow)]
+                k = gcd(*row) or 1
+                A[i] = [x // k for x in row]
+        pivots.append(col)
+        r += 1
+        if r == len(A):
+            break
+    return A, pivots
+
+
 def left_nullspace(M):
-    """Basis rows y with y M = 0, from the rref of the transpose."""
+    """Basis rows y with y M = 0 for an integer matrix M.
+
+    The basis is the one rref of the transpose gives (a 1 at one free
+    coordinate, minus the rref column at the pivots), each row scaled to the
+    primitive integer vector with a positive free coordinate.
+    """
     if not M:
         return []
     n = len(M)  # ambient dimension of y
-    T = transpose(M)
-    R, pivots = rref(T)
-    free = [j for j in range(n) if j not in pivots]
+    R, pivots = integer_rref(transpose(M))
+    den = lcm(*(abs(R[r][pc]) for r, pc in enumerate(pivots)))
     basis = []
-    for j in free:
-        y = [Fraction(0)] * n
-        y[j] = Fraction(1)
+    for j in range(n):
+        if j in pivots:
+            continue
+        y = [0] * n
+        y[j] = den
         for r, pc in enumerate(pivots):
-            y[pc] = -R[r][j]
-        basis.append(y)
+            y[pc] = -R[r][j] * (den // R[r][pc])
+        k = gcd(*y)
+        basis.append([x // k for x in y])
     return basis
 
 
-def integer_row(row):
-    """The row scaled by the lcm of its denominators, as ints."""
-    den = lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
+def integer_inverse(M):
+    """(N, d) with M^-1 = N / d and d > 0, for a nonsingular integer matrix."""
+    n = len(M)
+    R, pivots = integer_rref(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    )
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    d = lcm(*(abs(R[i][i]) for i in range(n)))
+    return [[x * (d // R[i][i]) for x in R[i][n:]] for i in range(n)], d
 
 
 class IntegerLattice:
     """The integer span of rational vectors, for repeated membership tests.
 
-    The generators are scaled to integers by the lcm of their denominators
+    The generators are scaled to integers by their least common denominator
     once, then brought to Hermite normal form by unimodular column
     operations (Cohen, A Course in Computational Algebraic Number Theory,
     2.4): each pivot column is zero above its pivot row and has a positive
@@ -111,12 +156,20 @@ class IntegerLattice:
     back-substitution.
     """
 
-    def __init__(self, gens, dim: int):
+    def __init__(self, gens, dim: int, den: int = 1):
+        """The span of the vectors g / den for g in gens (ints or Fractions)."""
         gens = [list(g) for g in gens]
         if any(len(g) != dim for g in gens):
             raise ValueError("dimension mismatch")
-        den = lcm(*(x.denominator for g in gens for x in g))
-        active = [[x.numerator * (den // x.denominator) for x in g] for g in gens]
+        lift = lcm(*(x.denominator for g in gens for x in g))
+        active = [[x.numerator * (lift // x.denominator) for x in g] for g in gens]
+        # cancel what the generators share with lift * den, so that the
+        # scaled generators depend on the vectors alone, not on how they
+        # were written
+        k = gcd(lift * den, *(x for g in active for x in g))
+        den = lift * den // k
+        if k > 1:
+            active = [[x // k for x in g] for g in active]
         pivots = []  # (row, column) in row order
         for i in range(dim):
             live = [c for c in active if c[i]]
@@ -145,18 +198,18 @@ class IntegerLattice:
         self.den = den
         self.pivots = pivots
 
-    def contains(self, v) -> bool:
-        """Whether v (ints or Fractions) is an integer combination of the
-        generators."""
+    def contains(self, v, den: int = 1) -> bool:
+        """Whether v / den (v ints or Fractions) is an integer combination of
+        the generators."""
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        den = self.den
+        scale = self.den
         b = []
         for x in v:
-            d = x.denominator
-            if den % d:
+            q, r = divmod(x.numerator * scale, x.denominator * den)
+            if r:
                 return False
-            b.append(x.numerator * (den // d))
+            b.append(q)
         for i, c in self.pivots:
             f, r = divmod(b[i], c[i])
             if r:

@@ -14,7 +14,7 @@ from operator import mul
 from typing import List, Tuple
 
 from . import linalg
-from .covers import DoubleCover, free_covers, pullback, pushforward
+from .covers import DoubleCover, free_covers, pullback, pullback_tables, pushforward
 from .divisors import Divisor, is_principal
 from .errors import CoverError, DegreeError, PrymError
 from .graphs import Point
@@ -24,58 +24,53 @@ from .theta import two_torsion_divisor, two_torsion_divisors
 
 
 class HomologyAction:
-    """Involution action on the cycle space of the virtualized source."""
+    """Involution action on the cycle space of the virtualized source, and
+    the integer data that decides Prym membership from source coordinates.
+
+    Every matrix here holds ints.  Keeps no reference to the cover, whose
+    memo holds the action.
+    """
 
     def __init__(self, cover: DoubleCover, eps=1):
-        self.cover = cover
         self.sharp, self.registry = cover.source_sharp(eps)
-        self.lattice = period_lattice(self.sharp)
-        cs = self.lattice.cycles
+        self.lattice = lat = period_lattice(self.sharp)
+        nontree = lat.cycles.nontree
         self.matrix = []  # row j = coordinates of the image of basis cycle j
-        for cyc in cs.basis:
+        for cyc in lat.basis:
             image = {}
             for eid, c in cyc.items():
-                ie, sign = self._iota_edge(eid)
+                ie, sign = _iota_edge(cover, eid)
                 image[ie] = image.get(ie, 0) + sign * c
-            self.matrix.append(
-                [Fraction(image.get(nt, 0)) for nt in cs.nontree]
-            )
+            self.matrix.append([image.get(nt, 0) for nt in nontree])
         self.target_lattice = period_lattice(cover.target)
         # pushforward matrix: row i expresses the target cycle i pulled
         # back along the cover (degree-weighted) in the source basis, so
         # that P . source coords = target coords of the pushforward
         self.push_matrix = []
-        for tcyc in self.target_lattice.cycles.basis:
+        for tcyc in self.target_lattice.basis:
             lifted = {}
             for se, (te, d) in cover.edge_map.items():
                 c = tcyc.get(te, 0)
                 if c:
                     lifted[se] = d * c
-            self.push_matrix.append(
-                [Fraction(lifted.get(nt, 0)) for nt in cs.nontree]
-            )
-        # membership data: rows of the left null space of Id - J, each
-        # scaled to integers (which moves the projected class and lattice
-        # alike), and the lattice generators projected onto them
+            self.push_matrix.append([lifted.get(nt, 0) for nt in nontree])
+        # membership data: integer rows of the left null space of Id - J
+        # (scaling a row moves the projected class and lattice alike), and
+        # the lattice generators projected onto them, over lat.scale
         g = len(self.matrix)
-        diff = linalg.mat_sub(linalg.identity(g), self.matrix)
-        self.null = [linalg.integer_row(y) for y in linalg.left_nullspace(diff)]
-        lat = self.lattice
+        diff = [
+            [int(i == j) - x for j, x in enumerate(row)]
+            for i, row in enumerate(self.matrix)
+        ]
+        self.null = linalg.left_nullspace(diff)
         proj = [
             [sum(map(mul, row, col)) for col in lat.scaled_gram]  # Gram is symmetric
             for row in self.null
         ]
-        self.gens = [[Fraction(row[j], lat.scale) for row in proj] for j in range(g)]
-        self.prym_lattice = linalg.IntegerLattice(self.gens, len(self.null))
-
-    def _iota_edge(self, eid: str) -> Tuple[str, int]:
-        """Image of an oriented edge under the involution, with sign."""
-        if eid in self.cover.edge_map:
-            if self.cover.edge_map[eid][1] == 2:
-                return eid, 1  # dilated edges are fixed pointwise
-            return self.cover.involution_e[eid], 1
-        self.cover.loop_vertex(eid)  # only a virtual loop lies outside edge_map
-        return eid, -1  # virtual loops are reversed in place
+        gens = [[row[j] for row in proj] for j in range(g)]
+        self.prym_lattice = linalg.IntegerLattice(gens, len(self.null), lat.scale)
+        # tables giving the source coordinates of pulled-back target divisors
+        self.pulled_back = pullback_tables(cover, lat)
 
     def act(self, v) -> List[Fraction]:
         """Image of a coordinate vector under the induced involution."""
@@ -84,6 +79,34 @@ class HomologyAction:
     def fixed_complement_rank(self) -> int:
         """rank(Id - involution), the dimension of the Prym."""
         return len(self.matrix) - len(self.null)
+
+    def norm_vanishes(self, nums, den: int) -> bool:
+        """Whether the class with source coordinates nums / den pushes
+        forward to a principal class: P nums / den in the target lattice."""
+        push = [sum(map(mul, row, nums)) for row in self.push_matrix]
+        return self.target_lattice.gram_span().contains(push, den)
+
+    def contains(self, nums, den: int) -> bool:
+        """Prym membership of the class with source coordinates nums / den
+        on a connected source: the projection onto the left null space of
+        Id - J lies in the projected lattice.  Raises PrymError when the
+        pushforward is not principal."""
+        if not self.norm_vanishes(nums, den):
+            raise PrymError("the pushforward is not principal")
+        if not self.null:
+            return True
+        proj = [sum(map(mul, row, nums)) for row in self.null]
+        return self.prym_lattice.contains(proj, den)
+
+
+def _iota_edge(cover: DoubleCover, eid: str) -> Tuple[str, int]:
+    """Image of an oriented edge under the involution, with sign."""
+    if eid in cover.edge_map:
+        if cover.edge_map[eid][1] == 2:
+            return eid, 1  # dilated edges are fixed pointwise
+        return cover.involution_e[eid], 1
+    cover.loop_vertex(eid)  # only a virtual loop lies outside edge_map
+    return eid, -1  # virtual loops are reversed in place
 
 
 def homology_action(cover: DoubleCover, eps=1) -> HomologyAction:
@@ -107,19 +130,25 @@ def prym_contains(cover: DoubleCover, D: Divisor, eps=1) -> bool:
         raise CoverError("divisor does not live on the virtualized source")
     if D.degree() != 0:
         raise DegreeError("prym membership needs a degree-0 divisor")
-    if not is_principal(pushforward(cover, D, eps)):
-        raise PrymError("the pushforward is not principal")
     if not sharp.is_connected():
         # the source splits into two copies of the target; the image of
         # (1 - involution) on total-degree-0 classes is exactly the part
         # with even degree on each copy
+        if not is_principal(pushforward(cover, D, eps)):
+            raise PrymError("the pushforward is not principal")
         return all(d % 2 == 0 for d in D.component_degrees().values())
     act = homology_action(cover, eps)
-    if not act.null:
-        return True
-    nums, den = scaled_abel_jacobi(act.lattice, D)
-    proj = [Fraction(sum(map(mul, row, nums)), den) for row in act.null]
-    return act.prym_lattice.contains(proj)
+    return act.contains(*scaled_abel_jacobi(act.lattice, D))
+
+
+def _pullback_in_prym(cover: DoubleCover, D: Divisor, eps) -> bool:
+    """prym_contains(cover, pullback(cover, D, eps), eps); on a connected
+    source the coordinates come from the pulled-back tables, without a
+    Divisor on the source."""
+    if not cover.source_sharp(eps)[0].is_connected():
+        return prym_contains(cover, pullback(cover, D, eps), eps)
+    act = homology_action(cover, eps)
+    return act.contains(*scaled_abel_jacobi(act.pulled_back, D))
 
 
 def kernel_component_count(cover: DoubleCover, eps=1) -> int:
@@ -142,7 +171,7 @@ def weil_pairing(cover: DoubleCover, cycle, eps=1) -> int:
     if cover.dilation:
         raise CoverError("the pairing is defined for free covers only")
     D = two_torsion_divisor(cover.target, cycle)
-    return 0 if prym_contains(cover, pullback(cover, D, eps), eps) else 1
+    return 0 if _pullback_in_prym(cover, D, eps) else 1
 
 
 def pairing_table(graph, eps=1):
@@ -151,7 +180,6 @@ def pairing_table(graph, eps=1):
     covers = free_covers(graph)
     evens, torsion = two_torsion_divisors(graph)
     table = [
-        [0 if prym_contains(c, pullback(c, D, eps), eps) else 1 for D in torsion]
-        for c in covers
+        [0 if _pullback_in_prym(c, D, eps) else 1 for D in torsion] for c in covers
     ]
     return evens, table

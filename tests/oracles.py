@@ -3,14 +3,28 @@
 Each one takes a different route from the library code it checks:
 Abel-Jacobi through a refinement at the support (the library reads
 per-graph tables), Abel-Jacobi along an explicitly given spanning tree,
-and lattice membership by column echelon reduction redone on every call
-(the library keeps a Hermite normal form).
+lattice membership by column echelon reduction redone on every call
+(the library keeps a Hermite normal form), canonical representatives by a
+Fraction solve (the library solves in integers), and the homology action
+and Prym membership in Fractions on the pulled-back and pushed-forward
+Divisors (the library works in integers on pulled-back tables).
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from tropcover import CycleSpace, refine
+from tropcover import (
+    CoverError,
+    CycleSpace,
+    DegreeError,
+    PrymError,
+    abel_jacobi,
+    is_principal,
+    linalg,
+    period_lattice,
+    pushforward,
+    refine,
+)
 from tropcover.divisors import UnitSubdivision
 
 
@@ -163,3 +177,96 @@ def _xgcd(a, b):
         x0, x1 = x1, x0 - q * x1
         y0, y1 = y1, y0 - q * y1
     return x0, y0, a
+
+
+def solve_canonical(lat, v):
+    """canonical() through a Fraction Gauss-Jordan solve against the Gram
+    matrix: the representative with Gram^-1 v in [0,1)^g."""
+    if lat.rank == 0:
+        return ()
+    x = linalg.solve(lat.gram, list(v))
+    frac = [xi - (xi.numerator // xi.denominator) for xi in x]
+    return tuple(linalg.mat_vec(lat.gram, frac))
+
+
+def integer_row(row):
+    """The row scaled by the lcm of its denominators, as ints."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def fraction_left_nullspace(M):
+    """Basis rows y with y M = 0, from the Fraction rref of the transpose."""
+    if not M:
+        return []
+    n = len(M)
+    R, pivots = linalg.rref(linalg.transpose(M))
+    basis = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        y = [Fraction(0)] * n
+        y[j] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            y[pc] = -R[r][j]
+        basis.append(y)
+    return basis
+
+
+class FractionHomologyAction:
+    """The homology action built in Fractions: the involution matrix, the
+    push matrix, the null space of Id - J by rref, and the Prym lattice over
+    Fraction generators."""
+
+    def __init__(self, cover, eps=1):
+        self.sharp, _ = cover.source_sharp(eps)
+        self.lattice = lat = period_lattice(self.sharp)
+        nontree = lat.cycles.nontree
+        self.matrix = []
+        for cyc in lat.basis:
+            image = {}
+            for eid, c in cyc.items():
+                if eid not in cover.edge_map:  # a virtual loop, reversed
+                    ie, sign = eid, -1
+                elif cover.edge_map[eid][1] == 2:  # dilated, fixed
+                    ie, sign = eid, 1
+                else:
+                    ie, sign = cover.involution_e[eid], 1
+                image[ie] = image.get(ie, 0) + sign * c
+            self.matrix.append([Fraction(image.get(nt, 0)) for nt in nontree])
+        self.push_matrix = []
+        for tcyc in period_lattice(cover.target).basis:
+            lifted = {
+                se: d * tcyc[te] for se, (te, d) in cover.edge_map.items() if te in tcyc
+            }
+            self.push_matrix.append([Fraction(lifted.get(nt, 0)) for nt in nontree])
+        g = len(self.matrix)
+        diff = [
+            [Fraction(int(i == j)) - x for j, x in enumerate(row)]
+            for i, row in enumerate(self.matrix)
+        ]
+        self.null = [integer_row(y) for y in fraction_left_nullspace(diff)]
+        proj = [linalg.mat_vec(lat.gram, row) for row in self.null]
+        self.gens = [[row[j] for row in proj] for j in range(g)]
+        self.prym_lattice = linalg.IntegerLattice(self.gens, len(self.null))
+
+
+def divisor_prym_contains(cover, D, eps=1):
+    """Prym membership the Divisor way: the pushforward Divisor must be
+    principal, then the Fraction coordinates of D are projected onto the
+    Fraction null space and tested against the projected lattice."""
+    sharp, _ = cover.source_sharp(eps)
+    if not D.graph.same_model(sharp):
+        raise CoverError("divisor does not live on the virtualized source")
+    if D.degree() != 0:
+        raise DegreeError("prym membership needs a degree-0 divisor")
+    if not is_principal(pushforward(cover, D, eps)):
+        raise PrymError("the pushforward is not principal")
+    if not sharp.is_connected():
+        return all(d % 2 == 0 for d in D.component_degrees().values())
+    act = FractionHomologyAction(cover, eps)
+    if not act.null:
+        return True
+    v = abel_jacobi(act.lattice, D)
+    proj = [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in act.null]
+    return act.prym_lattice.contains(proj)

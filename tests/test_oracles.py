@@ -1,26 +1,43 @@
-"""The table-driven Abel-Jacobi map and the integer lattice against the
-independent implementations in oracles.py, on the acceptance instances."""
+"""The table-driven Abel-Jacobi map, the integer lattices and the integer
+Prym membership against the independent implementations in oracles.py, on
+the acceptance instances and on random covers."""
 
 import random
 from fractions import Fraction
 
+import pytest
+
 from tropcover import (
+    CycleSpace,
+    Divisor,
+    PrymError,
     abel_jacobi,
     canonical,
+    covers_with_dilation,
     enumerate_theta,
     free_covers,
     homology_action,
+    involution_divisor,
     is_principal,
     lattice_contains,
     linalg,
     period_lattice,
+    prym_contains,
+    pullback,
+    pushforward,
+    torsion_points,
 )
 from tropcover.divisors import laplacian_image_contains
+from tropcover.jacobian import scaled_abel_jacobi
+from tropcover.theta import two_torsion_divisors
 from conftest import random_divisor, random_graph
 from oracles import (
+    FractionHomologyAction,
+    divisor_prym_contains,
     echelon_in_lattice,
     laplacian_columns,
     refined_abel_jacobi,
+    solve_canonical,
     tree_abel_jacobi,
 )
 
@@ -44,6 +61,7 @@ def test_abel_jacobi_on_the_criterion_2_graphs():
             v = abel_jacobi(lat, D)
             assert v == tree_abel_jacobi(g, D, tree)
             assert canonical(lat, v) == canonical(lat, refined_abel_jacobi(lat, D))
+            assert canonical(lat, v) == solve_canonical(lat, v)
             edge_supported += any(not p.is_vertex for p in D.support())
         for _ in range(5):  # criterion 2's basepoint draws
             rng.choice(g.edge_ids)
@@ -83,9 +101,16 @@ def test_integer_lattice_against_solve_integrality():
                     v = [x + Fraction(rng.randint(-6, 6), rng.randint(2, 7)) for x in v]
                 want = all(x.denominator == 1 for x in linalg.solve(gram, v))
                 assert lattice_contains(lat, v) == want
+                assert canonical(lat, v) == solve_canonical(lat, v)
                 assert linalg.in_lattice([list(col) for col in zip(*gram)], v) == want
                 kinds[kind] += 1
                 inside += want
+        # the two-torsion classes Gram z / 2, in torsion_points' order
+        halves = [
+            [Fraction(mask >> j & 1, 2) for j in range(lat.rank)] for mask in range(2**lat.rank)
+        ]
+        want = [solve_canonical(lat, linalg.mat_vec(gram, z)) for z in halves]
+        assert torsion_points(lat, 2) == want
     assert 0 < inside < sum(kinds.values())
 
 
@@ -102,3 +127,96 @@ def test_integer_lattice_is_in_hermite_normal_form():
             assert p[i] > 0 and not any(p[:i])
             for _, c in lat.pivots[:k]:
                 assert 0 <= c[i] < p[i]
+
+
+def edge_point(rng, graph):
+    """A random point strictly inside a random edge."""
+    e = rng.choice(graph.edge_ids)
+    return graph.point(e, graph.length(e) * Fraction(rng.randint(1, 5), 6))
+
+
+def random_edge_divisor(rng, graph, terms=3):
+    """A random degree-0 divisor with edge-interior points in its support."""
+    pts = [edge_point(rng, graph) for _ in range(terms)]
+    D = Divisor(graph, [(p, rng.randint(-2, 2)) for p in pts])
+    return D + Divisor(graph, [(edge_point(rng, graph), -D.degree())])
+
+
+def covers_of(rng, g):
+    """Every free cover, and every cover dilated along one random nonempty
+    even subgraph."""
+    out = list(free_covers(g))
+    evens = [c for c in CycleSpace(g).even_subgraphs() if c]
+    if evens:
+        out += covers_with_dilation(g, rng.choice(evens))
+    return out
+
+
+def test_pulled_back_tables_and_the_integer_norm_check():
+    # genus 3 and 4 with fractional lengths; every cover against every
+    # two-torsion column and two random divisors with edge-interior points
+    rng = random.Random(6067)
+    principal = entries = 0
+    for _ in range(4):
+        g = random_graph(rng, max_genus=4, min_genus=3)
+        _, torsion = two_torsion_divisors(g)
+        extra = [random_edge_divisor(rng, g) for _ in range(2)]
+        for cover in covers_of(rng, g):
+            act = homology_action(cover)
+            for D in torsion + extra:
+                up = pullback(cover, D)
+                nums, den = scaled_abel_jacobi(act.pulled_back, D)
+                want_nums, want_den = scaled_abel_jacobi(act.lattice, up)
+                got = [Fraction(x, den) for x in nums]
+                assert got == [Fraction(x, want_den) for x in want_nums]
+                if not cover.dilation:  # same offsets, same scale
+                    assert (nums, den) == (want_nums, want_den)
+                norm = act.norm_vanishes(nums, den)
+                assert norm == is_principal(pushforward(cover, up))
+                principal += norm
+                entries += 1
+    assert 0 < principal < entries
+
+
+def check_prym_contains(cover, D):
+    try:
+        want = divisor_prym_contains(cover, D)
+    except PrymError:
+        with pytest.raises(PrymError):
+            prym_contains(cover, D)
+        return None
+    assert prym_contains(cover, D) == want
+    return want
+
+
+def test_prym_contains_against_the_divisor_route(cube_cover):
+    rng = random.Random(7079)
+    outcomes = []
+    covers = [cube_cover]
+    while len(covers) < 16:
+        g = random_graph(rng, max_genus=4, min_genus=2)
+        evens = [c for c in CycleSpace(g).even_subgraphs() if c]
+        covers += covers_with_dilation(g, rng.choice(evens))
+        covers.append(rng.choice(free_covers(g)[1:]))
+    for cover in covers:
+        sharp, _ = cover.source_sharp()
+        for k in range(4):
+            E = random_edge_divisor(rng, sharp)
+            outcomes.append(check_prym_contains(cover, E))  # rarely in ker Nm
+            # E - iota(E) pushes forward to 0; for a free cover it leaves the
+            # Prym when E has odd degree
+            E += Divisor(sharp, [(edge_point(rng, sharp), k % 2)])
+            outcomes.append(check_prym_contains(cover, E - involution_divisor(cover, E)))
+    assert {True, False, None} <= set(outcomes)
+
+
+def test_homology_action_matches_the_fraction_construction(k4):
+    rng = random.Random(8081)
+    graphs = [k4] + [random_graph(rng, max_genus=4, min_genus=1) for _ in range(6)]
+    for g in graphs:
+        for cover in covers_of(rng, g):
+            act, old = homology_action(cover), FractionHomologyAction(cover)
+            assert act.matrix == old.matrix and act.push_matrix == old.push_matrix
+            assert act.null == old.null
+            assert act.prym_lattice.den == old.prym_lattice.den
+            assert act.prym_lattice.pivots == old.prym_lattice.pivots

@@ -1,6 +1,9 @@
 """Prym varieties, component counts, and the mod-2 pairing."""
 
+import gc
 import random
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -24,8 +27,8 @@ from tropcover import (
     pullback_kernel,
     weil_pairing,
 )
-from tropcover import linalg, theta
-from conftest import random_graph
+from tropcover import covers, divisors, linalg, theta
+from conftest import build_k4, random_graph
 
 TRIANGLE = frozenset(["BC", "BD", "CD"])
 SQUARE = frozenset(["AC", "AD", "BC", "BD"])
@@ -194,14 +197,64 @@ def test_pairing_table_builds_each_theta_characteristic_once(k4, monkeypatch):
     assert len(calls) == 8
 
 
+def test_pairing_table_decides_entries_without_divisors(k4, monkeypatch):
+    # only the trivial cover's row, whose source is disconnected, pulls back
+    # and pushes forward Divisors; the other rows read pulled-back tables
+    calls = {}
+    for home, name in (
+        (covers, "pullback"),
+        (covers, "pushforward"),
+        (divisors, "is_principal"),
+    ):
+        original = getattr(home, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if (mod.__name__ or "").startswith("tropcover") and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counting)
+    evens, table = pairing_table(k4)
+    assert all(n <= 8 for n in calls.values())  # 64 each per-entry
+    for cover, row in zip(free_covers(k4), table):
+        assert row == [cocycle_value(cover, cycle) for cycle in evens]
+
+
 def test_pairing_table_random_graphs():
     rng = random.Random(79)
-    for _ in range(3):
-        g = random_graph(rng, max_genus=2, min_genus=1, unit_lengths=True)
+    graphs = [random_graph(rng, max_genus=2, min_genus=1, unit_lengths=True) for _ in range(3)]
+    # genus 3 and 4 with fractional lengths
+    graphs += [random_graph(rng, max_genus=4, min_genus=3) for _ in range(3)]
+    assert {g.genus() for g in graphs[3:]} == {3, 4}
+    for g in graphs:
         evens, table = pairing_table(g)
         for cover, row in zip(free_covers(g), table):
             for cycle, bit in zip(evens, row):
                 assert bit == cocycle_value(cover, cycle)
+
+
+def test_graph_and_covers_are_freed_without_the_cycle_collector():
+    # a graph's memo holds its period lattice and a cover's memo its
+    # homology action; neither refers back, so reference counting frees a
+    # finished computation
+    gc.collect()
+    gc.disable()
+    try:
+        g = build_k4()
+        cs = free_covers(g)
+        result = pairing_table(g)
+        for c in cs:
+            kernel_component_count(c)
+        refs = [weakref.ref(g)] + [weakref.ref(c) for c in cs]
+        refs += [weakref.ref(homology_action(c)) for c in cs[1:]]
+        lat = period_lattice(g)
+        del g, cs, c, result
+        assert [r() for r in refs] == [None] * len(refs)
+        with pytest.raises(ReferenceError):
+            lat.graph
+    finally:
+        gc.enable()
 
 
 def test_trivial_cover_prym(k4):
