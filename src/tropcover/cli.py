@@ -64,10 +64,6 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _cycle_list(cycle) -> list:
-    return sorted(cycle)
-
-
 # -- command handlers (each returns the output string) --------------------
 
 
@@ -99,7 +95,7 @@ def cmd_theta(args):
     chars = enumerate_theta(graph)
     records = [
         {
-            "cycle": _cycle_list(t.cycle),
+            "cycle": sorted(t.cycle),
             "divisor": serialize.divisor_to_obj(t.divisor),
             "effective": t.effective,
         }
@@ -180,7 +176,7 @@ def cmd_cover(args):
         return serialize.dumps(
             {
                 "ok": report.ok,
-                "dilation": _cycle_list(report.dilation),
+                "dilation": sorted(report.dilation),
                 "problems": report.problems,
             }
         )
@@ -208,7 +204,7 @@ def cmd_prym(args):
 def cmd_pair(args):
     graph = _read_graph(args.graph)
     evens, table = pairing_table(graph)
-    cycles = [_cycle_list(c) for c in evens]
+    cycles = [sorted(c) for c in evens]
     if args.pretty:
         labels = ["{%s}" % ",".join(c) for c in cycles]
         width = max(len(s) for s in labels)

@@ -29,7 +29,7 @@ from .graphs import (
     require_unaugmented,
     virtualize,
 )
-from .jacobian import Tables
+from .jacobian import Tables, period_lattice, scaled_abel_jacobi
 from .rationals import rat
 
 HALF = Fraction(1, 2)
@@ -408,12 +408,18 @@ def involution_divisor(cover: DoubleCover, D: Divisor, eps=1) -> Divisor:
 
 
 def pullback_kernel(cover: DoubleCover, eps=1):
-    """Even subgraphs c with phi^* D_c principal, by exhaustive testing."""
-    from .divisors import is_principal
+    """Even subgraphs c with phi^* D_c principal, by exhaustive testing of
+    the pulled-back coordinates against the source's period lattice."""
     from .theta import two_torsion_divisors
 
+    lat = period_lattice(cover.source_sharp(eps)[0])
+    tables = pullback_tables(cover, lat)
     evens, torsion = two_torsion_divisors(cover.target)
-    return [c for c, D in zip(evens, torsion) if is_principal(pullback(cover, D, eps))]
+    return [
+        c
+        for c, D in zip(evens, torsion)
+        if lat.gram_span().contains(*scaled_abel_jacobi(tables, D))
+    ]
 
 
 # -- isomorphism invariant ------------------------------------------------
@@ -424,20 +430,17 @@ def cover_class(cover: DoubleCover):
     cycle plus the sheet-swap monodromy on the interior fundamental cycles."""
     interior, _ = _interior_graph(cover.target, cover.dilation)
     ics = CycleSpace(interior)
+    over_v, over_e = cover._fibers()
     # label the two lifts of each off-cycle vertex by sorted source id
     label = {}
     for tv in interior.vertex_ids:
-        lifts = sorted(
-            sv for sv, t in cover.vertex_map.items() if t == tv
-        )
+        lifts = over_v.get(tv, ())
         if len(lifts) != 2:
             raise CoverError("vertex %r has %d lifts" % (tv, len(lifts)))
-        label[lifts[0]], label[lifts[1]] = 0, 1
+        label[lifts[0][0]], label[lifts[1][0]] = 0, 1
     swap = {}
     for te in interior.edge_ids:
-        tt, th = interior.ends(te)
-        lifts = sorted(se for se, (t, _) in cover.edge_map.items() if t == te)
-        st, sh = cover.source.ends(lifts[0])
+        st, sh = cover.source.ends(over_e[te][0][0])
         swap[te] = label[st] ^ label[sh]
     mono = tuple(
         sum(swap[e] for e in cyc) % 2

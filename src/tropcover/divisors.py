@@ -269,14 +269,14 @@ def reduce_at(D: Divisor, q: Point) -> Divisor:
 
 def is_principal(D: Divisor) -> bool:
     """Whether D = div(f) for some integer-slope PL function (lattice route)."""
-    from .jacobian import abel_jacobi, lattice_contains, period_lattice
+    from .jacobian import period_lattice, scaled_abel_jacobi
 
     if any(d != 0 for d in D.component_degrees().values()):
         if D.degree() != 0:
             raise DegreeError("is_principal needs a degree-0 divisor")
         return False
     lat = period_lattice(D.graph)
-    return lattice_contains(lat, abel_jacobi(lat, D))
+    return lat.gram_span().contains(*scaled_abel_jacobi(lat, D))
 
 
 def principal_function(D: Divisor) -> Optional[PLFunction]:

@@ -71,8 +71,8 @@ class MetricGraph:
                 vid, g = v
             if vid in genus:
                 raise MalformedGraphError("duplicate vertex id %r" % vid)
-            if g < 0:
-                raise MalformedGraphError("negative genus at %r" % vid)
+            if not isinstance(g, int) or g < 0:
+                raise MalformedGraphError("genus at %r is not a nonnegative integer" % vid)
             genus[vid] = int(g)
         edict = {}
         for eid, tail, head, length in edges:
@@ -80,7 +80,10 @@ class MetricGraph:
                 raise MalformedGraphError("duplicate edge id %r" % eid)
             if tail not in genus or head not in genus:
                 raise MalformedGraphError("edge %r has unknown endpoint" % eid)
-            ell = rat(length)
+            try:
+                ell = rat(length)
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise MalformedGraphError("edge %r has unparseable length" % eid) from None
             if ell <= 0:
                 raise MalformedGraphError("edge %r has nonpositive length" % eid)
             edict[eid] = (tail, head, ell)
@@ -122,10 +125,6 @@ class MetricGraph:
     def other_end(self, eid: str, vid_end: int) -> str:
         t, h, _ = self._edges[eid]
         return h if vid_end == 0 else t
-
-    def end_vertex(self, eid: str, end: int) -> str:
-        t, h, _ = self._edges[eid]
-        return t if end == 0 else h
 
     def is_augmented(self) -> bool:
         return any(g > 0 for g in self._genus.values())
@@ -214,54 +213,19 @@ class MetricGraph:
 
 
 def validate(vertices, edges=None):
-    """Diagnostics for raw graph data; empty list iff the data is a valid graph.
+    """Diagnostics for graph data; empty list iff the data is a valid graph.
 
-    Accepts either raw (vertices, edges) lists as in the JSON schema, or a
-    MetricGraph instance (which can only still fail connectivity).
+    Accepts either raw (vertices, edges) lists as MetricGraph takes them, or
+    a MetricGraph instance.  Reports the first problem MetricGraph finds,
+    else "disconnected" for a graph that is not connected.
     """
-    problems = []
-    if isinstance(vertices, MetricGraph):
-        graph = vertices
-        if not graph.is_connected():
-            problems.append("disconnected")
-        return problems
-    seen_v = set()
-    norm = []
-    for v in vertices:
-        vid, g = (v, 0) if isinstance(v, str) else v
-        if vid in seen_v:
-            problems.append("duplicate vertex id %r" % vid)
-        seen_v.add(vid)
-        if g < 0:
-            problems.append("negative genus at %r" % vid)
-            g = 0
-        norm.append((vid, g))
-    seen_e = set()
-    ok_edges = []
-    for eid, tail, head, length in edges:
-        bad = False
-        if eid in seen_e:
-            problems.append("duplicate edge id %r" % eid)
-            bad = True
-        seen_e.add(eid)
-        for end in (tail, head):
-            if end not in seen_v:
-                problems.append("edge %r has unknown endpoint %r" % (eid, end))
-                bad = True
+    graph = vertices
+    if not isinstance(graph, MetricGraph):
         try:
-            ell = rat(length)
-        except (TypeError, ValueError):
-            problems.append("edge %r has unparseable length" % eid)
-            continue
-        if ell <= 0:
-            problems.append("edge %r has nonpositive length %s" % (eid, ell))
-            bad = True
-        if not bad:
-            ok_edges.append((eid, tail, head, ell))
-    if not problems:
-        if not MetricGraph(norm, ok_edges).is_connected():
-            problems.append("disconnected")
-    return problems
+            graph = MetricGraph(vertices, edges)
+        except MalformedGraphError as exc:
+            return [str(exc)]
+    return [] if graph.is_connected() else ["disconnected"]
 
 
 # -- cycle space ---------------------------------------------------------

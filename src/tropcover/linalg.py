@@ -30,21 +30,13 @@ def transpose(M):
 
 
 def solve(M, b):
-    """Solve the square nonsingular system M x = b exactly."""
+    """Solve the square nonsingular system M x = b exactly: the last column
+    of rref([M | b])."""
     n = len(M)
-    A = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        A[col], A[piv] = A[piv], A[col]
-        pval = A[col][col]
-        A[col] = [x / pval for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [A[i][n] for i in range(n)]
+    R, pivots = rref([list(row) + [x] for row, x in zip(M, b)])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n] for row in R]
 
 
 def rref(M):

@@ -14,7 +14,7 @@ from operator import mul
 from typing import List, Tuple
 
 from . import linalg
-from .covers import DoubleCover, free_covers, pullback, pullback_tables, pushforward
+from .covers import DoubleCover, free_covers, pullback_tables, pushforward
 from .divisors import Divisor, is_principal
 from .errors import CoverError, DegreeError, PrymError
 from .graphs import Point
@@ -88,9 +88,9 @@ class HomologyAction:
 
     def contains(self, nums, den: int) -> bool:
         """Prym membership of the class with source coordinates nums / den
-        on a connected source: the projection onto the left null space of
-        Id - J lies in the projected lattice.  Raises PrymError when the
-        pushforward is not principal."""
+        (of degree 0 on every component of the source): the projection onto
+        the left null space of Id - J lies in the projected lattice.  Raises
+        PrymError when the pushforward is not principal."""
         if not self.norm_vanishes(nums, den):
             raise PrymError("the pushforward is not principal")
         if not self.null:
@@ -142,11 +142,10 @@ def prym_contains(cover: DoubleCover, D: Divisor, eps=1) -> bool:
 
 
 def _pullback_in_prym(cover: DoubleCover, D: Divisor, eps) -> bool:
-    """prym_contains(cover, pullback(cover, D, eps), eps); on a connected
-    source the coordinates come from the pulled-back tables, without a
-    Divisor on the source."""
-    if not cover.source_sharp(eps)[0].is_connected():
-        return prym_contains(cover, pullback(cover, D, eps), eps)
+    """prym_contains(cover, pullback(cover, D, eps), eps), with the
+    coordinates read from the pulled-back tables, without a Divisor on the
+    source.  A pullback has degree 0 on each sheet of a disconnected
+    source, so the trivial cover's row needs no parity branch."""
     act = homology_action(cover, eps)
     return act.contains(*scaled_abel_jacobi(act.pulled_back, D))
 

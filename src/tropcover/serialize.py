@@ -58,12 +58,7 @@ def graph_from_obj(obj) -> MetricGraph:
     for i, v in enumerate(obj["vertices"]):
         where = "vertices[%d]" % i
         _expect(isinstance(v, dict) and "id" in v, "%s: missing 'id'" % where)
-        genus = v.get("genus", 0)
-        _expect(
-            isinstance(genus, int) and genus >= 0,
-            "%s: genus must be a nonnegative integer" % where,
-        )
-        vertices.append((str(v["id"]), genus))
+        vertices.append((str(v["id"]), v.get("genus", 0)))
     edges = []
     for i, e in enumerate(obj["edges"]):
         where = "edges[%d]" % i
@@ -74,9 +69,10 @@ def graph_from_obj(obj) -> MetricGraph:
                 str(e["id"]),
                 str(e["tail"]),
                 str(e["head"]),
-                _parse_rat(e["length"], where),
+                e["length"],
             )
         )
+    # the genus and length rules are MetricGraph's
     return MetricGraph(vertices, edges)
 
 

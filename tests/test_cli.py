@@ -7,6 +7,8 @@ import os
 import random
 from fractions import Fraction
 
+import pytest
+
 from tropcover import enumerate_theta, serialize
 from tropcover.cli import main
 from conftest import build_k4, random_graph
@@ -40,6 +42,23 @@ def test_validate(tmp_path):
     bad.write_text('{"vertices":[{"id":"a"},{"id":"a"}],"edges":[]}')
     code, _, err = run("validate", str(bad))
     assert code == 2 and err
+
+
+def test_validate_reports_what_the_graph_model_rejects(tmp_path):
+    for vertex, length, message in (
+        ('{"id":"a","genus":1.5}', '"1"', "genus at 'a' is not a nonnegative integer"),
+        ('{"id":"a","genus":"2"}', '"1"', "genus at 'a' is not a nonnegative integer"),
+        ('{"id":"a"}', "1.5", "edge 'e' has unparseable length"),
+        ('{"id":"a"}', '"x"', "edge 'e' has unparseable length"),
+        ('{"id":"a"}', '"0"', "edge 'e' has nonpositive length"),
+    ):
+        f = tmp_path / "g.json"
+        f.write_text(
+            '{"vertices":[%s],"edges":[{"id":"e","tail":"a","head":"a","length":%s}]}'
+            % (vertex, length)
+        )
+        code, out, err = run("validate", str(f))
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_malformed_json_exits_2(tmp_path):
@@ -158,7 +177,8 @@ def test_jac_coordinates_follow_the_printed_tree(tmp_path):
     )
     checked = 0
     for path in (K4, str(fractional)):
-        graph = serialize.graph_from_obj(json.loads(open(path).read()))
+        with open(path) as fh:
+            graph = serialize.graph_from_obj(json.load(fh))
         chars = enumerate_theta(graph)
         for t in chars[1:]:
             D = t.divisor - chars[0].divisor
@@ -171,6 +191,33 @@ def test_jac_coordinates_follow_the_printed_tree(tmp_path):
             assert coords == tree_abel_jacobi(graph, D, set(obj["tree"])), (path, t.cycle)
             checked += any(not p.is_vertex for p in D.support())
     assert checked >= 8
+
+
+CUBE = os.path.join(GOLDEN, "k4_cube.json")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["divisor", "equiv", K4, ZERO], "divisor equiv needs two divisor files"),
+        (["divisor", "reduce", K4, ZERO], "divisor reduce needs --at"),
+        (["cover", "pullback", CUBE], "cover pullback needs a divisor file"),
+        (["cover", "dilated", K4], "cover dilated needs --cycle"),
+        (["prym", "contains", CUBE], "prym contains needs a divisor file"),
+    ],
+    ids=[
+        "equiv-one-file",
+        "reduce-without-at",
+        "pullback-without-divisor",
+        "dilated-without-cycle",
+        "contains-without-divisor",
+    ],
+)
+def test_usage_errors_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_degree_precondition_exits_3(tmp_path):

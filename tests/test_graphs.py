@@ -69,6 +69,50 @@ def test_validate_rejects_bad_data():
         MetricGraph(["a"], [("e", "a", "a", 0)])
 
 
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [
+        (["a", "a"], []),
+        (["a", "b"], [("e", "a", "b", 1), ("e", "b", "a", 1)]),
+        (["a"], [("e", "a", "zz", 1)]),
+        (["a"], [("e", "a", "a", 0)]),
+        (["a"], [("e", "a", "a", Fraction(-1, 2))]),
+        (["a"], [("e", "a", "a", 1.5)]),
+        (["a"], [("e", "a", "a", "x")]),
+        (["a"], [("e", "a", "a", None)]),
+        (["a"], [("e", "a", "a", "1/0")]),
+        ([("a", 0), ("b", -1)], []),
+        ([("a", 0), ("b", 1.5)], []),
+        ([("a", 0), ("b", "2")], []),
+    ],
+    ids=[
+        "duplicate-vertex",
+        "duplicate-edge",
+        "unknown-endpoint",
+        "length-0",
+        "length-negative",
+        "length-float",
+        "length-text",
+        "length-none",
+        "length-zero-denominator",
+        "genus-negative",
+        "genus-float",
+        "genus-text",
+    ],
+)
+def test_malformed_graph_data(vertices, edges):
+    # MetricGraph alone decides validity; validate reports its message
+    with pytest.raises(MalformedGraphError) as info:
+        MetricGraph(vertices, edges)
+    assert validate(vertices, edges) == [str(info.value)]
+
+
+def test_validate_reports_a_disconnected_graph():
+    assert validate(["a", "b"], []) == ["disconnected"]
+    assert validate(MetricGraph(["a", "b"], [])) == ["disconnected"]
+    assert validate(MetricGraph(["a", "b"], [("e", "a", "b", "1/2")])) == []
+
+
 def test_point_normalization(k4):
     p = k4.point("AB", Fraction(0))
     assert p.is_vertex and p.id == "A"

@@ -24,6 +24,7 @@ from tropcover import (
     period_lattice,
     prym_contains,
     pullback,
+    pullback_kernel,
     pushforward,
     torsion_points,
 )
@@ -220,3 +221,85 @@ def test_homology_action_matches_the_fraction_construction(k4):
             assert act.null == old.null
             assert act.prym_lattice.den == old.prym_lattice.den
             assert act.prym_lattice.pivots == old.prym_lattice.pivots
+
+
+def test_pullback_kernel_against_principal_pullbacks():
+    # every free and dilated cover of a genus-3 and a genus-4 graph with
+    # fractional lengths, at the virtual-loop lengths of criterion 9
+    rng = random.Random(9091)
+    sizes = set()
+    graphs = []
+    while {g.genus() for g in graphs} != {3, 4}:
+        g = random_graph(rng, max_genus=4, min_genus=3)
+        if g.genus() not in {h.genus() for h in graphs}:
+            graphs.append(g)
+    for g in graphs:
+        evens, torsion = two_torsion_divisors(g)
+        covers = free_covers(g) + [
+            c for cyc in evens if cyc for c in covers_with_dilation(g, cyc)
+        ]
+        for cover in covers:
+            for eps in (1, Fraction(1, 2), 3):
+                want = [
+                    c for c, D in zip(evens, torsion) if is_principal(pullback(cover, D, eps))
+                ]
+                assert pullback_kernel(cover, eps) == want
+                sizes.add(len(want))
+    assert len(sizes) > 2
+
+
+def test_trivial_cover_action_against_the_divisor_route():
+    # the trivial cover's source is two copies of the target; its action
+    # decides pulled-back classes as the parity route on Divisors does
+    rng = random.Random(10103)
+    outcomes = []
+    for _ in range(6):
+        g = random_graph(rng, max_genus=4, min_genus=2)
+        trivial = free_covers(g)[0]
+        assert not trivial.source_sharp()[0].is_connected()
+        act = homology_action(trivial)
+        _, torsion = two_torsion_divisors(g)
+        for D in torsion + [random_edge_divisor(rng, g) for _ in range(4)]:
+            up = pullback(trivial, D)
+            try:
+                want = divisor_prym_contains(trivial, up)
+            except PrymError:
+                with pytest.raises(PrymError):
+                    act.contains(*scaled_abel_jacobi(act.pulled_back, D))
+                outcomes.append(None)
+                continue
+            assert act.contains(*scaled_abel_jacobi(act.pulled_back, D)) == want
+            assert prym_contains(trivial, up) == want
+            outcomes.append(want)
+    assert {True, None} <= set(outcomes)
+
+
+def random_nonsingular(rng, n):
+    """P L U with L lower triangular, U upper unitriangular, P a row
+    permutation, and every diagonal entry of L nonzero."""
+
+    def entry():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    L = [[entry() if j < i else Fraction(0) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        L[i][i] = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+    U = [[entry() if j > i else Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    M = linalg.mat_mul(L, U)
+    rng.shuffle(M)
+    return M
+
+
+def test_solve_satisfies_the_system():
+    rng = random.Random(11113)
+    for n in range(1, 7):
+        for _ in range(10):
+            M = random_nonsingular(rng, n)
+            x0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+            b = linalg.mat_vec(M, x0)
+            x = linalg.solve(M, b)
+            assert x == x0 and linalg.mat_vec(M, x) == b
+    singular = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    for b in ([1, 2, 3], [1, 2, 0]):  # consistent and inconsistent
+        with pytest.raises(ValueError, match="singular matrix"):
+            linalg.solve(singular, b)

@@ -27,7 +27,7 @@ from tropcover import (
     pullback_kernel,
     weil_pairing,
 )
-from tropcover import covers, divisors, linalg, theta
+from tropcover import covers, divisors, jacobian, linalg, theta
 from conftest import build_k4, random_graph
 
 TRIANGLE = frozenset(["BC", "BD", "CD"])
@@ -198,13 +198,17 @@ def test_pairing_table_builds_each_theta_characteristic_once(k4, monkeypatch):
 
 
 def test_pairing_table_decides_entries_without_divisors(k4, monkeypatch):
-    # only the trivial cover's row, whose source is disconnected, pulls back
-    # and pushes forward Divisors; the other rows read pulled-back tables
+    # every row of the table, the trivial cover's included, and every
+    # pullback kernel reads pulled-back tables: no Divisor is pulled back,
+    # pushed forward or tested for principality, and no Fraction
+    # coordinates are built
     calls = {}
     for home, name in (
         (covers, "pullback"),
         (covers, "pushforward"),
         (divisors, "is_principal"),
+        (jacobian, "abel_jacobi"),
+        (jacobian, "lattice_contains"),
     ):
         original = getattr(home, name)
 
@@ -216,9 +220,18 @@ def test_pairing_table_decides_entries_without_divisors(k4, monkeypatch):
             if (mod.__name__ or "").startswith("tropcover") and vars(mod).get(name) is original:
                 monkeypatch.setattr(mod, name, counting)
     evens, table = pairing_table(k4)
-    assert all(n <= 8 for n in calls.values())  # 64 each per-entry
+    all_covers = free_covers(k4) + [
+        c for cyc in CycleSpace(k4).even_subgraphs() if cyc for c in covers_with_dilation(k4, cyc)
+    ]
+    kernels = [pullback_kernel(c) for c in all_covers]
+    assert calls == {}
+    monkeypatch.undo()
     for cover, row in zip(free_covers(k4), table):
         assert row == [cocycle_value(cover, cycle) for cycle in evens]
+    _, torsion = theta.two_torsion_divisors(k4)
+    for cover, kernel in zip(all_covers, kernels):
+        up = [c for c, D in zip(evens, torsion) if divisors.is_principal(covers.pullback(cover, D))]
+        assert kernel == up
 
 
 def test_pairing_table_random_graphs():
