@@ -167,22 +167,19 @@ def _build_cover(graph: MetricGraph, cycle: frozenset, bits: Dict[str, int]):
     vertices = []
     vmap = {}
     inv_v = {}
+    lift = {}  # target vertex -> its lift on sheets 0 and 1
     for v in graph.vertex_ids:
         if on_deg[v]:
             dv = "%s~" % v
             vertices.append((dv, on_deg[v] // 2 - 1))
             vmap[dv] = v
             inv_v[dv] = dv
+            lift[v] = (dv, dv)
         else:
-            for s in (0, 1):
-                sv = "%s^%d" % (v, s)
-                vertices.append((sv, 0))
-                vmap[sv] = v
-            inv_v["%s^0" % v] = "%s^1" % v
-            inv_v["%s^1" % v] = "%s^0" % v
-
-    def lift_vertex(v: str, sheet: int) -> str:
-        return "%s~" % v if on_deg[v] else "%s^%d" % (v, sheet)
+            v0, v1 = lift[v] = ("%s^0" % v, "%s^1" % v)
+            vertices += [(v0, 0), (v1, 0)]
+            vmap[v0] = vmap[v1] = v
+            inv_v[v0], inv_v[v1] = v1, v0
 
     edges = []
     emap = {}
@@ -197,10 +194,13 @@ def _build_cover(graph: MetricGraph, cycle: frozenset, bits: Dict[str, int]):
             b = bits.get(eid, 0)
             for s in (0, 1):
                 se = "%s^%d" % (eid, s)
-                edges.append((se, lift_vertex(t, s), lift_vertex(h, s ^ b), ell))
+                edges.append((se, lift[t][s], lift[h][s ^ b], ell))
                 emap[se] = (eid, 1)
     source = MetricGraph(vertices, edges)
-    return DoubleCover(graph, source, vmap, emap, inv_v, bits=dict(bits))
+    cover = DoubleCover(graph, source, vmap, emap, inv_v, bits=dict(bits))
+    # the checked cycle is that set; covers dilated along one cycle share it
+    cover.dilation = cycle
+    return cover
 
 
 def free_covers(graph: MetricGraph) -> List[DoubleCover]:
@@ -251,9 +251,14 @@ class CoverReport:
 
 
 def verify_cover(cover: DoubleCover) -> CoverReport:
-    """Check every double-cover invariant; diagnostic, never raises."""
+    """Check every double-cover invariant; diagnostic, never raises.
+
+    Lengths are compared in the two graphs' integer metrics: l_src * d ==
+    l_tgt is len_src * d * scale_tgt == len_tgt * scale_src.
+    """
     problems = []
     tgt, src = cover.target, cover.source
+    vertex_map, edge_map = cover.vertex_map, cover.edge_map
 
     def complain(msg):
         problems.append(msg)
@@ -262,89 +267,91 @@ def verify_cover(cover: DoubleCover) -> CoverReport:
         complain("target is augmented")
 
     # structural maps
+    src_edges, tgt_edges = src._edges, tgt._edges
+    src_scale, src_len = src.integer_metric()
+    tgt_scale, tgt_len = tgt.integer_metric()
     for sv in src.vertex_ids:
-        if sv not in cover.vertex_map or cover.vertex_map[sv] not in tgt._genus:
+        if sv not in vertex_map or vertex_map[sv] not in tgt._genus:
             complain("vertex %r unmapped" % sv)
     for se in src.edge_ids:
-        if se not in cover.edge_map:
+        if se not in edge_map:
             complain("edge %r unmapped" % se)
             continue
-        te, d = cover.edge_map[se]
-        if te not in tgt._edges or d not in (1, 2):
+        te, d = edge_map[se]
+        if te not in tgt_edges or d not in (1, 2):
             complain("edge %r has a bad image" % se)
             continue
-        st, sh = src.ends(se)
-        tt, th = tgt.ends(te)
-        if (cover.vertex_map.get(st), cover.vertex_map.get(sh)) != (tt, th):
+        st, sh, _ = src_edges[se]
+        tt, th, _ = tgt_edges[te]
+        if (vertex_map.get(st), vertex_map.get(sh)) != (tt, th):
             complain("edge %r does not map ends to ends" % se)
-        if src.length(se) * d != tgt.length(te):
+        if src_len[se] * d * tgt_scale != tgt_len[te] * src_scale:
             complain("edge %r breaks metric compatibility" % se)
     if problems:
         return CoverReport(False, frozenset(), problems)
 
     # fibers carry total degree 2 over every edge
     deg_over = {te: 0 for te in tgt.edge_ids}
-    for se, (te, d) in cover.edge_map.items():
+    for te, d in edge_map.values():
         deg_over[te] += d
     for te, d in deg_over.items():
         if d != 2:
             complain("edge %r has fiber degree %d" % (te, d))
 
-    # harmonicity and local degrees at vertices
+    # one pass over each source vertex's edge ends gives harmonicity, the
+    # local degree and the ramification excess sum(d_end - 1)
     local_degree = {}
+    ramified = []
     for sv in src.vertex_ids:
-        tv = cover.vertex_map[sv]
-        per_direction = {}
-        for te, tend in tgt.ends_at(tv):
-            per_direction[(te, tend)] = 0
+        per_direction = dict.fromkeys(tgt.ends_at(vertex_map[sv]), 0)
+        excess = 0
         for se, send in src.ends_at(sv):
-            te, d = cover.edge_map[se]
+            te, d = edge_map[se]
             per_direction[(te, send)] += d
+            excess += d - 1
         degs = set(per_direction.values())
         if len(degs) != 1:
             complain("vertex %r is not harmonic" % sv)
-            local_degree[sv] = max(degs) if degs else 0
-        else:
-            local_degree[sv] = degs.pop() if degs else 0
+        local_degree[sv] = max(degs) if degs else 0
+        # ramification: the excess must be 2g+2 at dilated points, 2g else
+        if excess != 2 * src.genus_of(sv) + (2 if local_degree[sv] == 2 else 0):
+            ramified.append("vertex %r is ramified" % sv)
 
     # vertex fibers carry total degree 2
     fiber_deg = {tv: 0 for tv in tgt.vertex_ids}
-    for sv, tv in cover.vertex_map.items():
+    for sv, tv in vertex_map.items():
         fiber_deg[tv] += local_degree.get(sv, 0)
     for tv, d in fiber_deg.items():
         if d != 2:
             complain("vertex %r has fiber degree %d" % (tv, d))
-
-    # ramification: sum(d_end - 1) must be 2g+2 at dilated points, 2g else
-    for sv in src.vertex_ids:
-        excess = sum(cover.edge_map[se][1] - 1 for se, _ in src.ends_at(sv))
-        want = 2 * src.genus_of(sv) + (2 if local_degree.get(sv) == 2 else 0)
-        if excess != want:
-            complain("vertex %r is ramified" % sv)
+    problems.extend(ramified)
 
     # involution
+    inv_v = cover.involution_v
     for sv in src.vertex_ids:
-        isv = cover.involution_v.get(sv)
-        if isv is None or cover.involution_v.get(isv) != sv:
+        isv = inv_v.get(sv)
+        if isv is None or inv_v.get(isv) != sv:
             complain("involution is not involutive at %r" % sv)
-        elif cover.vertex_map[isv] != cover.vertex_map[sv]:
+        elif vertex_map[isv] != vertex_map[sv]:
             complain("involution does not commute with the cover at %r" % sv)
-        elif isv == sv and local_degree.get(sv) != 2:
+        elif isv == sv and local_degree[sv] != 2:
             complain("involution fixes the undilated vertex %r" % sv)
-        elif isv != sv and local_degree.get(sv) == 2:
+        elif isv != sv and local_degree[sv] == 2:
             complain("involution moves the dilated vertex %r" % sv)
     for se in src.edge_ids:
         ise = cover.involution_e.get(se)
         if ise is None:
             continue
-        st, sh = src.ends(se)
-        it, ih = src.ends(ise)
-        if (cover.involution_v.get(st), cover.involution_v.get(sh)) != (it, ih):
+        st, sh, _ = src_edges[se]
+        it, ih, _ = src_edges[ise]
+        if (inv_v.get(st), inv_v.get(sh)) != (it, ih):
             complain("edge involution breaks incidence at %r" % se)
-        if src.length(se) != src.length(ise):
+        if src_len[se] != src_len[ise]:
             complain("edge involution is not an isometry at %r" % se)
 
     dilation = frozenset(cover.dilation)
+    if dilation != frozenset(te for te, d in edge_map.values() if d == 2):
+        complain("dilation set differs from the edges with a degree-2 lift")
     if not is_even_subgraph(tgt, dilation):
         complain("dilation set is not an even subgraph")
 

@@ -152,21 +152,18 @@ class UnitSubdivision:
     """
 
     def __init__(self, graph: MetricGraph, points: Iterable[Point] = ()):
-        denoms = [graph.length(e).denominator for e in graph.edge_ids]
+        graph_scale, length = graph.integer_metric()
+        denoms = []
         for p in points:
             p = graph.check_point(p)
             if not p.is_vertex:
                 denoms.append(p.offset.denominator)
-        self.scale = lcm(*denoms) if denoms else 1
+        self.scale = lcm(graph_scale, *denoms)
         step = Fraction(1, self.scale)
+        up = self.scale // graph_scale
         cuts = []
         for eid in graph.edge_ids:
-            n = graph.length(eid) * self.scale
-            if n.denominator != 1:
-                raise PointError(
-                    "scale %d does not cut edge %r into whole steps" % (self.scale, eid)
-                )
-            for k in range(1, int(n)):
+            for k in range(1, length[eid] * up):
                 cuts.append(graph.point(eid, k * step))
         self.refinement = refine(graph, cuts)
         self.graph = graph

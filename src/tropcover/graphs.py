@@ -84,7 +84,8 @@ class MetricGraph:
                 ell = rat(length)
             except (TypeError, ValueError, ZeroDivisionError):
                 raise MalformedGraphError("edge %r has unparseable length" % eid) from None
-            if ell <= 0:
+            # a Fraction's denominator is positive, so its sign is the numerator's
+            if ell.numerator <= 0:
                 raise MalformedGraphError("edge %r has nonpositive length" % eid)
             edict[eid] = (tail, head, ell)
         self._genus = genus
@@ -96,10 +97,11 @@ class MetricGraph:
             tail, head, _ = edict[eid]
             adj[tail].append((eid, 0))
             adj[head].append((eid, 1))
-        # edge-ends at each vertex; a loop contributes both of its ends
-        self._adj = {v: tuple(sorted(ends)) for v, ends in adj.items()}
+        # edge-ends at each vertex, sorted since edge_ids is; a loop
+        # contributes both of its ends
+        self._adj = {v: tuple(ends) for v, ends in adj.items()}
         # the package's one cache for this immutable graph: components,
-        # the period lattice
+        # the integer metric, the period lattice
         self._memo = {}
 
     # -- basic accessors -------------------------------------------------
@@ -114,6 +116,21 @@ class MetricGraph:
 
     def length(self, eid: str) -> Fraction:
         return self._edges[eid][2]
+
+    def integer_metric(self):
+        """(scale, {edge id: length * scale}), scale the lcm of the length
+        denominators: the lengths as integer multiples of 1/scale."""
+        metric = self._memo.get("integer_metric")
+        if metric is None:
+            scale = lcm(*(ell.denominator for _, _, ell in self._edges.values()))
+            metric = self._memo["integer_metric"] = (
+                scale,
+                {
+                    eid: ell.numerator * (scale // ell.denominator)
+                    for eid, (_, _, ell) in self._edges.items()
+                },
+            )
+        return metric
 
     def ends_at(self, vid: str):
         """Sorted (edge id, end) pairs incident to a vertex; end 0=tail, 1=head."""
@@ -298,13 +315,14 @@ class CycleSpace:
 
 
 def is_even_subgraph(graph: MetricGraph, edge_set) -> bool:
-    for eid in edge_set:
+    odd = set()  # vertices with an odd number of edge ends in the set so far
+    for eid in frozenset(edge_set):
         if eid not in graph._edges:
             raise PointError("unknown edge %r" % eid)
-    for v in graph.vertex_ids:
-        if sum(1 for eid, _ in graph.ends_at(v) if eid in edge_set) % 2:
-            return False
-    return True
+        tail, head, _ = graph._edges[eid]
+        odd ^= {tail}
+        odd ^= {head}
+    return not odd
 
 
 def check_even_subgraph(graph: MetricGraph, edge_set) -> frozenset:
@@ -469,7 +487,8 @@ class DistanceField(PLFunction):
 
     Values are stored at the vertices of a refinement that includes the
     source and every interior ridge point, so each refined segment has slope
-    +-1 (or 0 exactly on the source).
+    +-1 (or 0 exactly on the source).  Distances are found in the refined
+    graph's integer metric: scaled_values[v] is values[v] * scale.
     """
 
     def __init__(self, graph: MetricGraph, source: Union[Point, frozenset]):
@@ -490,7 +509,9 @@ class DistanceField(PLFunction):
         ridges = self._find_ridges(first, self._dijkstra(first))
         self.ridge_base_points = tuple(sorted(ridges))
         ref = refine(graph, seed_points + ridges)
-        super().__init__(ref, self._dijkstra(ref))
+        self.scale = scale = ref.graph.integer_metric()[0]
+        self.scaled_values = dist = self._dijkstra(ref)
+        super().__init__(ref, {v: Fraction(d, scale) for v, d in dist.items()})
         self._check_slopes()
 
     def _seed_vertices(self, ref: Refinement):
@@ -518,9 +539,9 @@ class DistanceField(PLFunction):
         return frozenset(out)
 
     def _dijkstra(self, ref: Refinement):
-        """Distances from the seeds, found in integer multiples of 1/scale."""
+        """Distances from the seeds in the refined graph's integer metric."""
         g = ref.graph
-        scale = lcm(*(g.length(e).denominator for e in g.edge_ids))
+        _, length = g.integer_metric()
         dist = {}
         heap = [(0, v) for v in sorted(self._seed_vertices(ref))]  # sorted: a heap
         while heap:
@@ -531,36 +552,50 @@ class DistanceField(PLFunction):
             for eid, end in g.ends_at(v):
                 w = g.other_end(eid, end)
                 if w not in dist:
-                    ell = g.length(eid)
-                    step = ell.numerator * (scale // ell.denominator)
-                    heapq.heappush(heap, (d + step, w))
-        return {v: Fraction(d, scale) for v, d in dist.items()}
+                    heapq.heappush(heap, (d + length[eid], w))
+        return dist
 
     def _find_ridges(self, ref: Refinement, dist):
         zero = self._zero_edges(ref)
+        scale, length = ref.graph.integer_metric()
         ridges = []
         for reid in ref.graph.edge_ids:
             if reid in zero:
                 continue
             t, h = ref.graph.ends(reid)
-            ell = ref.graph.length(reid)
-            # meeting point of the two descent directions, when interior
-            tt = (ell + dist[h] - dist[t]) / 2
-            if 0 < tt < ell:
+            ell = length[reid]
+            # the two descent directions meet at offset (ell + d_h - d_t) / 2,
+            # counted here in half units of 1/scale; a ridge when interior
+            twice = ell + dist[h] - dist[t]
+            if 0 < twice < 2 * ell:
                 beid, a, _ = ref.seg[reid]
-                ridges.append(ref.base.point(beid, a + tt))
+                ridges.append(ref.base.point(beid, a + Fraction(twice, 2 * scale)))
         return ridges
 
     def _check_slopes(self):
+        """The served values are scaled_values / scale, with slope +-1 off
+        the source and 0 on it."""
         g = self.refinement.graph
+        _, length = g.integer_metric()
+        scale, dist = self.scale, self.scaled_values
+        for v, x in self.values.items():
+            if x.numerator * scale != dist[v] * x.denominator:
+                raise SlopeError(
+                    "distance field value %s at %r is not its distance %s"
+                    % (x, v, Fraction(dist[v], scale))
+                )
         zero = self._zero_edges(self.refinement)
         for reid in g.edge_ids:
             t, h = g.ends(reid)
-            slope = (self.values[h] - self.values[t]) / g.length(reid)
-            if abs(slope) != (0 if reid in zero else 1):
+            rise = dist[h] - dist[t]
+            if abs(rise) != (0 if reid in zero else length[reid]):
                 raise SlopeError(
                     "distance field has slope %s on %r, not %s"
-                    % (slope, reid, "0 on the source" if reid in zero else "+-1")
+                    % (
+                        Fraction(rise, length[reid]),
+                        reid,
+                        "0 on the source" if reid in zero else "+-1",
+                    )
                 )
 
 

@@ -30,11 +30,11 @@ class PeriodLattice:
     """Cycle basis with its Gram matrix under the edge-length inner product,
     and the per-graph tables the Abel-Jacobi map reads.
 
-    Integer tables are scaled by `scale`, the lcm of the length
-    denominators: col[e] holds the coefficient of edge e in each basis
-    cycle, pot[v] the pairing of v's root path in the fundamental tree with
-    each basis cycle (times scale), and scaled_gram the Gram matrix (times
-    scale).
+    Integer tables are scaled by `scale`, that of the graph's integer
+    metric (the lcm of the length denominators): col[e] holds the
+    coefficient of edge e in each basis cycle, pot[v] the pairing of v's
+    root path in the fundamental tree with each basis cycle (times scale),
+    and scaled_gram the Gram matrix (times scale).
 
     The graph is held through a weak reference: its memo holds the
     lattice, and a strong reference back would leave both to the cyclic
@@ -46,9 +46,8 @@ class PeriodLattice:
         self.cycles = cs = CycleSpace(graph)
         self.basis = cs.basis
         g = self.rank = len(self.basis)
-        self.scale = scale = lcm(*(graph.length(e).denominator for e in graph.edge_ids))
+        self.scale, width = graph.integer_metric()
         self.col = {e: tuple(cyc.get(e, 0) for cyc in self.basis) for e in graph.edge_ids}
-        width = {e: int(graph.length(e) * scale) for e in graph.edge_ids}
         self.scaled_gram = [[0] * g for _ in range(g)]
         for e, col in self.col.items():
             for i, a in enumerate(col):
@@ -56,7 +55,7 @@ class PeriodLattice:
                     row = self.scaled_gram[i]
                     for j, b in enumerate(col):
                         row[j] += width[e] * a * b
-        self.gram = [[Fraction(x, scale) for x in row] for row in self.scaled_gram]
+        self.gram = [[Fraction(x, self.scale) for x in row] for row in self.scaled_gram]
         self.pot = {}
         for v in graph.vertex_ids:
             acc = [0] * g

@@ -8,21 +8,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def mat_vec(M, v):
     return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in M]
-
-
-def mat_mul(A, B):
-    n, k = len(A), len(B)
-    m = len(B[0]) if B else 0
-    return [
-        [sum((A[i][t] * B[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
-        for i in range(n)
-    ]
 
 
 def transpose(M):

@@ -52,6 +52,9 @@ def theta_characteristic(
 
     ref = field.refinement
     g = ref.graph
+    # the field's distances and the refined lengths share one integer metric
+    dist = field.scaled_values
+    _, length = g.integer_metric()
     coeffs = []
     for v in g.vertex_ids:
         indeg = 0
@@ -63,7 +66,7 @@ def theta_characteristic(
                 continue
             other = g.other_end(reid, end)
             # incoming iff the distance decreases toward the far endpoint
-            if field.values[v] == field.values[other] + g.length(reid):
+            if dist[v] == dist[other] + length[reid]:
                 indeg += 1
             elif v == other:
                 # a loop surviving refinement: distances tie at both ends,

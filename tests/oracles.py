@@ -7,9 +7,13 @@ lattice membership by column echelon reduction redone on every call
 (the library keeps a Hermite normal form), canonical representatives by a
 Fraction solve (the library solves in integers), and the homology action
 and Prym membership in Fractions on the pulled-back and pushed-forward
-Divisors (the library works in integers on pulled-back tables).
+Divisors (the library works in integers on pulled-back tables), and
+distance fields and theta characteristics by Dijkstra and slope tests in
+Fractions on the edge lengths (the library works in the refined graph's
+integer metric).
 """
 
+import heapq
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -17,7 +21,10 @@ from tropcover import (
     CoverError,
     CycleSpace,
     DegreeError,
+    Divisor,
+    Point,
     PrymError,
+    SlopeError,
     abel_jacobi,
     is_principal,
     linalg,
@@ -189,6 +196,19 @@ def solve_canonical(lat, v):
     return tuple(linalg.mat_vec(lat.gram, frac))
 
 
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def mat_mul(A, B):
+    n, k = len(A), len(B)
+    m = len(B[0]) if B else 0
+    return [
+        [sum((A[i][t] * B[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
+        for i in range(n)
+    ]
+
+
 def integer_row(row):
     """The row scaled by the lcm of its denominators, as ints."""
     den = lcm(*(x.denominator for x in row))
@@ -270,3 +290,87 @@ def divisor_prym_contains(cover, D, eps=1):
     v = abel_jacobi(act.lattice, D)
     proj = [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in act.null]
     return act.prym_lattice.contains(proj)
+
+
+def fraction_distance_field(graph, source):
+    """(sorted ridge base points, refinement, values at its vertices) of the
+    distance to a point or to a nonempty even subgraph, in Fractions on the
+    edge lengths: Dijkstra on the model refined at the source, a ridge
+    where the two descent directions meet inside a segment, Dijkstra again
+    on the model refined at the ridges too, and the slope check."""
+    if isinstance(source, Point):
+        seed_points, cycle = [graph.check_point(source)], frozenset()
+    else:
+        seed_points, cycle = [], frozenset(source)
+
+    def zero_edges(ref):
+        return {reid for eid in cycle for reid in ref.pieces[eid]}
+
+    def dijkstra(ref):
+        g = ref.graph
+        if cycle:
+            seeds = {v for reid in zero_edges(ref) for v in g.ends(reid)}
+        else:
+            seeds = {ref.to_refined_point(seed_points[0]).id}
+        dist = {}
+        heap = [(Fraction(0), v) for v in sorted(seeds)]
+        while heap:
+            d, v = heapq.heappop(heap)
+            if v in dist:
+                continue
+            dist[v] = d
+            for eid, end in g.ends_at(v):
+                w = g.other_end(eid, end)
+                if w not in dist:
+                    heapq.heappush(heap, (d + g.length(eid), w))
+        return dist
+
+    first = refine(graph, seed_points)
+    dist = dijkstra(first)
+    zero = zero_edges(first)
+    ridges = []
+    for reid in first.graph.edge_ids:
+        if reid in zero:
+            continue
+        t, h = first.graph.ends(reid)
+        ell = first.graph.length(reid)
+        tt = (ell + dist[h] - dist[t]) / 2
+        if 0 < tt < ell:
+            beid, a, _ = first.seg[reid]
+            ridges.append(graph.point(beid, a + tt))
+    ref = refine(graph, seed_points + ridges)
+    values = dijkstra(ref)
+    zero = zero_edges(ref)
+    for reid in ref.graph.edge_ids:
+        t, h = ref.graph.ends(reid)
+        slope = (values[h] - values[t]) / ref.graph.length(reid)
+        if abs(slope) != (0 if reid in zero else 1):
+            raise SlopeError("slope %s on %r" % (slope, reid))
+    return tuple(sorted(ridges)), ref, values
+
+
+def fraction_theta_divisor(graph, cycle=frozenset(), p=None):
+    """The theta characteristic of an even subgraph (or of the basepoint p,
+    by default the first vertex, for the empty one) from
+    fraction_distance_field: an end comes in where the distance drops by
+    the segment's length toward its far end, and half the source's ends
+    come in."""
+    cycle = frozenset(cycle)
+    if cycle:
+        source = cycle
+    else:
+        source = p if p is not None else Point.at_vertex(graph.vertex_ids[0])
+    _, ref, values = fraction_distance_field(graph, source)
+    g = ref.graph
+    coeffs = []
+    for v in g.vertex_ids:
+        indeg = cyclic = 0
+        for reid, end in g.ends_at(v):
+            if ref.seg[reid][0] in cycle:
+                cyclic += 1
+            elif values[v] == values[g.other_end(reid, end)] + g.length(reid):
+                indeg += 1
+        indeg += cyclic // 2
+        if indeg != 1:
+            coeffs.append((ref.to_base_point(Point.at_vertex(v)), indeg - 1))
+    return Divisor(graph, coeffs)

@@ -26,7 +26,8 @@ from tropcover import (
     two_torsion_divisor,
     verify_cover,
 )
-from conftest import random_3regular
+from tropcover.serialize import cover_from_obj, cover_to_obj
+from conftest import random_3regular, random_graph
 
 TRIANGLE = frozenset(["BC", "BD", "CD"])
 SQUARE = frozenset(["AC", "AD", "BC", "BD"])
@@ -213,3 +214,109 @@ def test_three_regular_identity():
             m = len(complement.components())
             h = complement.genus()
             assert len(gamma) == genus + m - h - 1
+
+
+LENGTHS = (Fraction(1, 2), Fraction(2, 3), Fraction(5, 4), Fraction(3), Fraction(7, 6))
+
+
+def fractional_graphs(seed, count):
+    """Random genus-3/4 graphs with lengths drawn from LENGTHS."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        g = random_graph(rng, max_genus=4, min_genus=3)
+        edges = [(e, *g.ends(e), rng.choice(LENGTHS)) for e in g.edge_ids]
+        out.append(MetricGraph(list(g.vertex_ids), edges))
+    return out
+
+
+def all_covers(graph):
+    out = list(free_covers(graph))
+    for cyc in CycleSpace(graph).even_subgraphs():
+        if cyc:
+            out.extend(covers_with_dilation(graph, cyc))
+    return out
+
+
+def with_lengths(cover, length_of):
+    """The cover over a copy of its source with lengths length_of(e, l)."""
+    src = cover.source
+    source = MetricGraph(
+        [(v, src.genus_of(v)) for v in src.vertex_ids],
+        [(e, *src.ends(e), length_of(e, src.length(e))) for e in src.edge_ids],
+    )
+    return DoubleCover(
+        cover.target, source, cover.vertex_map, cover.edge_map, cover.involution_v
+    )
+
+
+def test_every_cover_of_fractional_graphs_verifies():
+    dilated = 0
+    for g in fractional_graphs(5081, 6):
+        for c in all_covers(g):
+            report = verify_cover(c)
+            assert report.ok, report.problems
+            assert report.dilation == {te for te, d in c.edge_map.values() if d == 2}
+            dilated += bool(report.dilation)
+    assert dilated
+
+
+def test_verify_reports_corrupted_covers_of_fractional_graphs():
+    seen = set()
+    for g in fractional_graphs(5081, 3):
+        for c in all_covers(g):
+            scale = c.source.integer_metric()[0]
+            if c.dilation:
+                # a dilated lift of its edge's full length
+                se = min(e for e, (_, d) in c.edge_map.items() if d == 2)
+                full = g.length(c.edge_map[se][0])
+                bad = with_lengths(c, lambda e, ell: full if e == se else ell)
+                # a recorded dilation that differs from the edge map
+                c.dilation = frozenset()
+            else:
+                # a lift off by half a unit of the source's integer metric
+                se = c.source.edge_ids[0]
+                step = Fraction(1, 2 * scale)
+                bad = with_lengths(c, lambda e, ell: ell + step if e == se else ell)
+                c.dilation = CycleSpace(g).even_subgraphs()[1]
+            report = verify_cover(bad)
+            assert not report.ok
+            assert report.problems == ["edge %r breaks metric compatibility" % se]
+            report = verify_cover(c)
+            assert report.problems == [
+                "dilation set differs from the edges with a degree-2 lift"
+            ]
+            seen.add(c.edge_map[se][1])
+    assert seen == {1, 2}
+
+
+def test_verify_reports_an_involution_pairing_unequal_lengths():
+    g = MetricGraph(
+        ["u", "v"],
+        [("a", "u", "v", Fraction(1, 2)), ("b", "u", "v", Fraction(2, 3)),
+         ("c", "u", "v", Fraction(5, 4))],
+    )
+    for c in free_covers(g):
+        assert verify_cover(c).ok
+        # pair a's lift with a lift of b, which is longer
+        c.involution_e["a^0"] = "b^1"
+        report = verify_cover(c)
+        assert not report.ok
+        assert "edge involution is not an isometry at 'a^0'" in report.problems
+
+
+def test_covers_dilated_along_one_cycle_share_the_dilation_set():
+    shared = 0
+    for g in fractional_graphs(977, 4):
+        for cyc in CycleSpace(g).even_subgraphs():
+            if not cyc:
+                continue
+            covers = covers_with_dilation(g, cyc)
+            for c in covers:
+                assert c.dilation is cyc
+                assert verify_cover(c).dilation is cyc
+            shared += len(covers) > 1
+            # a parsed cover derives the same set from its edge map
+            parsed = cover_from_obj(cover_to_obj(covers[-1]))
+            assert parsed.dilation == cyc and verify_cover(parsed).ok
+    assert shared

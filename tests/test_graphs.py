@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -234,3 +235,19 @@ def test_distance_field_slopes_are_unit(k4):
     field = distance_field(k4, Point.at_vertex("A"))
     # midpoints of the far triangle are at distance 3/2
     assert field.value(Point.on_edge("BC", Fraction(1, 2))) == Fraction(3, 2)
+
+
+def test_integer_metric_is_the_lengths_over_the_lcm():
+    rng = random.Random(4121)
+    for _ in range(20):
+        g = random_graph(rng, max_genus=5)
+        # cuts at thirds and sevenths bring denominators the graph lacks
+        cuts = [g.point(e, g.length(e) * Fraction(k, 21)) for e, k in zip(g.edge_ids, (7, 3))]
+        for h in (g, refine(g, cuts).graph):
+            scale, length = h.integer_metric()
+            assert scale == lcm(*(h.length(e).denominator for e in h.edge_ids))
+            assert set(length) == set(h.edge_ids)
+            for e, n in length.items():
+                assert type(n) is int and n == h.length(e) * scale
+            assert h.integer_metric() is h.integer_metric()
+    assert MetricGraph(["p"], []).integer_metric() == (1, {})

@@ -2,6 +2,7 @@
 
 import ast
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -30,4 +31,15 @@ def test_corrupted_distance_field_fails_the_slope_check(k4):
     field = distance_field(k4, Point.at_vertex("A"))
     field.values["B"] += 1
     with pytest.raises(SlopeError):
+        field._check_slopes()
+
+
+def test_corrupted_integer_distance_fails_the_slope_check(k4):
+    field = distance_field(k4, Point.at_vertex("A"))
+    field.scaled_values["B"] += 1
+    with pytest.raises(SlopeError):
+        field._check_slopes()
+    # with the served value moved along, the slopes themselves are wrong
+    field.values["B"] = Fraction(field.scaled_values["B"], field.scale)
+    with pytest.raises(SlopeError, match="has slope"):
         field._check_slopes()

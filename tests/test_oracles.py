@@ -10,10 +10,12 @@ import pytest
 from tropcover import (
     CycleSpace,
     Divisor,
+    Point,
     PrymError,
     abel_jacobi,
     canonical,
     covers_with_dilation,
+    distance_field,
     enumerate_theta,
     free_covers,
     homology_action,
@@ -26,6 +28,7 @@ from tropcover import (
     pullback,
     pullback_kernel,
     pushforward,
+    theta_characteristic,
     torsion_points,
 )
 from tropcover.divisors import laplacian_image_contains
@@ -36,7 +39,10 @@ from oracles import (
     FractionHomologyAction,
     divisor_prym_contains,
     echelon_in_lattice,
+    fraction_distance_field,
+    fraction_theta_divisor,
     laplacian_columns,
+    mat_mul,
     refined_abel_jacobi,
     solve_canonical,
     tree_abel_jacobi,
@@ -285,7 +291,7 @@ def random_nonsingular(rng, n):
     for i in range(n):
         L[i][i] = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
     U = [[entry() if j > i else Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    M = linalg.mat_mul(L, U)
+    M = mat_mul(L, U)
     rng.shuffle(M)
     return M
 
@@ -303,3 +309,36 @@ def test_solve_satisfies_the_system():
     for b in ([1, 2, 3], [1, 2, 0]):  # consistent and inconsistent
         with pytest.raises(ValueError, match="singular matrix"):
             linalg.solve(singular, b)
+
+
+def test_distance_fields_and_theta_against_the_fraction_route():
+    # random genus-3-6 graphs with fractional lengths; sources at every
+    # vertex, at edge-interior points whose offsets bring a denominator 7,
+    # and along every nonempty even subgraph
+    rng = random.Random(7417)
+    ridges_seen = rescaled = 0
+    for _ in range(8):
+        g = random_graph(rng, max_genus=6, min_genus=3)
+        interior = [
+            g.point(e, g.length(e) * Fraction(rng.randint(1, 6), 7))
+            for e in rng.sample(g.edge_ids, 3)
+        ]
+        evens = CycleSpace(g).even_subgraphs()
+        sources = [Point.at_vertex(v) for v in g.vertex_ids] + interior
+        for source in sources + [c for c in evens if c]:
+            field = distance_field(g, source)
+            ridges, ref, values = fraction_distance_field(g, source)
+            assert field.ridge_base_points == ridges
+            assert field.refinement.graph.edge_ids == ref.graph.edge_ids
+            assert field.values == values
+            assert field.scale == ref.graph.integer_metric()[0]
+            for v, x in values.items():
+                assert field.scaled_values[v] == x * field.scale
+            ridges_seen += len(ridges)
+            rescaled += field.scale != g.integer_metric()[0]
+        for t in enumerate_theta(g):
+            assert t.divisor == fraction_theta_divisor(g, t.cycle)
+        for p in interior:
+            got = theta_characteristic(g, frozenset(), p).divisor
+            assert got == fraction_theta_divisor(g, frozenset(), p)
+    assert ridges_seen and rescaled
