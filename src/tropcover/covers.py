@@ -273,6 +273,9 @@ def verify_cover(cover: DoubleCover) -> CoverReport:
     for sv in src.vertex_ids:
         if sv not in vertex_map or vertex_map[sv] not in tgt._genus:
             complain("vertex %r unmapped" % sv)
+    for sv in vertex_map:
+        if sv not in src._genus:
+            complain("vertex map names %r, which is not a source vertex" % sv)
     for se in src.edge_ids:
         if se not in edge_map:
             complain("edge %r unmapped" % se)

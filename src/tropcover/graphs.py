@@ -482,68 +482,34 @@ class PLFunction:
 # -- distance fields -----------------------------------------------------
 
 
-class DistanceField(PLFunction):
-    """Exact shortest-path distance to a point or to an even subgraph.
+class ShortestPaths:
+    """Distances to a point or to a nonempty even subgraph, from one
+    Dijkstra run on the model refined at the source.
 
-    Values are stored at the vertices of a refinement that includes the
-    source and every interior ridge point, so each refined segment has slope
-    +-1 (or 0 exactly on the source).  Distances are found in the refined
-    graph's integer metric: scaled_values[v] is values[v] * scale.
+    dist[v] is the distance of each refined vertex in the refined graph's
+    integer metric.  `cycle` holds the source's edges (empty for a point),
+    which the refinement leaves uncut; `ridges` maps every other segment
+    on which the two descent directions meet inside it to the meeting
+    point, as a point of the base graph.  The distances are checked
+    against a shortest-path certificate before they are served.
     """
 
     def __init__(self, graph: MetricGraph, source: Union[Point, frozenset]):
         if isinstance(source, Point):
-            self.source_cycle = None
-            src_pt = graph.check_point(source)
-            self.source = src_pt
-            seed_points = [src_pt]
+            source = graph.check_point(source)
+            self.cycle = frozenset()
+            self.refinement = ref = refine(graph, [source])
+            self.seeds = (ref.to_refined_point(source).id,)
         else:
-            cyc = check_even_subgraph(graph, source)
-            if not cyc:
+            self.cycle = check_even_subgraph(graph, source)
+            if not self.cycle:
                 raise PointError("empty source cycle")
-            self.source_cycle = cyc
-            self.source = cyc
-            seed_points = []
-
-        first = refine(graph, seed_points)
-        ridges = self._find_ridges(first, self._dijkstra(first))
-        self.ridge_base_points = tuple(sorted(ridges))
-        ref = refine(graph, seed_points + ridges)
-        self.scale = scale = ref.graph.integer_metric()[0]
-        self.scaled_values = dist = self._dijkstra(ref)
-        super().__init__(ref, {v: Fraction(d, scale) for v, d in dist.items()})
-        self._check_slopes()
-
-    def _seed_vertices(self, ref: Refinement):
-        if self.source_cycle is None:
-            rp = ref.to_refined_point(self.source)
-            if not rp.is_vertex:
-                raise PointError(
-                    "source %r is not a vertex of its refinement" % (self.source,)
-                )
-            return {rp.id}
-        seeds = set()
-        for eid in self.source_cycle:
-            for reid in ref.pieces[eid]:
-                t, h = ref.graph.ends(reid)
-                seeds.add(t)
-                seeds.add(h)
-        return seeds
-
-    def _zero_edges(self, ref: Refinement):
-        if self.source_cycle is None:
-            return frozenset()
-        out = set()
-        for eid in self.source_cycle:
-            out.update(ref.pieces[eid])
-        return frozenset(out)
-
-    def _dijkstra(self, ref: Refinement):
-        """Distances from the seeds in the refined graph's integer metric."""
+            self.refinement = ref = refine(graph, ())
+            self.seeds = tuple(sorted({v for e in self.cycle for v in graph.ends(e)}))
         g = ref.graph
         _, length = g.integer_metric()
-        dist = {}
-        heap = [(0, v) for v in sorted(self._seed_vertices(ref))]  # sorted: a heap
+        dist = self.dist = {}
+        heap = [(0, v) for v in self.seeds]  # sorted: a heap
         while heap:
             d, v = heapq.heappop(heap)
             if v in dist:
@@ -553,49 +519,85 @@ class DistanceField(PLFunction):
                 w = g.other_end(eid, end)
                 if w not in dist:
                     heapq.heappush(heap, (d + length[eid], w))
-        return dist
+        self._check()
 
-    def _find_ridges(self, ref: Refinement, dist):
-        zero = self._zero_edges(ref)
-        scale, length = ref.graph.integer_metric()
-        ridges = []
-        for reid in ref.graph.edge_ids:
-            if reid in zero:
+    def _check(self):
+        """Certify dist and find the ridges: 0 at the seeds, a rise of at
+        most the length on every segment off the source, and a tight
+        segment (one whose rise is its length) down from every other
+        vertex.  A ridge lies on each segment off the source that is not
+        tight."""
+        ref = self.refinement
+        g, dist = ref.graph, self.dist
+        scale, length = g.integer_metric()
+        if any(dist[v] for v in self.seeds):
+            raise SlopeError("nonzero distance at a source vertex")
+        tight = set(self.seeds)
+        self.ridges = {}
+        for reid in g.edge_ids:
+            if reid in self.cycle:
                 continue
-            t, h = ref.graph.ends(reid)
+            t, h = g.ends(reid)
             ell = length[reid]
-            # the two descent directions meet at offset (ell + d_h - d_t) / 2,
-            # counted here in half units of 1/scale; a ridge when interior
-            twice = ell + dist[h] - dist[t]
-            if 0 < twice < 2 * ell:
+            rise = dist[h] - dist[t]
+            if rise == ell:
+                tight.add(h)
+            elif rise == -ell:
+                tight.add(t)
+            elif abs(rise) > ell:
+                raise SlopeError("distances rise by more than the length of %r" % reid)
+            else:
+                # the descent directions meet at offset (ell + rise) / 2
                 beid, a, _ = ref.seg[reid]
-                ridges.append(ref.base.point(beid, a + Fraction(twice, 2 * scale)))
-        return ridges
+                self.ridges[reid] = ref.base.point(beid, a + Fraction(ell + rise, 2 * scale))
+        for v in g.vertex_ids:
+            if v not in tight:
+                raise SlopeError("no segment descends from %r toward the source" % v)
+
+
+class DistanceField(PLFunction):
+    """Exact shortest-path distance to a point or to an even subgraph.
+
+    Values are stored at the vertices of a refinement that includes the
+    source and every interior ridge point, so each refined segment has slope
+    +-1 (or 0 exactly on the source).  They come from one ShortestPaths
+    pass: a vertex of its refinement keeps its distance, and a ridge on a
+    segment of length l between distances d_t and d_h lies at (l + d_t +
+    d_h) / 2.
+    """
+
+    def __init__(self, graph: MetricGraph, source: Union[Point, frozenset]):
+        paths = ShortestPaths(graph, source)
+        self.source_cycle = paths.cycle
+        first = paths.refinement
+        scale, length = first.graph.integer_metric()
+        at = {
+            first.to_base_point(Point.at_vertex(v)): Fraction(d, scale)
+            for v, d in paths.dist.items()
+        }
+        for reid, p in paths.ridges.items():
+            t, h = first.graph.ends(reid)
+            at[p] = Fraction(length[reid] + paths.dist[t] + paths.dist[h], 2 * scale)
+        self.ridge_base_points = tuple(sorted(paths.ridges.values()))
+        # the first refinement's new vertex, if any, is the source
+        ref = refine(graph, [*first.origin.values(), *self.ridge_base_points])
+        super().__init__(
+            ref, {v: at[ref.to_base_point(Point.at_vertex(v))] for v in ref.graph.vertex_ids}
+        )
+        self._check_slopes()
 
     def _check_slopes(self):
-        """The served values are scaled_values / scale, with slope +-1 off
-        the source and 0 on it."""
+        """Slope +-1 off the source and 0 on it.  No ridge lies on the
+        source, so its edges keep their ids in the refinement."""
         g = self.refinement.graph
-        _, length = g.integer_metric()
-        scale, dist = self.scale, self.scaled_values
-        for v, x in self.values.items():
-            if x.numerator * scale != dist[v] * x.denominator:
-                raise SlopeError(
-                    "distance field value %s at %r is not its distance %s"
-                    % (x, v, Fraction(dist[v], scale))
-                )
-        zero = self._zero_edges(self.refinement)
         for reid in g.edge_ids:
             t, h = g.ends(reid)
-            rise = dist[h] - dist[t]
-            if abs(rise) != (0 if reid in zero else length[reid]):
+            slope = (self.values[h] - self.values[t]) / g.length(reid)
+            on_source = reid in self.source_cycle
+            if abs(slope) != (0 if on_source else 1):
                 raise SlopeError(
                     "distance field has slope %s on %r, not %s"
-                    % (
-                        Fraction(rise, length[reid]),
-                        reid,
-                        "0 on the source" if reid in zero else "+-1",
-                    )
+                    % (slope, reid, "0 on the source" if on_source else "+-1")
                 )
 
 

@@ -64,7 +64,7 @@ class PeriodLattice:
                     acc[j] += c * width[e] * x
             self.pot[v] = acc
         self._span = None  # gram_span(), built on first use
-        self._inverse = None  # scaled_gram^-1 as (ints, denominator), likewise
+        self._inverse = None  # inverse(), likewise
 
     @property
     def graph(self) -> MetricGraph:
@@ -82,6 +82,12 @@ class PeriodLattice:
             # the Gram matrix is symmetric, so its rows are its columns
             self._span = linalg.IntegerLattice(self.scaled_gram, self.rank, self.scale)
         return self._span
+
+    def inverse(self) -> Tuple[List[List[int]], int]:
+        """scaled_gram^-1 as (integer matrix, denominator), built on first use."""
+        if self._inverse is None:
+            self._inverse = linalg.integer_inverse(self.scaled_gram)
+        return self._inverse
 
 
 class Tables(NamedTuple):
@@ -170,9 +176,7 @@ def _reduce(lat: PeriodLattice, nums, den: int) -> Tuple[Fraction, ...]:
     for r = scale * N nums mod d * den."""
     if lat.rank == 0:
         return ()
-    if lat._inverse is None:
-        lat._inverse = linalg.integer_inverse(lat.scaled_gram)
-    inv, d = lat._inverse
+    inv, d = lat.inverse()
     q = d * den
     r = [lat.scale * sum(map(mul, row, nums)) % q for row in inv]
     q *= lat.scale

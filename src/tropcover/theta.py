@@ -3,9 +3,10 @@
 Given an even subgraph c (possibly empty, in which case a basepoint p is
 used), orient the graph so the distance-to-source function increases away
 from the source, and give the source itself a totally cyclic orientation.
-The divisor sum((indeg - 1) x) over the induced refinement is a theta
-characteristic: twice it is equivalent to the canonical class.  The empty
-cycle yields the unique non-effective one.
+The divisor sum((indeg - 1) x) over the model refined at the source and
+at the ridges, where descent directions meet, is a theta characteristic:
+twice it is equivalent to the canonical class.  The empty cycle yields the
+unique non-effective one.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .divisors import Divisor
-from .errors import CycleError, DegreeError, SlopeError
+from .errors import CycleError, DegreeError
 from .graphs import (
     CycleSpace,
-    DistanceField,
     MetricGraph,
     Point,
+    ShortestPaths,
     check_even_subgraph,
-    distance_field,
     require_unaugmented,
 )
 
@@ -31,7 +31,6 @@ class ThetaCharacteristic:
     cycle: frozenset  # even subgraph label (empty for the non-effective one)
     divisor: Divisor
     effective: bool
-    field: DistanceField
     basepoint: Optional[Point]  # used when cycle is empty
 
 
@@ -41,37 +40,26 @@ def theta_characteristic(
     """The theta-characteristic divisor for one even subgraph (or the basepoint one)."""
     require_unaugmented(graph)
     cycle = check_even_subgraph(graph, cycle)
-    if cycle:
-        field = distance_field(graph, cycle)
-        basepoint = None
-    else:
-        basepoint = graph.check_point(p) if p is not None else Point.at_vertex(
-            graph.vertex_ids[0]
-        )
-        field = distance_field(graph, basepoint)
-
-    ref = field.refinement
+    basepoint = None if cycle else graph.check_point(
+        p if p is not None else Point.at_vertex(graph.vertex_ids[0])
+    )
+    paths = ShortestPaths(graph, cycle or basepoint)
+    ref = paths.refinement
     g = ref.graph
-    # the field's distances and the refined lengths share one integer metric
-    dist = field.scaled_values
+    # the distances and the refined lengths share one integer metric
+    dist = paths.dist
     _, length = g.integer_metric()
-    coeffs = []
+    # both ends of a ridge's segment are outgoing and both halves come in
+    # at the ridge, so the ridge carries one chip
+    coeffs = [(x, 1) for x in paths.ridges.values()]
     for v in g.vertex_ids:
-        indeg = 0
-        cyclic_ends = 0
+        indeg = cyclic_ends = 0
         for reid, end in g.ends_at(v):
-            base_eid = ref.seg[reid][0]
-            if base_eid in cycle:
+            if reid in cycle:  # the source's edges are not cut
                 cyclic_ends += 1
-                continue
-            other = g.other_end(reid, end)
             # incoming iff the distance decreases toward the far endpoint
-            if dist[v] == dist[other] + length[reid]:
+            elif dist[v] == dist[g.other_end(reid, end)] + length[reid]:
                 indeg += 1
-            elif v == other:
-                # a loop surviving refinement: distances tie at both ends,
-                # which cannot happen off the source after ridge insertion
-                raise SlopeError("loop %r off the source has slope 0" % reid)
         if cyclic_ends % 2:
             raise CycleError(
                 "vertex %r has an odd number (%d) of source ends" % (v, cyclic_ends)
@@ -89,7 +77,6 @@ def theta_characteristic(
         cycle=cycle,
         divisor=div,
         effective=div.is_effective(),
-        field=field,
         basepoint=basepoint,
     )
 

@@ -293,3 +293,16 @@ def test_graph_json_round_trip():
     again = serialize.graph_from_obj(obj)
     assert serialize.graph_to_obj(again) == obj
     assert again.same_model(k4)
+
+
+@pytest.mark.parametrize("image", ["nowhere", "A"])
+def test_cover_verify_reports_a_vertex_map_entry_off_the_source(tmp_path, image):
+    obj = json.loads(golden("k4_cube.json"))
+    obj["vertex_map"]["ghost"] = image
+    f = tmp_path / "ghost.json"
+    f.write_text(json.dumps(obj))
+    code, out, _ = run("cover", "verify", str(f))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["ok"] is False
+    assert any("'ghost'" in msg for msg in rep["problems"]), rep["problems"]

@@ -320,3 +320,12 @@ def test_covers_dilated_along_one_cycle_share_the_dilation_set():
             parsed = cover_from_obj(cover_to_obj(covers[-1]))
             assert parsed.dilation == cyc and verify_cover(parsed).ok
     assert shared
+
+
+@pytest.mark.parametrize("image", ["nowhere", "A"])
+def test_verify_reports_a_vertex_map_entry_off_the_source(cube_cover, image):
+    obj = cover_to_obj(cube_cover)
+    obj["vertex_map"]["ghost"] = image
+    rep = verify_cover(cover_from_obj(obj))
+    assert not rep.ok
+    assert any("'ghost'" in msg for msg in rep.problems), rep.problems

@@ -2,11 +2,11 @@
 
 import ast
 import os
-from fractions import Fraction
 
 import pytest
 
 from tropcover import Point, SlopeError, distance_field
+from tropcover.graphs import ShortestPaths
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tropcover")
 
@@ -34,12 +34,21 @@ def test_corrupted_distance_field_fails_the_slope_check(k4):
         field._check_slopes()
 
 
-def test_corrupted_integer_distance_fails_the_slope_check(k4):
-    field = distance_field(k4, Point.at_vertex("A"))
-    field.scaled_values["B"] += 1
-    with pytest.raises(SlopeError):
-        field._check_slopes()
-    # with the served value moved along, the slopes themselves are wrong
-    field.values["B"] = Fraction(field.scaled_values["B"], field.scale)
-    with pytest.raises(SlopeError, match="has slope"):
-        field._check_slopes()
+@pytest.mark.parametrize(
+    "source, vertex, delta, message",
+    [
+        ("A", "B", 1, "rise by"),  # AB rises by 2
+        ("A", "B", -1, "no segment descends"),  # B as near as A: no tight segment
+        ("A", "A", 1, "at a source vertex"),
+        (frozenset(["BC", "BD", "CD"]), "A", -1, "no segment descends"),
+        (frozenset(["BC", "BD", "CD"]), "B", 1, "at a source vertex"),
+    ],
+    ids=["longer", "shorter", "point-seed", "cycle-off", "cycle-seed"],
+)
+def test_corrupted_pass_distance_fails_the_certificate(k4, source, vertex, delta, message):
+    if isinstance(source, str):
+        source = Point.at_vertex(source)
+    paths = ShortestPaths(k4, source)
+    paths.dist[vertex] += delta
+    with pytest.raises(SlopeError, match=message):
+        paths._check()

@@ -15,6 +15,7 @@ from tropcover import (
     abel_jacobi,
     canonical,
     canonical_divisor,
+    distance_field,
     enumerate_theta,
     equivalent,
     period_lattice,
@@ -38,7 +39,7 @@ def test_theta_beside_a_user_vertex_named_like_a_cut():
     chars = enumerate_theta(g)
     assert len(chars) == 2 ** g.genus()
     assert sum(1 for t in chars if not t.effective) == 1
-    assert chars[0].field.ridge_base_points == (Point.on_edge("f", 3),)
+    assert distance_field(g, chars[0].basepoint).ridge_base_points == (Point.on_edge("f", 3),)
 
 
 def test_k4_basepoint_characteristic(k4):
@@ -156,3 +157,27 @@ def test_torsion_homomorphism(k4):
         db = two_torsion_divisor(k4, b)
         dab = two_torsion_divisor(k4, a ^ b)
         assert equivalent(dab, da + db)
+
+
+def test_one_shortest_path_pass_per_characteristic_and_no_field(k4, monkeypatch):
+    from tropcover import graphs, pairing_table
+    from tropcover.theta import two_torsion_divisors
+
+    built = {"passes": 0, "fields": 0}
+    run_pass, build_field = graphs.ShortestPaths.__init__, graphs.DistanceField.__init__
+
+    def counted_pass(self, *args):
+        built["passes"] += 1
+        run_pass(self, *args)
+
+    def counted_field(self, *args):
+        built["fields"] += 1
+        build_field(self, *args)
+
+    monkeypatch.setattr(graphs.ShortestPaths, "__init__", counted_pass)
+    monkeypatch.setattr(graphs.DistanceField, "__init__", counted_field)
+    n = 2 ** k4.genus()
+    for call in (enumerate_theta, two_torsion_divisors, pairing_table):
+        built["passes"] = 0
+        call(k4)
+        assert built == {"passes": n, "fields": 0}, call.__name__
