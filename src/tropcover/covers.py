@@ -428,7 +428,7 @@ def pullback_kernel(cover: DoubleCover, eps=1):
     return [
         c
         for c, D in zip(evens, torsion)
-        if lat.gram_span().contains(*scaled_abel_jacobi(tables, D))
+        if lat.contains(*scaled_abel_jacobi(tables, D))
     ]
 
 

@@ -15,8 +15,6 @@ from . import linalg
 from .errors import DegreeError, PointError, SlopeError
 from .graphs import MetricGraph, PLFunction, Point, refine
 
-ZERO = Fraction(0)
-
 
 class Divisor:
     """Finite integer combination of points of a host graph."""
@@ -273,55 +271,47 @@ def is_principal(D: Divisor) -> bool:
             raise DegreeError("is_principal needs a degree-0 divisor")
         return False
     lat = period_lattice(D.graph)
-    return lat.gram_span().contains(*scaled_abel_jacobi(lat, D))
+    return lat.contains(*scaled_abel_jacobi(lat, D))
 
 
 def principal_function(D: Divisor) -> Optional[PLFunction]:
     """A PL function f with div(f) = D, or None if D is not principal.
 
-    Found by solving the length-weighted Laplacian on a refinement at
-    supp(D); the solution is the unique harmonic candidate, and D is
-    principal exactly when its slopes are all integers.
+    On the model refined at supp(D), the chain c = sum of D(v) times v's
+    root path has boundary D, and Gram^-1 of its pairings with the basis
+    cycles (D's Abel-Jacobi coordinates) is z + r / q.  D is principal
+    exactly when r = 0.  Then the integer flow c - sum of z_j cycle_j pairs
+    to 0 with every cycle, so it is the slope field of f, and f(v) is the
+    length-weighted pairing of v's root path with it: 0 at each
+    component's root, its first vertex.
     """
+    from .jacobian import period_lattice
+
     if any(d != 0 for d in D.component_degrees().values()):
         return None
-    ref = refine(D.graph, list(D.support()))
-    g = ref.graph
-    want = {v: 0 for v in g.vertex_ids}
+    ref = refine(D.graph, D.support())
+    lat = period_lattice(ref.graph)
+    root_chain = lat.cycles._root_chain
+    nums = [0] * lat.rank
+    flow = {}
     for p, a in D.items():
-        rp = ref.to_refined_point(p)
-        want[rp.id] = a
-    values = {}
-    for comp in g.components():
-        idx = {v: i for i, v in enumerate(comp)}
-        n = len(comp)
-        lap = [[Fraction(0)] * n for _ in range(n)]
-        for eid in g.edge_ids:
-            t, h = g.ends(eid)
-            if t not in idx or t == h:
-                continue
-            w = 1 / g.length(eid)
-            lap[idx[t]][idx[t]] += w
-            lap[idx[h]][idx[h]] += w
-            lap[idx[t]][idx[h]] -= w
-            lap[idx[h]][idx[t]] -= w
-        # ord_v(f) = (L f)(v) under the incoming-slope convention;
-        # pin the first vertex to 0
-        rhs = [Fraction(want[v]) for v in comp]
-        if n == 1:
-            values[comp[0]] = ZERO
-            continue
-        sys_rows = [row[1:] for row in lap[1:]]
-        sol = linalg.solve(sys_rows, rhs[1:])
-        values[comp[0]] = ZERO
-        for v in comp[1:]:
-            values[v] = sol[idx[v] - 1]
-    f = PLFunction(ref, values)
-    try:
-        got = divisor_of(f)
-    except SlopeError:
+        v = ref.to_refined_point(p).id
+        for j, x in enumerate(lat.pot[v]):
+            nums[j] += a * x
+        for e, c in root_chain(v).items():
+            flow[e] = flow.get(e, 0) + a * c
+    z, r, _ = lat.divide(nums, lat.scale)
+    if any(r):
         return None
-    return f if got == D else None
+    for zj, cyc in zip(z, lat.basis):
+        for e, c in cyc.items():
+            flow[e] = flow.get(e, 0) - zj * c
+    scale, width = ref.graph.integer_metric()
+    values = {
+        v: Fraction(sum(c * width[e] * flow.get(e, 0) for e, c in root_chain(v).items()), scale)
+        for v in ref.graph.vertex_ids
+    }
+    return PLFunction(ref, values)
 
 
 def equivalent(D1: Divisor, D2: Divisor) -> bool:

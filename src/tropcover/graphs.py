@@ -519,6 +519,9 @@ class ShortestPaths:
                 w = g.other_end(eid, end)
                 if w not in dist:
                     heapq.heappush(heap, (d + length[eid], w))
+        for v in g.vertex_ids:
+            if v not in dist:
+                raise PointError("graph is disconnected: %r is not reachable from the source" % v)
         self._check()
 
     def _check(self):

@@ -5,8 +5,9 @@ path 1-chain against the fundamental cycle basis: each support point is
 reached from its component's root along the fundamental tree of the cycle
 basis, and a point inside an edge by the tree path to the edge's tail plus
 the segment up to the point.  The class is taken modulo the lattice spanned
-by the Gram matrix columns.  Everything is exact, so lattice membership is
-a yes/no question, answered in integers.
+by the Gram matrix columns.  Everything is exact: membership, reduction
+and principal_function's certificate all read one integer division by the
+Gram matrix (PeriodLattice.divide).
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ class PeriodLattice:
     metric (the lcm of the length denominators): col[e] holds the
     coefficient of edge e in each basis cycle, pot[v] the pairing of v's
     root path in the fundamental tree with each basis cycle (times scale),
-    and scaled_gram the Gram matrix (times scale).
+    and scaled_gram the Gram matrix (times scale).  The lattice itself is
+    held as the integer inverse of scaled_gram, from which divide() reads
+    every Jacobian question.
 
     The graph is held through a weak reference: its memo holds the
     lattice, and a strong reference back would leave both to the cyclic
@@ -55,7 +58,6 @@ class PeriodLattice:
                     row = self.scaled_gram[i]
                     for j, b in enumerate(col):
                         row[j] += width[e] * a * b
-        self.gram = [[Fraction(x, self.scale) for x in row] for row in self.scaled_gram]
         self.pot = {}
         for v in graph.vertex_ids:
             acc = [0] * g
@@ -63,8 +65,7 @@ class PeriodLattice:
                 for j, x in enumerate(self.col[e]):
                     acc[j] += c * width[e] * x
             self.pot[v] = acc
-        self._span = None  # gram_span(), built on first use
-        self._inverse = None  # inverse(), likewise
+        self._inverse = None  # inverse(), built on first use
 
     @property
     def graph(self) -> MetricGraph:
@@ -75,19 +76,32 @@ class PeriodLattice:
             )
         return graph
 
-    def gram_span(self) -> linalg.IntegerLattice:
-        """The lattice spanned by the Gram matrix columns, built on first
-        use: coordinates alone never need it."""
-        if self._span is None:
-            # the Gram matrix is symmetric, so its rows are its columns
-            self._span = linalg.IntegerLattice(self.scaled_gram, self.rank, self.scale)
-        return self._span
+    @property
+    def gram(self) -> List[List[Fraction]]:
+        """The Gram matrix in Fractions, derived on access: the library
+        reads scaled_gram."""
+        return [[Fraction(x, self.scale) for x in row] for row in self.scaled_gram]
 
     def inverse(self) -> Tuple[List[List[int]], int]:
         """scaled_gram^-1 as (integer matrix, denominator), built on first use."""
         if self._inverse is None:
             self._inverse = linalg.integer_inverse(self.scaled_gram)
         return self._inverse
+
+    def divide(self, nums, den: int) -> Tuple[List[int], List[int], int]:
+        """(z, r, q) with Gram^-1 (nums / den) = z + r / q, z and r integer
+        vectors and 0 <= r < q.  With Gram = S / scale and S^-1 = N / d,
+        Gram^-1 (nums / den) = scale N nums / (d den)."""
+        if len(nums) != self.rank:
+            raise ValueError("dimension mismatch")
+        inv, d = self.inverse()
+        q = d * den
+        y = [self.scale * sum(map(mul, row, nums)) for row in inv]
+        return [x // q for x in y], [x % q for x in y], q
+
+    def contains(self, nums, den: int) -> bool:
+        """Whether nums / den lies in the lattice: Gram^-1 of it is integral."""
+        return not any(self.divide(nums, den)[1])
 
 
 class Tables(NamedTuple):
@@ -158,27 +172,25 @@ def scaled_abel_jacobi(lat, D: Divisor) -> Tuple[List[int], int]:
     return acc, den
 
 
+def _over_common_denominator(v) -> Tuple[List[int], int]:
+    den = lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
 def lattice_contains(lat: PeriodLattice, v) -> bool:
     """Whether v lies in the lattice spanned by the Gram matrix columns."""
-    return lat.gram_span().contains(v)
+    return lat.contains(*_over_common_denominator(v))
 
 
 def canonical(lat: PeriodLattice, v) -> Tuple[Fraction, ...]:
     """Representative with Gram^-1 v in [0,1)^g."""
-    den = lcm(*(x.denominator for x in v))
-    return _reduce(lat, [x.numerator * (den // x.denominator) for x in v], den)
+    return _reduce(lat, *_over_common_denominator(v))
 
 
 def _reduce(lat: PeriodLattice, nums, den: int) -> Tuple[Fraction, ...]:
-    """canonical() of nums / den, in integers: with Gram = S / scale and
-    S^-1 = N / d, the coordinates x = Gram^-1 v are scale * N nums / (d *
-    den), and Gram times their fractional parts is S r / (scale * d * den)
-    for r = scale * N nums mod d * den."""
-    if lat.rank == 0:
-        return ()
-    inv, d = lat.inverse()
-    q = d * den
-    r = [lat.scale * sum(map(mul, row, nums)) % q for row in inv]
+    """canonical() of nums / den, in integers: Gram times the fractional
+    part r / q of Gram^-1 (nums / den) is S r / (scale q)."""
+    _, r, q = lat.divide(nums, den)
     q *= lat.scale
     return tuple(Fraction(sum(map(mul, row, r)), q) for row in lat.scaled_gram)
 

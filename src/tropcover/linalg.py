@@ -8,10 +8,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def mat_vec(M, v):
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in M]
-
-
 def transpose(M):
     return [list(col) for col in zip(*M)] if M else []
 

@@ -9,9 +9,8 @@ the pulled-back two-torsion divisor lands in the Prym.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
-from typing import List, Tuple
+from typing import Tuple
 
 from . import linalg
 from .covers import DoubleCover, free_covers, pullback_tables, pushforward
@@ -72,10 +71,6 @@ class HomologyAction:
         # tables giving the source coordinates of pulled-back target divisors
         self.pulled_back = pullback_tables(cover, lat)
 
-    def act(self, v) -> List[Fraction]:
-        """Image of a coordinate vector under the induced involution."""
-        return linalg.mat_vec(self.matrix, list(v))
-
     def fixed_complement_rank(self) -> int:
         """rank(Id - involution), the dimension of the Prym."""
         return len(self.matrix) - len(self.null)
@@ -84,7 +79,7 @@ class HomologyAction:
         """Whether the class with source coordinates nums / den pushes
         forward to a principal class: P nums / den in the target lattice."""
         push = [sum(map(mul, row, nums)) for row in self.push_matrix]
-        return self.target_lattice.gram_span().contains(push, den)
+        return self.target_lattice.contains(push, den)
 
     def contains(self, nums, den: int) -> bool:
         """Prym membership of the class with source coordinates nums / den

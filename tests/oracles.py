@@ -4,17 +4,20 @@ Each one takes a different route from the library code it checks:
 Abel-Jacobi through a refinement at the support (the library reads
 per-graph tables), Abel-Jacobi along an explicitly given spanning tree,
 lattice membership by column echelon reduction redone on every call
-(the library keeps a Hermite normal form), canonical representatives by a
-Fraction solve (the library solves in integers), and the homology action
-and Prym membership in Fractions on the pulled-back and pushed-forward
-Divisors (the library works in integers on pulled-back tables), and
-distance fields and theta characteristics by Dijkstra and slope tests in
-Fractions on the edge lengths (the library works in the refined graph's
-integer metric).
+(the library divides by the integer Gram inverse), canonical
+representatives by a Fraction solve (the library solves in integers),
+principal functions by a Fraction Laplacian solve (the library reads the
+slope field off the same integer division), the homology action and Prym
+membership in Fractions on the pulled-back and pushed-forward Divisors (the
+library works in integers on pulled-back tables), distance fields and theta
+characteristics by Dijkstra and slope tests in Fractions on the edge
+lengths (the library works in the refined graph's integer metric), and the
+Gram determinant by Kirchhoff's weighted matrix-tree theorem.
 """
 
 import heapq
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 from tropcover import (
@@ -22,10 +25,12 @@ from tropcover import (
     CycleSpace,
     DegreeError,
     Divisor,
+    PLFunction,
     Point,
     PrymError,
     SlopeError,
     abel_jacobi,
+    divisor_of,
     is_principal,
     linalg,
     period_lattice,
@@ -186,6 +191,96 @@ def _xgcd(a, b):
     return x0, y0, a
 
 
+def laplacian_principal_function(D):
+    """A PL function f with div(f) = D, or None: the length-weighted
+    Laplacian solved in Fractions on the model refined at supp(D), each
+    component's first vertex pinned to 0, and accepted when its slopes are
+    integers and its divisor is D."""
+    if any(d != 0 for d in D.component_degrees().values()):
+        return None
+    ref = refine(D.graph, list(D.support()))
+    g = ref.graph
+    want = {v: 0 for v in g.vertex_ids}
+    for p, a in D.items():
+        want[ref.to_refined_point(p).id] = a
+    values = {}
+    for comp in g.components():
+        idx = {v: i for i, v in enumerate(comp)}
+        n = len(comp)
+        lap = [[Fraction(0)] * n for _ in range(n)]
+        for eid in g.edge_ids:
+            t, h = g.ends(eid)
+            if t not in idx or t == h:
+                continue
+            w = 1 / g.length(eid)
+            lap[idx[t]][idx[t]] += w
+            lap[idx[h]][idx[h]] += w
+            lap[idx[t]][idx[h]] -= w
+            lap[idx[h]][idx[t]] -= w
+        # ord_v(f) = (L f)(v) under the incoming-slope convention
+        values[comp[0]] = Fraction(0)
+        if n > 1:
+            sol = linalg.solve([row[1:] for row in lap[1:]], [Fraction(want[v]) for v in comp[1:]])
+            for v in comp[1:]:
+                values[v] = sol[idx[v] - 1]
+    f = PLFunction(ref, values)
+    try:
+        got = divisor_of(f)
+    except SlopeError:
+        return None
+    return f if got == D else None
+
+
+def fraction_det(M):
+    """Determinant by Fraction Gaussian elimination."""
+    A = [[Fraction(x) for x in row] for row in M]
+    det = Fraction(1)
+    for col in range(len(A)):
+        piv = next((i for i in range(col, len(A)) if A[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            A[col], A[piv] = A[piv], A[col]
+            det = -det
+        p = A[col][col]
+        det *= p
+        for i in range(col + 1, len(A)):
+            f = A[i][col] / p
+            if f:
+                A[i] = [x - f * y for x, y in zip(A[i], A[col])]
+    return det
+
+
+def kirchhoff_tree_sum(graph):
+    """Sum over the spanning trees T of a connected graph of the product of
+    the lengths of the edges off T (the weighted matrix-tree theorem's
+    value of det Gram)."""
+    edges = graph.edge_ids
+    n = len(graph.vertex_ids)
+    total = Fraction(0)
+    for tree in combinations(edges, n - 1):
+        root = {v: v for v in graph.vertex_ids}
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        acyclic = True
+        for e in tree:
+            a, b = (find(v) for v in graph.ends(e))
+            if a == b:
+                acyclic = False
+                break
+            root[a] = b
+        if acyclic:
+            off = Fraction(1)
+            for e in set(edges) - set(tree):
+                off *= graph.length(e)
+            total += off
+    return total
+
+
 def solve_canonical(lat, v):
     """canonical() through a Fraction Gauss-Jordan solve against the Gram
     matrix: the representative with Gram^-1 v in [0,1)^g."""
@@ -193,7 +288,11 @@ def solve_canonical(lat, v):
         return ()
     x = linalg.solve(lat.gram, list(v))
     frac = [xi - (xi.numerator // xi.denominator) for xi in x]
-    return tuple(linalg.mat_vec(lat.gram, frac))
+    return tuple(mat_vec(lat.gram, frac))
+
+
+def mat_vec(M, v):
+    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in M]
 
 
 def identity(n):
@@ -266,7 +365,7 @@ class FractionHomologyAction:
             for i, row in enumerate(self.matrix)
         ]
         self.null = [integer_row(y) for y in fraction_left_nullspace(diff)]
-        proj = [linalg.mat_vec(lat.gram, row) for row in self.null]
+        proj = [mat_vec(lat.gram, row) for row in self.null]
         self.gens = [[row[j] for row in proj] for j in range(g)]
         self.prym_lattice = linalg.IntegerLattice(self.gens, len(self.null))
 

@@ -306,3 +306,16 @@ def test_cover_verify_reports_a_vertex_map_entry_off_the_source(tmp_path, image)
     rep = json.loads(out)
     assert rep["ok"] is False
     assert any("'ghost'" in msg for msg in rep["problems"]), rep["problems"]
+
+
+def test_a_disconnected_graph_is_a_precondition_error(tmp_path):
+    f = tmp_path / "two_loops.json"
+    f.write_text(
+        '{"vertices":[{"id":"a"},{"id":"b"}],"edges":['
+        '{"id":"e","tail":"a","head":"a","length":"1"},'
+        '{"id":"f","tail":"b","head":"b","length":"1"}]}'
+    )
+    for verb in ("theta", "pair"):
+        code, out, err = run(verb, str(f))
+        assert code == 3 and out == ""
+        assert err == "error: graph is disconnected: 'b' is not reachable from the source\n"

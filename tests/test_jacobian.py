@@ -12,14 +12,17 @@ from tropcover import (
     abel_jacobi,
     add_points,
     canonical,
+    enumerate_theta,
     is_principal,
     lattice_contains,
+    linalg,
     period_lattice,
+    principal_function,
     torsion_points,
     two_torsion_divisor,
 )
 
-from conftest import random_divisor, random_graph
+from conftest import build_k4, random_divisor, random_graph
 
 
 def test_gram_unit_loop(unit_loop):
@@ -134,3 +137,39 @@ def test_canonical_stability():
         c = canonical(lat, v)
         assert canonical(lat, list(c)) == c
         assert lattice_contains(lat, [a - b for a, b in zip(v, c)])
+
+
+def test_jacobian_questions_read_the_gram_inverse_only(monkeypatch):
+    # membership, reduction and principal functions all divide by the
+    # integer Gram inverse: no Fraction solve or rref runs, and no Hermite
+    # normal form is built
+    rng = random.Random(9137)
+    cases = []
+    for g in (build_k4(), random_graph(rng, max_genus=4, min_genus=2)):
+        chars = enumerate_theta(g)
+        D = chars[-1].divisor - chars[0].divisor
+        cases.append((period_lattice(g), D, abel_jacobi(period_lattice(g), D)))
+    calls = []
+    for name in ("solve", "rref"):
+        original = getattr(linalg, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(linalg, name, counting)
+    init = linalg.IntegerLattice.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append("IntegerLattice")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.IntegerLattice, "__init__", counting_init)
+    for lat, D, v in cases:
+        assert not is_principal(D) and is_principal(2 * D)
+        assert not lattice_contains(lat, v)
+        assert lattice_contains(lat, [2 * x for x in v])
+        assert canonical(lat, [2 * x for x in v]) == (0,) * lat.rank
+        assert principal_function(D) is None
+        assert principal_function(2 * D) is not None
+    assert calls == []

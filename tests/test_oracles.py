@@ -10,12 +10,14 @@ import pytest
 from tropcover import (
     CycleSpace,
     Divisor,
+    MetricGraph,
     Point,
     PrymError,
     abel_jacobi,
     canonical,
     covers_with_dilation,
     distance_field,
+    divisor_of,
     enumerate_theta,
     free_covers,
     homology_action,
@@ -24,6 +26,7 @@ from tropcover import (
     lattice_contains,
     linalg,
     period_lattice,
+    principal_function,
     prym_contains,
     pullback,
     pullback_kernel,
@@ -34,15 +37,19 @@ from tropcover import (
 from tropcover.divisors import laplacian_image_contains
 from tropcover.jacobian import scaled_abel_jacobi
 from tropcover.theta import two_torsion_divisors
-from conftest import random_divisor, random_graph
+from conftest import build_k4, random_divisor, random_graph
 from oracles import (
     FractionHomologyAction,
     divisor_prym_contains,
     echelon_in_lattice,
+    fraction_det,
     fraction_distance_field,
     fraction_theta_divisor,
+    kirchhoff_tree_sum,
     laplacian_columns,
+    laplacian_principal_function,
     mat_mul,
+    mat_vec,
     refined_abel_jacobi,
     solve_canonical,
     tree_abel_jacobi,
@@ -101,7 +108,7 @@ def test_integer_lattice_against_solve_integrality():
         for kind in kinds:
             for _ in range(4):
                 z = [rng.randint(-3, 3) for _ in range(lat.rank)]
-                v = linalg.mat_vec(gram, z)
+                v = mat_vec(gram, z)
                 if kind == "half":
                     v = [x / 2 for x in v]
                 elif kind == "fraction":
@@ -116,7 +123,7 @@ def test_integer_lattice_against_solve_integrality():
         halves = [
             [Fraction(mask >> j & 1, 2) for j in range(lat.rank)] for mask in range(2**lat.rank)
         ]
-        want = [solve_canonical(lat, linalg.mat_vec(gram, z)) for z in halves]
+        want = [solve_canonical(lat, mat_vec(gram, z)) for z in halves]
         assert torsion_points(lat, 2) == want
     assert 0 < inside < sum(kinds.values())
 
@@ -302,9 +309,9 @@ def test_solve_satisfies_the_system():
         for _ in range(10):
             M = random_nonsingular(rng, n)
             x0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
-            b = linalg.mat_vec(M, x0)
+            b = mat_vec(M, x0)
             x = linalg.solve(M, b)
-            assert x == x0 and linalg.mat_vec(M, x) == b
+            assert x == x0 and mat_vec(M, x) == b
     singular = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     for b in ([1, 2, 3], [1, 2, 0]):  # consistent and inconsistent
         with pytest.raises(ValueError, match="singular matrix"):
@@ -340,3 +347,80 @@ def test_distance_fields_and_theta_against_the_fraction_route():
             got = theta_characteristic(g, frozenset(), p).divisor
             assert got == fraction_theta_divisor(g, frozenset(), p)
     assert ridges_seen and rescaled and looped
+
+
+def test_principal_function_against_the_laplacian_route():
+    # the criterion-3 instances, then graphs with fractional lengths whose
+    # theta characteristics bring edge-interior points: 2 (L_gamma - L_0) is
+    # principal and L_gamma - L_0 for gamma nonempty is not; the difference
+    # of two edge-interior points may be either
+    cases = []
+    rng = random.Random(3033)
+    for _ in range(500):
+        g = random_graph(rng, max_genus=4, unit_lengths=True)
+        cases.append(random_divisor(rng, g, degree=0))
+    rng = random.Random(9091)
+    for _ in range(25):
+        g = random_graph(rng, max_genus=5, min_genus=2)
+        chars = enumerate_theta(g)
+        for t in chars[1:]:
+            D = t.divisor - chars[0].divisor
+            cases += [D, 2 * D]
+        for _ in range(4):
+            p, q = (
+                g.point(e, g.length(e) * Fraction(rng.randint(1, 4), 5))
+                for e in rng.sample(g.edge_ids, 2)
+            )
+            cases.append(Divisor(g, [(p, 2), (q, -2)]))
+        cases.append(Divisor(g, [(p, 1)]))  # degree 1: None on both routes
+    # two components: each is pinned at its first vertex, and degree 0 in
+    # total but not on each component gives None
+    g = MetricGraph(
+        ["a", "b", "c", "d"],
+        [
+            ("e", "a", "b", Fraction(1, 2)),
+            ("f", "a", "b", 1),
+            ("h", "c", "d", Fraction(2, 3)),
+            ("k", "c", "d", 1),
+            ("l", "d", "d", 3),
+        ],
+    )
+    a, b, c, d = (Point.at_vertex(v) for v in "abcd")
+    cases += [
+        Divisor(g, [(a, 3), (b, -3)]),
+        Divisor(g, [(g.point("e", Fraction(1, 4)), 3), (b, -3), (c, 5), (d, -5)]),
+        Divisor(g, [(a, 1), (b, -1), (c, 2), (d, -2)]),
+        Divisor(g, [(a, 1), (c, -1)]),
+    ]
+    found = {True: 0, False: 0}
+    interior = 0
+    for D in cases:
+        f = principal_function(D)
+        want = laplacian_principal_function(D)
+        assert (f is None) == (want is None)
+        if f is not None:
+            assert f.refinement.graph.vertex_ids == want.refinement.graph.vertex_ids
+            assert f.values == want.values
+            assert divisor_of(f) == D
+            interior += any(not p.is_vertex for p in D.support())
+        found[f is not None] += 1
+    assert found[True] > 500 and found[False] > 500 and interior > 300
+
+
+def test_gram_determinant_is_the_kirchhoff_tree_sum():
+    # det(scaled_gram) = scale^g * sum over spanning trees T of the product
+    # of the lengths off T; K4 has 16 spanning trees
+    k4 = build_k4()
+    assert kirchhoff_tree_sum(k4) == 16
+    assert fraction_det(period_lattice(k4).scaled_gram) == 16
+    rng = random.Random(6067)
+    genera = set()
+    looped = rescaled = 0
+    for _ in range(40):
+        g = random_graph(rng, max_genus=5, min_genus=2)
+        lat = period_lattice(g)
+        assert fraction_det(lat.scaled_gram) == lat.scale**lat.rank * kirchhoff_tree_sum(g)
+        genera.add(lat.rank)
+        looped += any(len(set(g.ends(e))) == 1 for e in g.edge_ids)
+        rescaled += lat.scale > 1
+    assert genera == {2, 3, 4, 5} and looped and rescaled

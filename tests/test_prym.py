@@ -27,8 +27,9 @@ from tropcover import (
     pullback_kernel,
     weil_pairing,
 )
-from tropcover import covers, divisors, jacobian, linalg, theta
+from tropcover import covers, divisors, jacobian, theta
 from conftest import build_k4, random_graph
+import oracles
 from oracles import identity, mat_mul
 
 TRIANGLE = frozenset(["BC", "BD", "CD"])
@@ -64,7 +65,7 @@ def test_homology_action_respects_involution(cube_cover):
         D = Divisor(sharp, [(a, 1), (b, -1)])
         v = abel_jacobi(act.lattice, D)
         iv = abel_jacobi(act.lattice, involution_divisor(cube_cover, D))
-        diff = [x - y for x, y in zip(act.act(v), iv)]
+        diff = [x - y for x, y in zip(oracles.mat_vec(act.matrix, v), iv)]
         from tropcover import lattice_contains
 
         assert lattice_contains(act.lattice, diff)
@@ -83,7 +84,7 @@ def test_pushforward_matrix(cube_cover):
         D = Divisor(sharp, [(a, 1), (b, -1)])
         v = abel_jacobi(act.lattice, D)
         down = abel_jacobi(tlat, pushforward(cube_cover, D))
-        pv = linalg.mat_vec(act.push_matrix, v)
+        pv = oracles.mat_vec(act.push_matrix, v)
         assert lattice_contains(tlat, [x - y for x, y in zip(pv, down)])
 
 

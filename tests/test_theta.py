@@ -7,6 +7,7 @@ import pytest
 
 from tropcover import (
     AugmentedGraphError,
+    PointError,
     CycleError,
     CycleSpace,
     Divisor,
@@ -18,6 +19,7 @@ from tropcover import (
     distance_field,
     enumerate_theta,
     equivalent,
+    pairing_table,
     period_lattice,
     theta_characteristic,
     torsion_points,
@@ -181,3 +183,20 @@ def test_one_shortest_path_pass_per_characteristic_and_no_field(k4, monkeypatch)
         built["passes"] = 0
         call(k4)
         assert built == {"passes": n, "fields": 0}, call.__name__
+
+
+def test_a_disconnected_graph_gives_a_typed_error():
+    # two vertices with a loop at each: the other component has no
+    # distance from a point source
+    g = MetricGraph(["a", "b"], [("e", "a", "a", 1), ("f", "b", "b", 1)])
+    for call in (
+        lambda: enumerate_theta(g),
+        lambda: distance_field(g, Point.at_vertex("a")),
+        lambda: theta_characteristic(g, frozenset(["e"])),
+        lambda: pairing_table(g),
+    ):
+        with pytest.raises(PointError, match="graph is disconnected: 'b' is not reachable"):
+            call()
+    # a source that meets every component reaches every vertex
+    field = distance_field(g, frozenset(["e", "f"]))
+    assert set(field.values.values()) == {0}
