@@ -10,10 +10,16 @@ the complement components' genera.
 Naming: lifts of a vertex v are "v^0"/"v^1", its dilated preimage "v~";
 likewise for edges.  Every lifted edge maps to its base edge preserving
 orientation, so offsets transport directly.
+
+The covers over one dilation cycle differ only in their sheet-swap bits, so
+the rest (vertices, maps, lifted names and lengths) is built once per cycle.
+A built cover's source carries its integer metric from the start, derived
+in integers from the target's rather than from the source's Fractions.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List
@@ -135,13 +141,11 @@ class DoubleCover:
 # -- construction --------------------------------------------------------
 
 
-def _interior_graph(graph: MetricGraph, cycle: frozenset):
+def _interior_graph(graph: MetricGraph, cycle: frozenset) -> MetricGraph:
     """Subgraph on off-cycle vertices with both-ends-off edges."""
     on = set()
     for eid in cycle:
-        t, h = graph.ends(eid)
-        on.add(t)
-        on.add(h)
+        on.update(graph.ends(eid))
     verts = [v for v in graph.vertex_ids if v not in on]
     edges = []
     for eid in graph.edge_ids:
@@ -150,19 +154,37 @@ def _interior_graph(graph: MetricGraph, cycle: frozenset):
         t, h = graph.ends(eid)
         if t not in on and h not in on:
             edges.append((eid, t, h, graph.length(eid)))
-    return MetricGraph(verts, edges), on
+    return MetricGraph(verts, edges)
 
 
-def _build_cover(graph: MetricGraph, cycle: frozenset, bits: Dict[str, int]):
-    """Assemble the cover for one sheet-swap bit assignment.
+# What every cover dilated along one cycle shares: all but the placement of
+# each sheet's edges, which the sheet-swap bits decide.  vertices lists
+# (source vertex, genus); dilated holds the source edges over the cycle as
+# (id, tail, head, length); undilated holds, per edge off the cycle, (target
+# edge, (lift ids), tail lifts, head lifts, length), the lifts of a vertex
+# indexed by sheet; metric is the source's integer_metric().
+_CoverFrame = namedtuple(
+    "_CoverFrame",
+    "graph cycle vertices vertex_map involution_v edge_map dilated undilated metric",
+)
 
-    bits maps off-cycle edges with both endpoints off the cycle to 0/1;
-    missing edges default to 0.
+
+def _cover_frame(graph: MetricGraph, cycle: frozenset) -> _CoverFrame:
+    """The bit-independent half of the covers of graph dilated along cycle.
+
+    The source's integer metric follows from the target's (scale s,
+    lengths L) in integers: a dilated lift has length L / 2s, so the
+    source's scale is 2s when some dilated L is odd and s otherwise, and
+    with k that ratio, lifts measure L * k and dilated lifts L * k / 2.
+    That is again the lcm of the source's length denominators.
     """
-    on_deg = {
-        v: sum(1 for eid, _ in graph.ends_at(v) if eid in cycle)
-        for v in graph.vertex_ids
-    }
+    scale, length = graph.integer_metric()
+    k = 2 if any(length[eid] % 2 for eid in cycle) else 1
+    on_deg = dict.fromkeys(graph.vertex_ids, 0)
+    for eid in cycle:
+        t, h = graph.ends(eid)
+        on_deg[t] += 1
+        on_deg[h] += 1
 
     vertices = []
     vmap = {}
@@ -181,25 +203,51 @@ def _build_cover(graph: MetricGraph, cycle: frozenset, bits: Dict[str, int]):
             vmap[v0] = vmap[v1] = v
             inv_v[v0], inv_v[v1] = v1, v0
 
-    edges = []
     emap = {}
+    src_length = {}
+    dilated = []
+    undilated = []
     for eid in graph.edge_ids:
         t, h = graph.ends(eid)
-        ell = graph.length(eid)
         if eid in cycle:
             de = "%s~" % eid
-            edges.append((de, "%s~" % t, "%s~" % h, ell * HALF))
+            dilated.append((de, lift[t][0], lift[h][0], graph.length(eid) * HALF))
             emap[de] = (eid, 2)
+            src_length[de] = length[eid] * k // 2
         else:
-            b = bits.get(eid, 0)
-            for s in (0, 1):
-                se = "%s^%d" % (eid, s)
-                edges.append((se, lift[t][s], lift[h][s ^ b], ell))
+            lifts = ("%s^0" % eid, "%s^1" % eid)
+            undilated.append((eid, lifts, lift[t], lift[h], graph.length(eid)))
+            for se in lifts:
                 emap[se] = (eid, 1)
-    source = MetricGraph(vertices, edges)
-    cover = DoubleCover(graph, source, vmap, emap, inv_v, bits=dict(bits))
+                src_length[se] = length[eid] * k
+    return _CoverFrame(
+        graph, cycle, vertices, vmap, inv_v, emap, dilated, undilated,
+        (scale * k, src_length),
+    )
+
+
+def _build_cover(frame: _CoverFrame, bits: Dict[str, int]) -> DoubleCover:
+    """Assemble the cover for one sheet-swap bit assignment.
+
+    bits maps off-cycle edges with both endpoints off the cycle to 0/1;
+    missing edges default to 0.  Sheet s of edge e runs from the tail's
+    lift on sheet s to the head's on sheet s ^ bit(e).
+    """
+    edges = list(frame.dilated)
+    for eid, (se0, se1), tails, heads, ell in frame.undilated:
+        b = bits.get(eid, 0)
+        edges.append((se0, tails[0], heads[b], ell))
+        edges.append((se1, tails[1], heads[1 ^ b], ell))
+    source = MetricGraph(frame.vertices, edges)
+    # the frame derived this metric from the target's; every cover of the
+    # frame shares it, read-only like any memo entry
+    source._memo["integer_metric"] = frame.metric
+    cover = DoubleCover(
+        frame.graph, source, frame.vertex_map, frame.edge_map, frame.involution_v,
+        bits=dict(bits),
+    )
     # the checked cycle is that set; covers dilated along one cycle share it
-    cover.dilation = cycle
+    cover.dilation = frame.cycle
     return cover
 
 
@@ -208,21 +256,26 @@ def free_covers(graph: MetricGraph) -> List[DoubleCover]:
     non-tree edges (the all-zero vector is the disconnected trivial cover)."""
     require_unaugmented(graph)
     cs = CycleSpace(graph)
+    frame = _cover_frame(graph, frozenset())
     out = []
     for mask in range(1 << len(cs.nontree)):
         bits = {e: mask >> i & 1 for i, e in enumerate(cs.nontree)}
-        out.append(_build_cover(graph, frozenset(), bits))
+        out.append(_build_cover(frame, bits))
     return out
 
 
 def free_cover(graph: MetricGraph, bits: Dict[str, int]) -> DoubleCover:
-    """One covering space from sheet-swap bits on the non-tree edges."""
+    """One covering space from sheet-swap bits (0 or 1) on the non-tree edges."""
     require_unaugmented(graph)
     cs = CycleSpace(graph)
     unknown = set(bits) - set(cs.nontree)
     if unknown:
         raise CoverError("bits on tree edges or unknown edges: %s" % sorted(unknown))
-    return _build_cover(graph, frozenset(), dict(bits))
+    for eid, b in sorted(bits.items()):
+        # type(), not isinstance: True and 1.0 compare equal to 1 too
+        if type(b) is not int or b not in (0, 1):
+            raise CoverError("bit on edge %r is %r, not 0 or 1" % (eid, b))
+    return _build_cover(_cover_frame(graph, frozenset()), dict(bits))
 
 
 def covers_with_dilation(graph: MetricGraph, cycle) -> List[DoubleCover]:
@@ -231,12 +284,12 @@ def covers_with_dilation(graph: MetricGraph, cycle) -> List[DoubleCover]:
     cycle = check_even_subgraph(graph, cycle)
     if not cycle:
         raise CycleError("dilation cycle must be nonempty; use free_covers")
-    interior, _ = _interior_graph(graph, cycle)
-    ics = CycleSpace(interior)
+    ics = CycleSpace(_interior_graph(graph, cycle))
+    frame = _cover_frame(graph, cycle)
     out = []
     for mask in range(1 << len(ics.nontree)):
         bits = {e: mask >> i & 1 for i, e in enumerate(ics.nontree)}
-        out.append(_build_cover(graph, cycle, bits))
+        out.append(_build_cover(frame, bits))
     return out
 
 
@@ -438,7 +491,7 @@ def pullback_kernel(cover: DoubleCover, eps=1):
 def cover_class(cover: DoubleCover):
     """Complete isomorphism invariant over a fixed target: the dilation
     cycle plus the sheet-swap monodromy on the interior fundamental cycles."""
-    interior, _ = _interior_graph(cover.target, cover.dilation)
+    interior = _interior_graph(cover.target, cover.dilation)
     ics = CycleSpace(interior)
     over_v, over_e = cover._fibers()
     # label the two lifts of each off-cycle vertex by sorted source id

@@ -11,8 +11,11 @@ slope field off the same integer division), the homology action and Prym
 membership in Fractions on the pulled-back and pushed-forward Divisors (the
 library works in integers on pulled-back tables), distance fields and theta
 characteristics by Dijkstra and slope tests in Fractions on the edge
-lengths (the library works in the refined graph's integer metric), and the
-Gram determinant by Kirchhoff's weighted matrix-tree theorem.
+lengths (the library works in the refined graph's integer metric), the
+Gram determinant by Kirchhoff's weighted matrix-tree theorem, and double
+covers assembled one at a time from the target's Fraction lengths (the
+library shares one frame per dilation cycle and derives each source's
+integer metric from the target's).
 """
 
 import heapq
@@ -25,6 +28,8 @@ from tropcover import (
     CycleSpace,
     DegreeError,
     Divisor,
+    DoubleCover,
+    MetricGraph,
     PLFunction,
     Point,
     PrymError,
@@ -473,3 +478,48 @@ def fraction_theta_divisor(graph, cycle=frozenset(), p=None):
         if indeg != 1:
             coeffs.append((ref.to_base_point(Point.at_vertex(v)), indeg - 1))
     return Divisor(graph, coeffs)
+
+
+def build_cover(graph, cycle, bits):
+    """The cover dilated along cycle with sheet-swap bits, built from
+    scratch: every vertex, map and lifted length is derived again, and
+    dilated lifts are halved in Fractions."""
+    on_deg = {
+        v: sum(1 for eid, _ in graph.ends_at(v) if eid in cycle)
+        for v in graph.vertex_ids
+    }
+    vertices = []
+    vmap = {}
+    inv_v = {}
+    lift = {}  # target vertex -> its lift on sheets 0 and 1
+    for v in graph.vertex_ids:
+        if on_deg[v]:
+            dv = "%s~" % v
+            vertices.append((dv, on_deg[v] // 2 - 1))
+            vmap[dv] = v
+            inv_v[dv] = dv
+            lift[v] = (dv, dv)
+        else:
+            v0, v1 = lift[v] = ("%s^0" % v, "%s^1" % v)
+            vertices += [(v0, 0), (v1, 0)]
+            vmap[v0] = vmap[v1] = v
+            inv_v[v0], inv_v[v1] = v1, v0
+    edges = []
+    emap = {}
+    for eid in graph.edge_ids:
+        t, h = graph.ends(eid)
+        ell = graph.length(eid)
+        if eid in cycle:
+            de = "%s~" % eid
+            edges.append((de, "%s~" % t, "%s~" % h, ell / 2))
+            emap[de] = (eid, 2)
+        else:
+            b = bits.get(eid, 0)
+            for s in (0, 1):
+                se = "%s^%d" % (eid, s)
+                edges.append((se, lift[t][s], lift[h][s ^ b], ell))
+                emap[se] = (eid, 1)
+    source = MetricGraph(vertices, edges)
+    cover = DoubleCover(graph, source, vmap, emap, inv_v, bits=dict(bits))
+    cover.dilation = frozenset(cycle)
+    return cover

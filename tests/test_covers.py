@@ -28,6 +28,7 @@ from tropcover import (
 )
 from tropcover.serialize import cover_from_obj, cover_to_obj
 from conftest import random_3regular, random_graph
+import oracles
 
 TRIANGLE = frozenset(["BC", "BD", "CD"])
 SQUARE = frozenset(["AC", "AD", "BC", "BD"])
@@ -170,6 +171,12 @@ def test_cover_errors(k4):
         covers_with_dilation(k4, frozenset(["AB"]))
     with pytest.raises(CoverError):
         free_cover(k4, {"AB": 1})  # AB is a tree edge
+
+
+@pytest.mark.parametrize("bit", [2, -1, "1", 1.0, True])
+def test_free_cover_rejects_a_bit_other_than_0_or_1(k4, bit):
+    with pytest.raises(CoverError, match="bit on edge 'BC' is .*, not 0 or 1"):
+        free_cover(k4, {"BC": bit})
 
 
 def test_verify_rejects_corrupted_cover(cube_cover):
@@ -329,3 +336,51 @@ def test_verify_reports_a_vertex_map_entry_off_the_source(cube_cover, image):
     rep = verify_cover(cover_from_obj(obj))
     assert not rep.ok
     assert any("'ghost'" in msg for msg in rep.problems), rep.problems
+
+
+def scale_ratio_against_the_oracle(cover):
+    """Check cover against the one-at-a-time build of the same bits, and
+    its source's integer metric against a freshly parsed copy's; return
+    the source's scale over the target's."""
+    ref = oracles.build_cover(cover.target, cover.dilation, cover.bits)
+    assert cover.source.same_model(ref.source)
+    assert cover.vertex_map == ref.vertex_map
+    assert cover.edge_map == ref.edge_map
+    assert cover.involution_v == ref.involution_v
+    assert cover.involution_e == ref.involution_e
+    assert cover.bits == ref.bits and cover.dilation == ref.dilation
+    metric = cover.source.integer_metric()
+    assert metric == with_lengths(cover, lambda e, ell: ell).source.integer_metric()
+    assert metric == ref.source.integer_metric()
+    return Fraction(metric[0], cover.target.integer_metric()[0])
+
+
+def test_frame_built_covers_match_the_per_cover_oracle():
+    ratios = set()
+    for g in fractional_graphs(3313, 6):
+        for c in all_covers(g):
+            ratio = scale_ratio_against_the_oracle(c)
+            if c.dilation:
+                ratios.add(ratio)
+            else:
+                assert ratio == 1
+    # a dilated edge of odd integer length doubles the scale; with every
+    # dilated integer length even it stays
+    assert ratios == {1, 2}
+
+
+@pytest.mark.parametrize(
+    "edges, ratio",
+    [
+        ([("a", "u", "v", Fraction(1, 3)), ("b", "u", "v", Fraction(5, 2))], 2),
+        ([("a", "u", "v", Fraction(2, 3)), ("b", "u", "v", Fraction(4, 3))], 1),
+        ([("loop", "u", "u", Fraction(3, 2)), ("a", "u", "v", 1), ("b", "u", "v", 1)], 2),
+    ],
+    ids=["an-odd-length", "even-lengths", "with-a-loop"],
+)
+def test_a_cycle_of_every_edge(edges, ratio):
+    g = MetricGraph(["u", "v"], edges)
+    [cover] = covers_with_dilation(g, frozenset(g.edge_ids))
+    assert verify_cover(cover).ok
+    assert set(cover.source.vertex_ids) == {"u~", "v~"}
+    assert scale_ratio_against_the_oracle(cover) == ratio
