@@ -12,8 +12,10 @@ likewise for edges.  Every lifted edge maps to its base edge preserving
 orientation, so offsets transport directly.
 
 The covers over one dilation cycle differ only in their sheet-swap bits, so
-the rest (vertices, maps, lifted names and lengths) is built once per cycle.
-A built cover's source carries its integer metric from the start, derived
+the rest is built once per cycle: a CoverFrame, whose maps, fibers and
+interior cycle basis every cover of the cycle holds, and the vertices and
+lifted names and lengths that each source is assembled from.  A parsed
+cover gets a frame built from its own maps.  A built cover's source carries its integer metric from the start, derived
 in integers from the target's rather than from the source's Fractions.
 """
 
@@ -41,39 +43,73 @@ from .rationals import rat
 HALF = Fraction(1, 2)
 
 
+# The read-only half of a cover, which every cover over one target and
+# dilation set shares: the maps (vertex_map: source vertex -> target
+# vertex; edge_map: source edge -> (target edge, dilation degree);
+# involution_v and involution_e on source vertices and edges), the
+# dilation set, the fibers (target vertex -> [(source vertex, local
+# degree)], target edge -> [(source edge, dilation degree)], each sorted by
+# source id) and, when known, the interior graph off the dilation set with
+# its CycleSpace.
+CoverFrame = namedtuple(
+    "CoverFrame",
+    "target dilation vertex_map edge_map involution_v involution_e fibers interior",
+)
+
+
+def cover_frame(
+    target, vertex_map, edge_map, involution_v, dilation=None, interior=None
+) -> CoverFrame:
+    """The frame of the covers of target with these maps, which it keeps
+    without copying.  The edge involution swaps the two lifts of each
+    target edge and fixes the single lift of a dilated one; the dilation
+    set is the edges with a degree-2 lift unless given.  Raises CoverError
+    for a target edge whose lifts cannot be paired."""
+    over_e = {}
+    for se, (te, d) in sorted(edge_map.items()):
+        over_e.setdefault(te, []).append((se, d))
+    involution_e = {}
+    for te, lifts in over_e.items():
+        if len(lifts) == 2:
+            (a, _), (b, _) = lifts
+            involution_e[a], involution_e[b] = b, a
+        elif len(lifts) != 1:
+            raise CoverError("edge %r has %d lifts" % (te, len(lifts)))
+        elif lifts[0][1] != 2:
+            raise CoverError("edge %r has a single undilated lift" % te)
+        else:
+            involution_e[lifts[0][0]] = lifts[0][0]
+    over_v = {}
+    for sv, tv in sorted(vertex_map.items()):
+        d = 2 if involution_v.get(sv, sv) == sv else 1
+        over_v.setdefault(tv, []).append((sv, d))
+    if dilation is None:
+        dilation = frozenset(te for te, d in edge_map.values() if d == 2)
+    return CoverFrame(
+        target, dilation, vertex_map, edge_map, involution_v, involution_e,
+        (over_v, over_e), interior,
+    )
+
+
 class DoubleCover:
-    """A degree-2 harmonic morphism onto an unaugmented target."""
+    """A degree-2 harmonic morphism onto an unaugmented target: a frame and
+    a source graph (possibly augmented) with the sheet-swap bits that built
+    it (None for a parsed cover)."""
 
-    def __init__(self, target, source, vertex_map, edge_map, involution_v, bits=None):
-        self.target = target
-        self.source = source  # possibly augmented
-        self.vertex_map = dict(vertex_map)  # src vid -> tgt vid
-        self.edge_map = dict(edge_map)  # src eid -> (tgt eid, dilation degree)
-        self.involution_v = dict(involution_v)
-        self.bits = bits  # construction metadata (may be None for parsed covers)
-        self.involution_e = self._pair_edges()
-        self.dilation = frozenset(te for te, d in self.edge_map.values() if d == 2)
+    def __init__(self, frame: CoverFrame, source: MetricGraph, bits=None):
+        self.frame = frame
+        self.target = frame.target
+        self.source = source
+        # the frame's maps, shared with every cover of the frame: read-only
+        self.vertex_map = frame.vertex_map
+        self.edge_map = frame.edge_map
+        self.involution_v = frame.involution_v
+        self.involution_e = frame.involution_e
+        self.dilation = frame.dilation
+        self.bits = bits
         # the package's one cache for this cover: per eps, the virtualized
-        # source and the homology action; the virtual loops' vertices; the
-        # fibers over target vertices and edges
+        # source and the homology action; the virtual loops' vertices
         self._memo = {}
-
-    def _pair_edges(self):
-        fibers: Dict[str, List[str]] = {}
-        for se, (te, d) in self.edge_map.items():
-            fibers.setdefault(te, []).append(se)
-        out = {}
-        for te, ses in fibers.items():
-            ses = sorted(ses)
-            if len(ses) == 1:
-                if self.edge_map[ses[0]][1] != 2:
-                    raise CoverError("edge %r has a single undilated lift" % te)
-                out[ses[0]] = ses[0]
-            elif len(ses) == 2:
-                out[ses[0]], out[ses[1]] = ses[1], ses[0]
-            else:
-                raise CoverError("edge %r has %d lifts" % (te, len(ses)))
-        return out
 
     # -- virtualized source ----------------------------------------------
 
@@ -115,24 +151,10 @@ class DoubleCover:
         self.loop_vertex(p.id)  # only a virtual loop lies outside edge_map
         return sharp.point(p.id, rat(eps) - p.offset)
 
-    def _fibers(self):
-        """(target vertex -> [(source vertex, local degree)], target edge ->
-        [(source edge, dilation degree)]), each fiber sorted by source id."""
-        fibers = self._memo.get("fibers")
-        if fibers is None:
-            over_v, over_e = {}, {}
-            for sv, tv in sorted(self.vertex_map.items()):
-                d = 2 if self.involution_v.get(sv, sv) == sv else 1
-                over_v.setdefault(tv, []).append((sv, d))
-            for se, (te, d) in sorted(self.edge_map.items()):
-                over_e.setdefault(te, []).append((se, d))
-            fibers = self._memo["fibers"] = (over_v, over_e)
-        return fibers
-
     def lifts_of_point(self, p: Point):
         """[(source point, local degree)] over a target point."""
         p = self.target.check_point(p)
-        over_v, over_e = self._fibers()
+        over_v, over_e = self.frame.fibers
         if p.is_vertex:
             return [(Point.at_vertex(sv), d) for sv, d in over_v.get(p.id, ())]
         return [(Point.on_edge(se, p.offset / d), d) for se, d in over_e.get(p.id, ())]
@@ -141,36 +163,37 @@ class DoubleCover:
 # -- construction --------------------------------------------------------
 
 
-def _interior_graph(graph: MetricGraph, cycle: frozenset) -> MetricGraph:
-    """Subgraph on off-cycle vertices with both-ends-off edges."""
-    on = set()
-    for eid in cycle:
-        on.update(graph.ends(eid))
-    verts = [v for v in graph.vertex_ids if v not in on]
-    edges = []
-    for eid in graph.edge_ids:
-        if eid in cycle:
-            continue
-        t, h = graph.ends(eid)
-        if t not in on and h not in on:
-            edges.append((eid, t, h, graph.length(eid)))
-    return MetricGraph(verts, edges)
+def _interior(graph: MetricGraph, cycle: frozenset):
+    """(subgraph on off-cycle vertices with both-ends-off edges, its
+    CycleSpace); off the empty cycle that subgraph is graph itself."""
+    if cycle:
+        on = set()
+        for eid in cycle:
+            on.update(graph.ends(eid))
+        verts = [v for v in graph.vertex_ids if v not in on]
+        edges = []
+        for eid in graph.edge_ids:
+            if eid in cycle:
+                continue
+            t, h = graph.ends(eid)
+            if t not in on and h not in on:
+                edges.append((eid, t, h, graph.length(eid)))
+        graph = MetricGraph(verts, edges)
+    return graph, CycleSpace(graph)
 
 
-# What every cover dilated along one cycle shares: all but the placement of
+# What building a cover reads besides its frame: all but the placement of
 # each sheet's edges, which the sheet-swap bits decide.  vertices lists
 # (source vertex, genus); dilated holds the source edges over the cycle as
 # (id, tail, head, length); undilated holds, per edge off the cycle, (target
 # edge, (lift ids), tail lifts, head lifts, length), the lifts of a vertex
 # indexed by sheet; metric is the source's integer_metric().
-_CoverFrame = namedtuple(
-    "_CoverFrame",
-    "graph cycle vertices vertex_map involution_v edge_map dilated undilated metric",
-)
+_CoverLayout = namedtuple("_CoverLayout", "frame vertices dilated undilated metric")
 
 
-def _cover_frame(graph: MetricGraph, cycle: frozenset) -> _CoverFrame:
-    """The bit-independent half of the covers of graph dilated along cycle.
+def _cover_layout(graph: MetricGraph, cycle: frozenset, interior) -> _CoverLayout:
+    """The bit-independent half of the covers of graph dilated along cycle,
+    interior being _interior(graph, cycle).
 
     The source's integer metric follows from the target's (scale s,
     lengths L) in integers: a dilated lift has length L / 2s, so the
@@ -220,62 +243,61 @@ def _cover_frame(graph: MetricGraph, cycle: frozenset) -> _CoverFrame:
             for se in lifts:
                 emap[se] = (eid, 1)
                 src_length[se] = length[eid] * k
-    return _CoverFrame(
-        graph, cycle, vertices, vmap, inv_v, emap, dilated, undilated,
-        (scale * k, src_length),
-    )
+    # the checked cycle is the dilation set: covers along one cycle share it
+    frame = cover_frame(graph, vmap, emap, inv_v, cycle, interior)
+    return _CoverLayout(frame, vertices, dilated, undilated, (scale * k, src_length))
 
 
-def _build_cover(frame: _CoverFrame, bits: Dict[str, int]) -> DoubleCover:
+def _build_cover(layout: _CoverLayout, bits: Dict[str, int]) -> DoubleCover:
     """Assemble the cover for one sheet-swap bit assignment.
 
     bits maps off-cycle edges with both endpoints off the cycle to 0/1;
     missing edges default to 0.  Sheet s of edge e runs from the tail's
     lift on sheet s to the head's on sheet s ^ bit(e).
     """
-    edges = list(frame.dilated)
-    for eid, (se0, se1), tails, heads, ell in frame.undilated:
+    edges = list(layout.dilated)
+    for eid, (se0, se1), tails, heads, ell in layout.undilated:
         b = bits.get(eid, 0)
         edges.append((se0, tails[0], heads[b], ell))
         edges.append((se1, tails[1], heads[1 ^ b], ell))
-    source = MetricGraph(frame.vertices, edges)
-    # the frame derived this metric from the target's; every cover of the
+    source = MetricGraph(layout.vertices, edges)
+    # the layout derived this metric from the target's; every cover of the
     # frame shares it, read-only like any memo entry
-    source._memo["integer_metric"] = frame.metric
-    cover = DoubleCover(
-        frame.graph, source, frame.vertex_map, frame.edge_map, frame.involution_v,
-        bits=dict(bits),
-    )
-    # the checked cycle is that set; covers dilated along one cycle share it
-    cover.dilation = frame.cycle
-    return cover
+    source._memo["integer_metric"] = layout.metric
+    return DoubleCover(layout.frame, source, bits)
+
+
+def _covers_over(graph: MetricGraph, cycle: frozenset) -> List[DoubleCover]:
+    """The 2^h covers dilated along cycle, in bit-vector order over the
+    non-tree edges of the interior."""
+    interior = _interior(graph, cycle)
+    nontree = interior[1].nontree
+    layout = _cover_layout(graph, cycle, interior)
+    return [
+        _build_cover(layout, {e: mask >> i & 1 for i, e in enumerate(nontree)})
+        for mask in range(1 << len(nontree))
+    ]
 
 
 def free_covers(graph: MetricGraph) -> List[DoubleCover]:
     """All 2^g degree-2 covering spaces, in bit-vector order over the
     non-tree edges (the all-zero vector is the disconnected trivial cover)."""
     require_unaugmented(graph)
-    cs = CycleSpace(graph)
-    frame = _cover_frame(graph, frozenset())
-    out = []
-    for mask in range(1 << len(cs.nontree)):
-        bits = {e: mask >> i & 1 for i, e in enumerate(cs.nontree)}
-        out.append(_build_cover(frame, bits))
-    return out
+    return _covers_over(graph, frozenset())
 
 
 def free_cover(graph: MetricGraph, bits: Dict[str, int]) -> DoubleCover:
     """One covering space from sheet-swap bits (0 or 1) on the non-tree edges."""
     require_unaugmented(graph)
-    cs = CycleSpace(graph)
-    unknown = set(bits) - set(cs.nontree)
+    interior = _interior(graph, frozenset())
+    unknown = set(bits) - set(interior[1].nontree)
     if unknown:
         raise CoverError("bits on tree edges or unknown edges: %s" % sorted(unknown))
     for eid, b in sorted(bits.items()):
         # type(), not isinstance: True and 1.0 compare equal to 1 too
         if type(b) is not int or b not in (0, 1):
             raise CoverError("bit on edge %r is %r, not 0 or 1" % (eid, b))
-    return _build_cover(_cover_frame(graph, frozenset()), dict(bits))
+    return _build_cover(_cover_layout(graph, frozenset(), interior), dict(bits))
 
 
 def covers_with_dilation(graph: MetricGraph, cycle) -> List[DoubleCover]:
@@ -284,13 +306,7 @@ def covers_with_dilation(graph: MetricGraph, cycle) -> List[DoubleCover]:
     cycle = check_even_subgraph(graph, cycle)
     if not cycle:
         raise CycleError("dilation cycle must be nonempty; use free_covers")
-    ics = CycleSpace(_interior_graph(graph, cycle))
-    frame = _cover_frame(graph, cycle)
-    out = []
-    for mask in range(1 << len(ics.nontree)):
-        bits = {e: mask >> i & 1 for i, e in enumerate(ics.nontree)}
-        out.append(_build_cover(frame, bits))
-    return out
+    return _covers_over(graph, cycle)
 
 
 # -- verification --------------------------------------------------------
@@ -440,7 +456,7 @@ def pullback_tables(cover: DoubleCover, lat) -> Tables:
     so it contributes pot*[tail e] + t * col*[e] with col*[e] the sum of
     col[lift] (d * t/d = t).
     """
-    over_v, over_e = cover._fibers()
+    over_v, over_e = cover.frame.fibers
     pot = {}
     for v in cover.target.vertex_ids:
         acc = [0] * lat.rank
@@ -471,18 +487,34 @@ def involution_divisor(cover: DoubleCover, D: Divisor, eps=1) -> Divisor:
 
 
 def pullback_kernel(cover: DoubleCover, eps=1):
-    """Even subgraphs c with phi^* D_c principal, by exhaustive testing of
-    the pulled-back coordinates against the source's period lattice."""
-    from .theta import two_torsion_divisors
+    """Even subgraphs c with phi^* D_c principal, in even_subgraphs order.
 
+    2 D_c is principal, so Gram^-1 of the coordinates of phi^* D_c in the
+    source's period lattice is z + r / q with r / q in {0, 1/2}^rank.  The
+    label 2r / q mod 2 is additive in c and vanishes exactly when phi^* D_c
+    is principal, so the labels of the g basis cycles decide every c: g + 1
+    theta characteristics and g divisions instead of 2^g of each.
+    """
+    from .theta import theta_characteristic
+
+    target = cover.target
     lat = period_lattice(cover.source_sharp(eps)[0])
     tables = pullback_tables(cover, lat)
-    evens, torsion = two_torsion_divisors(cover.target)
-    return [
-        c
-        for c, D in zip(evens, torsion)
-        if lat.contains(*scaled_abel_jacobi(tables, D))
-    ]
+    cs = CycleSpace(target)
+    evens = cs.even_subgraphs()
+    base = theta_characteristic(target).divisor
+    basis_labels = []
+    for i in range(len(cs.basis)):
+        D = theta_characteristic(target, evens[1 << i]).divisor - base
+        _, r, q = lat.divide(*scaled_abel_jacobi(tables, D))
+        if any(2 * x != q for x in r if x):
+            raise CoverError("the pullback of a 2-torsion class is not 2-torsion")
+        basis_labels.append(sum(1 << j for j, x in enumerate(r) if x))
+    labels = [0]  # per mask: its lowest basis cycle's label XOR the rest's
+    for mask in range(1, len(evens)):
+        low = mask & -mask
+        labels.append(labels[mask ^ low] ^ basis_labels[low.bit_length() - 1])
+    return [c for c, label in zip(evens, labels) if not label]
 
 
 # -- isomorphism invariant ------------------------------------------------
@@ -491,9 +523,8 @@ def pullback_kernel(cover: DoubleCover, eps=1):
 def cover_class(cover: DoubleCover):
     """Complete isomorphism invariant over a fixed target: the dilation
     cycle plus the sheet-swap monodromy on the interior fundamental cycles."""
-    interior = _interior_graph(cover.target, cover.dilation)
-    ics = CycleSpace(interior)
-    over_v, over_e = cover._fibers()
+    interior, ics = cover.frame.interior or _interior(cover.target, cover.dilation)
+    over_v, over_e = cover.frame.fibers
     # label the two lifts of each off-cycle vertex by sorted source id
     label = {}
     for tv in interior.vertex_ids:
@@ -505,10 +536,7 @@ def cover_class(cover: DoubleCover):
     for te in interior.edge_ids:
         st, sh = cover.source.ends(over_e[te][0][0])
         swap[te] = label[st] ^ label[sh]
-    mono = tuple(
-        sum(swap[e] for e in cyc) % 2
-        for cyc in (set(c) for c in ics.basis)
-    )
+    mono = tuple(sum(swap[e] for e in cyc) % 2 for cyc in ics.basis)
     return (cover.dilation, mono)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .covers import DoubleCover
+from .covers import DoubleCover, cover_frame
 from .divisors import Divisor
 from .errors import MalformedGraphError
 from .graphs import MetricGraph, Point
@@ -155,7 +155,7 @@ def cover_from_obj(obj) -> DoubleCover:
     vmap = {str(k): str(v) for k, v in obj["vertex_map"].items()}
     inv = {str(k): str(v) for k, v in obj["involution"].items()}
     try:
-        return DoubleCover(target, source, vmap, emap, inv)
+        return DoubleCover(cover_frame(target, vmap, emap, inv), source)
     except Exception as exc:
         raise MalformedGraphError("cover: %s" % exc)
 

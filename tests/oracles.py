@@ -12,10 +12,12 @@ membership in Fractions on the pulled-back and pushed-forward Divisors (the
 library works in integers on pulled-back tables), distance fields and theta
 characteristics by Dijkstra and slope tests in Fractions on the edge
 lengths (the library works in the refined graph's integer metric), the
-Gram determinant by Kirchhoff's weighted matrix-tree theorem, and double
+Gram determinant by Kirchhoff's weighted matrix-tree theorem, double
 covers assembled one at a time from the target's Fraction lengths (the
 library shares one frame per dilation cycle and derives each source's
-integer metric from the target's).
+integer metric from the target's), and the pullback kernel by testing
+every one of the 2^g pulled-back torsion classes (the library decides the
+g basis cycles and adds their labels).
 """
 
 import heapq
@@ -35,6 +37,7 @@ from tropcover import (
     PrymError,
     SlopeError,
     abel_jacobi,
+    cover_frame,
     divisor_of,
     is_principal,
     linalg,
@@ -42,7 +45,10 @@ from tropcover import (
     pushforward,
     refine,
 )
+from tropcover.covers import pullback_tables
 from tropcover.divisors import UnitSubdivision
+from tropcover.jacobian import scaled_abel_jacobi
+from tropcover.theta import two_torsion_divisors
 
 
 def refined_abel_jacobi(lat, D):
@@ -482,8 +488,9 @@ def fraction_theta_divisor(graph, cycle=frozenset(), p=None):
 
 def build_cover(graph, cycle, bits):
     """The cover dilated along cycle with sheet-swap bits, built from
-    scratch: every vertex, map and lifted length is derived again, and
-    dilated lifts are halved in Fractions."""
+    scratch: every vertex, map and lifted length is derived again, dilated
+    lifts are halved in Fractions, and the frame (edge involution,
+    dilation set, fibers) is derived from the maps, as for a parsed cover."""
     on_deg = {
         v: sum(1 for eid, _ in graph.ends_at(v) if eid in cycle)
         for v in graph.vertex_ids
@@ -520,6 +527,14 @@ def build_cover(graph, cycle, bits):
                 edges.append((se, lift[t][s], lift[h][s ^ b], ell))
                 emap[se] = (eid, 1)
     source = MetricGraph(vertices, edges)
-    cover = DoubleCover(graph, source, vmap, emap, inv_v, bits=dict(bits))
-    cover.dilation = frozenset(cycle)
-    return cover
+    return DoubleCover(cover_frame(graph, vmap, emap, inv_v), source, dict(bits))
+
+
+def exhaustive_pullback_kernel(cover, eps=1):
+    """Even subgraphs c with phi^* D_c principal, from all 2^g torsion
+    divisors: each one's pulled-back coordinates tested against the
+    source's period lattice."""
+    lat = period_lattice(cover.source_sharp(eps)[0])
+    tables = pullback_tables(cover, lat)
+    evens, torsion = two_torsion_divisors(cover.target)
+    return [c for c, D in zip(evens, torsion) if lat.contains(*scaled_abel_jacobi(tables, D))]

@@ -168,6 +168,15 @@ def test_at_off_the_graph_exits_2(tmp_path):
     assert code == 2
 
 
+def test_cycle_off_the_graph_exits_2():
+    # an unknown edge is malformed input, as for --at and --bits
+    code, out, err = run("cover", "dilated", K4, "--cycle", "BC,BD,XX")
+    assert (code, out, err) == (2, "", "error: --cycle: unknown edge 'XX'\n")
+    # known edges that do not form an even subgraph stay a domain error
+    code, out, err = run("cover", "dilated", K4, "--cycle", "BC,BD")
+    assert code == 3 and out == "" and "is not an even subgraph" in err
+
+
 def test_jac_coordinates_follow_the_printed_tree(tmp_path):
     """jac prints the tree-path pairing over the tree it prints, also for
     divisors supported inside edges (two-torsion L_c - L_0)."""

@@ -189,13 +189,7 @@ def test_verify_rejects_corrupted_cover(cube_cover):
             ell = ell / 2
         edges.append((e, t, h, ell))
     bad_src = MetricGraph(list(src.vertex_ids), edges)
-    bad = DoubleCover(
-        cube_cover.target,
-        bad_src,
-        cube_cover.vertex_map,
-        cube_cover.edge_map,
-        cube_cover.involution_v,
-    )
+    bad = DoubleCover(cube_cover.frame, bad_src)
     report = verify_cover(bad)
     assert not report.ok
     assert any("metric" in p for p in report.problems)
@@ -252,9 +246,7 @@ def with_lengths(cover, length_of):
         [(v, src.genus_of(v)) for v in src.vertex_ids],
         [(e, *src.ends(e), length_of(e, src.length(e))) for e in src.edge_ids],
     )
-    return DoubleCover(
-        cover.target, source, cover.vertex_map, cover.edge_map, cover.involution_v
-    )
+    return DoubleCover(cover.frame, source)
 
 
 def test_every_cover_of_fractional_graphs_verifies():
@@ -305,9 +297,11 @@ def test_verify_reports_an_involution_pairing_unequal_lengths():
     )
     for c in free_covers(g):
         assert verify_cover(c).ok
-        # pair a's lift with a lift of b, which is longer
-        c.involution_e["a^0"] = "b^1"
-        report = verify_cover(c)
+        # pair a's lift with a lift of b, which is longer, in a copy: the
+        # cover's maps are its frame's, shared with its siblings
+        involution_e = dict(c.involution_e)
+        involution_e["a^0"] = "b^1"
+        report = verify_cover(DoubleCover(c.frame._replace(involution_e=involution_e), c.source))
         assert not report.ok
         assert "edge involution is not an isometry at 'a^0'" in report.problems
 
@@ -348,6 +342,11 @@ def scale_ratio_against_the_oracle(cover):
     assert cover.edge_map == ref.edge_map
     assert cover.involution_v == ref.involution_v
     assert cover.involution_e == ref.involution_e
+    # both pair the lifts through cover_frame; by construction the two
+    # lifts of an edge swap and a dilated lift is fixed
+    swap = {"0": "1", "1": "0", "~": "~"}
+    assert cover.involution_e == {se: se[:-1] + swap[se[-1]] for se in cover.edge_map}
+    assert cover.frame.fibers == ref.frame.fibers
     assert cover.bits == ref.bits and cover.dilation == ref.dilation
     metric = cover.source.integer_metric()
     assert metric == with_lengths(cover, lambda e, ell: ell).source.integer_metric()
@@ -384,3 +383,41 @@ def test_a_cycle_of_every_edge(edges, ratio):
     assert verify_cover(cover).ok
     assert set(cover.source.vertex_ids) == {"u~", "v~"}
     assert scale_ratio_against_the_oracle(cover) == ratio
+
+
+MAPS = ("vertex_map", "edge_map", "involution_v", "involution_e")
+
+
+def test_covers_of_one_frame_share_its_maps():
+    for g in fractional_graphs(977, 3):
+        for cyc in CycleSpace(g).even_subgraphs():
+            covers = covers_with_dilation(g, cyc) if cyc else free_covers(g)
+            frame = covers[0].frame
+            assert frame.target is g and frame.dilation == cyc
+            for c in covers:
+                assert c.frame is frame and c.target is g and c.dilation is frame.dilation
+                for name in MAPS:
+                    assert getattr(c, name) is getattr(frame, name)
+            # each cover has its own source and bits
+            assert len({id(c.source) for c in covers}) == len(covers)
+            assert len({tuple(sorted(c.bits.items())) for c in covers}) == len(covers)
+
+
+def test_parsed_covers_equal_frame_built_ones():
+    kinds = set()
+    for g in fractional_graphs(4127, 3):
+        for c in all_covers(g):
+            parsed = cover_from_obj(cover_to_obj(c))
+            assert parsed.frame is not c.frame and parsed.bits is None
+            assert parsed.target.same_model(c.target)
+            assert parsed.source.same_model(c.source)
+            for name in MAPS + ("dilation", "fibers"):
+                assert getattr(parsed.frame, name) == getattr(c.frame, name), name
+            # a parsed frame has no interior cycle basis; cover_class
+            # derives one and agrees with the frame's
+            assert parsed.frame.interior is None and c.frame.interior is not None
+            assert cover_class(parsed) == cover_class(c)
+            assert covers_isomorphic(parsed, c)
+            assert verify_cover(parsed) == verify_cover(c)
+            kinds.add(bool(c.dilation))
+    assert kinds == {False, True}

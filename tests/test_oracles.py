@@ -42,6 +42,7 @@ from oracles import (
     FractionHomologyAction,
     divisor_prym_contains,
     echelon_in_lattice,
+    exhaustive_pullback_kernel,
     fraction_det,
     fraction_distance_field,
     fraction_theta_divisor,
@@ -259,6 +260,56 @@ def test_pullback_kernel_against_principal_pullbacks():
                 assert pullback_kernel(cover, eps) == want
                 sizes.add(len(want))
     assert len(sizes) > 2
+
+
+def test_pullback_kernel_against_the_exhaustive_route():
+    # the labels of the g basis cycles decide the kernel that testing all
+    # 2^g pulled-back torsion classes finds, on free and dilated covers
+    rng = random.Random(6007)
+    sizes = set()
+    dilated = 0
+    for _ in range(4):
+        g = random_graph(rng, max_genus=4, min_genus=2)
+        covers = free_covers(g) + [
+            c for cyc in CycleSpace(g).even_subgraphs() if cyc for c in covers_with_dilation(g, cyc)
+        ]
+        for cover in covers:
+            for eps in (1, Fraction(1, 3)):
+                want = exhaustive_pullback_kernel(cover, eps)
+                assert pullback_kernel(cover, eps) == want
+                sizes.add(len(want))
+            dilated += bool(cover.dilation)
+    assert dilated and len(sizes) > 2
+
+
+def test_theta_on_uncut_refinements_against_the_fraction_route(monkeypatch):
+    # a cycle source and a vertex basepoint cut no edge, so the shortest
+    # path pass runs on the graph itself; the characteristics still equal
+    # the Fraction route's
+    from tropcover import graphs
+
+    uncut = []
+    run_pass = graphs.ShortestPaths.__init__
+
+    def recording(self, graph, source):
+        run_pass(self, graph, source)
+        uncut.append(self.refinement.graph is graph)
+
+    monkeypatch.setattr(graphs.ShortestPaths, "__init__", recording)
+    rng = random.Random(2029)
+    for _ in range(5):
+        g = random_graph(rng, max_genus=5, min_genus=3)
+        uncut.clear()
+        chars = enumerate_theta(g)
+        assert uncut == [True] * len(chars)
+        for t in chars:
+            assert t.divisor == fraction_theta_divisor(g, t.cycle)
+        for v in g.vertex_ids[1:]:
+            p = Point.at_vertex(v)
+            assert theta_characteristic(g, frozenset(), p).divisor == fraction_theta_divisor(
+                g, frozenset(), p
+            )
+        assert uncut == [True] * (len(chars) + len(g.vertex_ids) - 1)
 
 
 def test_trivial_cover_action_against_the_divisor_route():
