@@ -8,7 +8,6 @@ from .covers import (
     DoubleCover,
     cover_class,
     covers_isomorphic,
-    cover_frame,
     covers_with_dilation,
     free_cover,
     free_covers,

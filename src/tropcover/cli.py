@@ -167,7 +167,7 @@ def cmd_cover(args):
         return "".join(serialize.dumps(serialize.cover_to_obj(c)) for c in covers)
     if args.action == "dilated":
         graph = _read_graph(args.graph)
-        cycle = frozenset(args.cycle.split(","))
+        cycle = frozenset(args.cycle.split(","))  # main rejects an empty --cycle
         # an edge the graph does not have is malformed input, as for --at;
         # known edges that are not an even subgraph are a domain error
         unknown = sorted(cycle.difference(graph.edge_ids))

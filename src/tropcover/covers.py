@@ -15,8 +15,9 @@ The covers over one dilation cycle differ only in their sheet-swap bits, so
 the rest is built once per cycle: a CoverFrame, whose maps, fibers and
 interior cycle basis every cover of the cycle holds, and the vertices and
 lifted names and lengths that each source is assembled from.  A parsed
-cover gets a frame built from its own maps.  A built cover's source carries its integer metric from the start, derived
-in integers from the target's rather than from the source's Fractions.
+cover gets a frame built from its own maps.  A built cover's source
+carries its integer metric from the start, derived in integers from the
+target's rather than from the source's Fractions.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List
 
 from .divisors import Divisor
@@ -43,23 +45,27 @@ from .rationals import rat
 HALF = Fraction(1, 2)
 
 
-# The read-only half of a cover, which every cover over one target and
-# dilation set shares: the maps (vertex_map: source vertex -> target
-# vertex; edge_map: source edge -> (target edge, dilation degree);
-# involution_v and involution_e on source vertices and edges), the
-# dilation set, the fibers (target vertex -> [(source vertex, local
-# degree)], target edge -> [(source edge, dilation degree)], each sorted by
-# source id) and, when known, the interior graph off the dilation set with
-# its CycleSpace.
-CoverFrame = namedtuple(
-    "CoverFrame",
-    "target dilation vertex_map edge_map involution_v involution_e fibers interior",
-)
+class CoverFrame(
+    namedtuple(
+        "CoverFrame",
+        "target dilation vertex_map edge_map involution_v involution_e fibers",
+    )
+):
+    """The read-only half of a cover, which every cover over one target and
+    dilation set shares: the maps (vertex_map: source vertex -> target
+    vertex; edge_map: source edge -> (target edge, dilation degree);
+    involution_v and involution_e on source vertices and edges), the
+    dilation set and the fibers (target vertex -> [(source vertex, local
+    degree)], target edge -> [(source edge, dilation degree)], each sorted
+    by source id).  Build one with cover_frame."""
+
+    @cached_property
+    def interior(self):
+        """(interior graph off the dilation set, its CycleSpace)."""
+        return _interior(self.target, self.dilation)
 
 
-def cover_frame(
-    target, vertex_map, edge_map, involution_v, dilation=None, interior=None
-) -> CoverFrame:
+def cover_frame(target, vertex_map, edge_map, involution_v, dilation=None) -> CoverFrame:
     """The frame of the covers of target with these maps, which it keeps
     without copying.  The edge involution swaps the two lifts of each
     target edge and fixes the single lift of a dilated one; the dilation
@@ -87,7 +93,7 @@ def cover_frame(
         dilation = frozenset(te for te, d in edge_map.values() if d == 2)
     return CoverFrame(
         target, dilation, vertex_map, edge_map, involution_v, involution_e,
-        (over_v, over_e), interior,
+        (over_v, over_e),
     )
 
 
@@ -98,18 +104,19 @@ class DoubleCover:
 
     def __init__(self, frame: CoverFrame, source: MetricGraph, bits=None):
         self.frame = frame
-        self.target = frame.target
         self.source = source
-        # the frame's maps, shared with every cover of the frame: read-only
-        self.vertex_map = frame.vertex_map
-        self.edge_map = frame.edge_map
-        self.involution_v = frame.involution_v
-        self.involution_e = frame.involution_e
-        self.dilation = frame.dilation
         self.bits = bits
         # the package's one cache for this cover: per eps, the virtualized
         # source and the homology action; the virtual loops' vertices
         self._memo = {}
+
+    # the frame's fields, shared with every cover of the frame: read-only
+    target = property(lambda self: self.frame.target)
+    dilation = property(lambda self: self.frame.dilation)
+    vertex_map = property(lambda self: self.frame.vertex_map)
+    edge_map = property(lambda self: self.frame.edge_map)
+    involution_v = property(lambda self: self.frame.involution_v)
+    involution_e = property(lambda self: self.frame.involution_e)
 
     # -- virtualized source ----------------------------------------------
 
@@ -191,9 +198,8 @@ def _interior(graph: MetricGraph, cycle: frozenset):
 _CoverLayout = namedtuple("_CoverLayout", "frame vertices dilated undilated metric")
 
 
-def _cover_layout(graph: MetricGraph, cycle: frozenset, interior) -> _CoverLayout:
-    """The bit-independent half of the covers of graph dilated along cycle,
-    interior being _interior(graph, cycle).
+def _cover_layout(graph: MetricGraph, cycle: frozenset) -> _CoverLayout:
+    """The bit-independent half of the covers of graph dilated along cycle.
 
     The source's integer metric follows from the target's (scale s,
     lengths L) in integers: a dilated lift has length L / 2s, so the
@@ -244,7 +250,7 @@ def _cover_layout(graph: MetricGraph, cycle: frozenset, interior) -> _CoverLayou
                 emap[se] = (eid, 1)
                 src_length[se] = length[eid] * k
     # the checked cycle is the dilation set: covers along one cycle share it
-    frame = cover_frame(graph, vmap, emap, inv_v, cycle, interior)
+    frame = cover_frame(graph, vmap, emap, inv_v, cycle)
     return _CoverLayout(frame, vertices, dilated, undilated, (scale * k, src_length))
 
 
@@ -270,9 +276,8 @@ def _build_cover(layout: _CoverLayout, bits: Dict[str, int]) -> DoubleCover:
 def _covers_over(graph: MetricGraph, cycle: frozenset) -> List[DoubleCover]:
     """The 2^h covers dilated along cycle, in bit-vector order over the
     non-tree edges of the interior."""
-    interior = _interior(graph, cycle)
-    nontree = interior[1].nontree
-    layout = _cover_layout(graph, cycle, interior)
+    layout = _cover_layout(graph, cycle)
+    nontree = layout.frame.interior[1].nontree
     return [
         _build_cover(layout, {e: mask >> i & 1 for i, e in enumerate(nontree)})
         for mask in range(1 << len(nontree))
@@ -289,15 +294,15 @@ def free_covers(graph: MetricGraph) -> List[DoubleCover]:
 def free_cover(graph: MetricGraph, bits: Dict[str, int]) -> DoubleCover:
     """One covering space from sheet-swap bits (0 or 1) on the non-tree edges."""
     require_unaugmented(graph)
-    interior = _interior(graph, frozenset())
-    unknown = set(bits) - set(interior[1].nontree)
+    layout = _cover_layout(graph, frozenset())
+    unknown = set(bits) - set(layout.frame.interior[1].nontree)
     if unknown:
         raise CoverError("bits on tree edges or unknown edges: %s" % sorted(unknown))
     for eid, b in sorted(bits.items()):
         # type(), not isinstance: True and 1.0 compare equal to 1 too
         if type(b) is not int or b not in (0, 1):
             raise CoverError("bit on edge %r is %r, not 0 or 1" % (eid, b))
-    return _build_cover(_cover_layout(graph, frozenset(), interior), dict(bits))
+    return _build_cover(layout, dict(bits))
 
 
 def covers_with_dilation(graph: MetricGraph, cycle) -> List[DoubleCover]:
@@ -326,36 +331,36 @@ def verify_cover(cover: DoubleCover) -> CoverReport:
     l_tgt is len_src * d * scale_tgt == len_tgt * scale_src.
     """
     problems = []
+    complain = problems.append
     tgt, src = cover.target, cover.source
     vertex_map, edge_map = cover.vertex_map, cover.edge_map
-
-    def complain(msg):
-        problems.append(msg)
 
     if tgt.is_augmented():
         complain("target is augmented")
 
     # structural maps
+    src_genus, tgt_genus = src._genus, tgt._genus
     src_edges, tgt_edges = src._edges, tgt._edges
     src_scale, src_len = src.integer_metric()
     tgt_scale, tgt_len = tgt.integer_metric()
     for sv in src.vertex_ids:
-        if sv not in vertex_map or vertex_map[sv] not in tgt._genus:
+        if sv not in vertex_map or vertex_map[sv] not in tgt_genus:
             complain("vertex %r unmapped" % sv)
     for sv in vertex_map:
-        if sv not in src._genus:
+        if sv not in src_genus:
             complain("vertex map names %r, which is not a source vertex" % sv)
     for se in src.edge_ids:
-        if se not in edge_map:
+        image = edge_map.get(se)
+        if image is None:
             complain("edge %r unmapped" % se)
             continue
-        te, d = edge_map[se]
+        te, d = image
         if te not in tgt_edges or d not in (1, 2):
             complain("edge %r has a bad image" % se)
             continue
         st, sh, _ = src_edges[se]
         tt, th, _ = tgt_edges[te]
-        if (vertex_map.get(st), vertex_map.get(sh)) != (tt, th):
+        if vertex_map.get(st) != tt or vertex_map.get(sh) != th:
             complain("edge %r does not map ends to ends" % se)
         if src_len[se] * d * tgt_scale != tgt_len[te] * src_scale:
             complain("edge %r breaks metric compatibility" % se)
@@ -363,7 +368,7 @@ def verify_cover(cover: DoubleCover) -> CoverReport:
         return CoverReport(False, frozenset(), problems)
 
     # fibers carry total degree 2 over every edge
-    deg_over = {te: 0 for te in tgt.edge_ids}
+    deg_over = dict.fromkeys(tgt.edge_ids, 0)
     for te, d in edge_map.values():
         deg_over[te] += d
     for te, d in deg_over.items():
@@ -372,25 +377,26 @@ def verify_cover(cover: DoubleCover) -> CoverReport:
 
     # one pass over each source vertex's edge ends gives harmonicity, the
     # local degree and the ramification excess sum(d_end - 1)
+    src_adj, tgt_adj = src._adj, tgt._adj
     local_degree = {}
     ramified = []
     for sv in src.vertex_ids:
-        per_direction = dict.fromkeys(tgt.ends_at(vertex_map[sv]), 0)
+        per_direction = dict.fromkeys(tgt_adj[vertex_map[sv]], 0)
         excess = 0
-        for se, send in src.ends_at(sv):
+        for se, send in src_adj[sv]:
             te, d = edge_map[se]
-            per_direction[(te, send)] += d
+            per_direction[te, send] += d
             excess += d - 1
         degs = set(per_direction.values())
         if len(degs) != 1:
             complain("vertex %r is not harmonic" % sv)
-        local_degree[sv] = max(degs) if degs else 0
+        local = local_degree[sv] = max(degs) if degs else 0
         # ramification: the excess must be 2g+2 at dilated points, 2g else
-        if excess != 2 * src.genus_of(sv) + (2 if local_degree[sv] == 2 else 0):
+        if excess != 2 * src_genus[sv] + (2 if local == 2 else 0):
             ramified.append("vertex %r is ramified" % sv)
 
     # vertex fibers carry total degree 2
-    fiber_deg = {tv: 0 for tv in tgt.vertex_ids}
+    fiber_deg = dict.fromkeys(tgt.vertex_ids, 0)
     for sv, tv in vertex_map.items():
         fiber_deg[tv] += local_degree.get(sv, 0)
     for tv, d in fiber_deg.items():
@@ -399,7 +405,7 @@ def verify_cover(cover: DoubleCover) -> CoverReport:
     problems.extend(ramified)
 
     # involution
-    inv_v = cover.involution_v
+    inv_v, inv_e = cover.involution_v, cover.involution_e
     for sv in src.vertex_ids:
         isv = inv_v.get(sv)
         if isv is None or inv_v.get(isv) != sv:
@@ -411,18 +417,18 @@ def verify_cover(cover: DoubleCover) -> CoverReport:
         elif isv != sv and local_degree[sv] == 2:
             complain("involution moves the dilated vertex %r" % sv)
     for se in src.edge_ids:
-        ise = cover.involution_e.get(se)
+        ise = inv_e.get(se)
         if ise is None:
             continue
         st, sh, _ = src_edges[se]
         it, ih, _ = src_edges[ise]
-        if (inv_v.get(st), inv_v.get(sh)) != (it, ih):
+        if inv_v.get(st) != it or inv_v.get(sh) != ih:
             complain("edge involution breaks incidence at %r" % se)
         if src_len[se] != src_len[ise]:
             complain("edge involution is not an isometry at %r" % se)
 
     dilation = frozenset(cover.dilation)
-    if dilation != frozenset(te for te, d in edge_map.values() if d == 2):
+    if dilation != {te for te, d in edge_map.values() if d == 2}:
         complain("dilation set differs from the edges with a degree-2 lift")
     if not is_even_subgraph(tgt, dilation):
         complain("dilation set is not an even subgraph")
@@ -523,7 +529,7 @@ def pullback_kernel(cover: DoubleCover, eps=1):
 def cover_class(cover: DoubleCover):
     """Complete isomorphism invariant over a fixed target: the dilation
     cycle plus the sheet-swap monodromy on the interior fundamental cycles."""
-    interior, ics = cover.frame.interior or _interior(cover.target, cover.dilation)
+    interior, ics = cover.frame.interior
     over_v, over_e = cover.frame.fibers
     # label the two lifts of each off-cycle vertex by sorted source id
     label = {}

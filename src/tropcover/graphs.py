@@ -361,8 +361,7 @@ class Refinement:
     vertex is named "e@t" and the k-th piece of a cut edge "e#k", primed
     when the base already uses the name; `origin` maps each new vertex to
     its base point and `seg` each refined edge to its interval, so ids are
-    never parsed.  A refinement that cuts no edge has its base as `graph`,
-    whose memo (integer metric, period lattice) then serves it too.
+    never parsed.
     """
 
     def __init__(self, base: MetricGraph, points: Iterable[Point]):
@@ -402,7 +401,7 @@ class Refinement:
                 ids.append(reid)
             pieces[eid] = ids
         self.base = base
-        self.graph = MetricGraph(vertices, edges) if origin else base
+        self.graph = MetricGraph(vertices, edges)
         self.origin = origin
         self.seg = seg
         self.pieces = pieces

@@ -37,7 +37,6 @@ from tropcover import (
     PrymError,
     SlopeError,
     abel_jacobi,
-    cover_frame,
     divisor_of,
     is_principal,
     linalg,
@@ -45,7 +44,7 @@ from tropcover import (
     pushforward,
     refine,
 )
-from tropcover.covers import pullback_tables
+from tropcover.covers import cover_frame, pullback_tables
 from tropcover.divisors import UnitSubdivision
 from tropcover.jacobian import scaled_abel_jacobi
 from tropcover.theta import two_torsion_divisors

@@ -212,6 +212,7 @@ CUBE = os.path.join(GOLDEN, "k4_cube.json")
         (["divisor", "reduce", K4, ZERO], "divisor reduce needs --at"),
         (["cover", "pullback", CUBE], "cover pullback needs a divisor file"),
         (["cover", "dilated", K4], "cover dilated needs --cycle"),
+        (["cover", "dilated", K4, "--cycle", ""], "cover dilated needs --cycle"),
         (["prym", "contains", CUBE], "prym contains needs a divisor file"),
     ],
     ids=[
@@ -219,6 +220,7 @@ CUBE = os.path.join(GOLDEN, "k4_cube.json")
         "reduce-without-at",
         "pullback-without-divisor",
         "dilated-without-cycle",
+        "dilated-with-empty-cycle",
         "contains-without-divisor",
     ],
 )

@@ -271,13 +271,14 @@ def test_verify_reports_corrupted_covers_of_fractional_graphs():
                 full = g.length(c.edge_map[se][0])
                 bad = with_lengths(c, lambda e, ell: full if e == se else ell)
                 # a recorded dilation that differs from the edge map
-                c.dilation = frozenset()
+                c = DoubleCover(c.frame._replace(dilation=frozenset()), c.source)
             else:
                 # a lift off by half a unit of the source's integer metric
                 se = c.source.edge_ids[0]
                 step = Fraction(1, 2 * scale)
                 bad = with_lengths(c, lambda e, ell: ell + step if e == se else ell)
-                c.dilation = CycleSpace(g).even_subgraphs()[1]
+                wrong = CycleSpace(g).even_subgraphs()[1]
+                c = DoubleCover(c.frame._replace(dilation=wrong), c.source)
             report = verify_cover(bad)
             assert not report.ok
             assert report.problems == ["edge %r breaks metric compatibility" % se]
@@ -289,6 +290,17 @@ def test_verify_reports_corrupted_covers_of_fractional_graphs():
     assert seen == {1, 2}
 
 
+def tampered(frame, name, key, value):
+    """frame with one entry of its map name replaced (None: removed), in a
+    copy: the maps are shared with every cover of the frame."""
+    m = dict(getattr(frame, name))
+    if value is None:
+        del m[key]
+    else:
+        m[key] = value
+    return frame._replace(**{name: m})
+
+
 def test_verify_reports_an_involution_pairing_unequal_lengths():
     g = MetricGraph(
         ["u", "v"],
@@ -297,13 +309,29 @@ def test_verify_reports_an_involution_pairing_unequal_lengths():
     )
     for c in free_covers(g):
         assert verify_cover(c).ok
-        # pair a's lift with a lift of b, which is longer, in a copy: the
-        # cover's maps are its frame's, shared with its siblings
-        involution_e = dict(c.involution_e)
-        involution_e["a^0"] = "b^1"
-        report = verify_cover(DoubleCover(c.frame._replace(involution_e=involution_e), c.source))
+        # pair a's lift with a lift of b, which is longer
+        frame = tampered(c.frame, "involution_e", "a^0", "b^1")
+        report = verify_cover(DoubleCover(frame, c.source))
         assert not report.ok
         assert "edge involution is not an isometry at 'a^0'" in report.problems
+
+
+@pytest.mark.parametrize(
+    "name, key, value, problem",
+    [
+        ("edge_map", "AB^0", None, "edge 'AB^0' unmapped"),
+        ("edge_map", "AB^0", ("XY", 1), "edge 'AB^0' has a bad image"),
+        ("edge_map", "AB^0", ("CD", 1), "edge 'AB^0' does not map ends to ends"),
+        ("involution_v", "A^0", "B^1", "involution is not involutive at 'A^0'"),
+        ("involution_e", "AB^0", "CD^0", "edge involution breaks incidence at 'AB^0'"),
+    ],
+    ids=["unmapped", "bad-image", "ends", "involutive", "incidence"],
+)
+def test_verify_names_a_tampered_map_entry(cube_cover, name, key, value, problem):
+    frame = tampered(cube_cover.frame, name, key, value)
+    report = verify_cover(DoubleCover(frame, cube_cover.source))
+    assert not report.ok and problem in report.problems, report.problems
+    assert verify_cover(cube_cover).ok
 
 
 def test_covers_dilated_along_one_cycle_share_the_dilation_set():
@@ -398,6 +426,10 @@ def test_covers_of_one_frame_share_its_maps():
                 assert c.frame is frame and c.target is g and c.dilation is frame.dilation
                 for name in MAPS:
                     assert getattr(c, name) is getattr(frame, name)
+                # the shared fields are the frame's alone: a cover cannot rebind them
+                with pytest.raises(AttributeError):
+                    c.dilation = frozenset()
+            assert frame.interior is frame.interior
             # each cover has its own source and bits
             assert len({id(c.source) for c in covers}) == len(covers)
             assert len({tuple(sorted(c.bits.items())) for c in covers}) == len(covers)
@@ -413,9 +445,10 @@ def test_parsed_covers_equal_frame_built_ones():
             assert parsed.source.same_model(c.source)
             for name in MAPS + ("dilation", "fibers"):
                 assert getattr(parsed.frame, name) == getattr(c.frame, name), name
-            # a parsed frame has no interior cycle basis; cover_class
-            # derives one and agrees with the frame's
-            assert parsed.frame.interior is None and c.frame.interior is not None
+            # a parsed frame derives its interior cycle basis when asked
+            interior, ics = parsed.frame.interior
+            assert interior.same_model(c.frame.interior[0])
+            assert ics.basis == c.frame.interior[1].basis
             assert cover_class(parsed) == cover_class(c)
             assert covers_isomorphic(parsed, c)
             assert verify_cover(parsed) == verify_cover(c)

@@ -163,20 +163,6 @@ def test_refine_avoids_user_ids_shaped_like_generated_ones():
     assert ref.to_base_point(Point.at_vertex("f@3")) == Point.at_vertex("f@3")
 
 
-def test_a_refinement_that_cuts_no_edge_is_its_base(k4):
-    # vertices and edge ends cut nothing: the refined graph is the base,
-    # and every edge is its own single piece
-    ends = [Point.at_vertex("A"), Point.on_edge("AB", 0), Point.on_edge("CD", k4.length("CD"))]
-    inside = k4.point("AB", Fraction(1, 3))
-    for points in ([], ends):
-        ref = refine(k4, points)
-        assert ref.graph is k4
-        assert ref.origin == {}
-        assert ref.pieces == {e: [e] for e in k4.edge_ids}
-        assert ref.to_refined_point(inside) == inside == ref.to_base_point(inside)
-    assert refine(k4, ends + [inside]).graph is not k4
-
-
 def test_even_subgraph_count_and_closure():
     rng = random.Random(11)
     for _ in range(15):

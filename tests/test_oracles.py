@@ -282,36 +282,6 @@ def test_pullback_kernel_against_the_exhaustive_route():
     assert dilated and len(sizes) > 2
 
 
-def test_theta_on_uncut_refinements_against_the_fraction_route(monkeypatch):
-    # a cycle source and a vertex basepoint cut no edge, so the shortest
-    # path pass runs on the graph itself; the characteristics still equal
-    # the Fraction route's
-    from tropcover import graphs
-
-    uncut = []
-    run_pass = graphs.ShortestPaths.__init__
-
-    def recording(self, graph, source):
-        run_pass(self, graph, source)
-        uncut.append(self.refinement.graph is graph)
-
-    monkeypatch.setattr(graphs.ShortestPaths, "__init__", recording)
-    rng = random.Random(2029)
-    for _ in range(5):
-        g = random_graph(rng, max_genus=5, min_genus=3)
-        uncut.clear()
-        chars = enumerate_theta(g)
-        assert uncut == [True] * len(chars)
-        for t in chars:
-            assert t.divisor == fraction_theta_divisor(g, t.cycle)
-        for v in g.vertex_ids[1:]:
-            p = Point.at_vertex(v)
-            assert theta_characteristic(g, frozenset(), p).divisor == fraction_theta_divisor(
-                g, frozenset(), p
-            )
-        assert uncut == [True] * (len(chars) + len(g.vertex_ids) - 1)
-
-
 def test_trivial_cover_action_against_the_divisor_route():
     # the trivial cover's source is two copies of the target; its action
     # decides pulled-back classes as the parity route on Divisors does
