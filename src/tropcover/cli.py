@@ -13,7 +13,7 @@ from . import serialize
 from .covers import covers_with_dilation, free_cover, free_covers, pullback, pushforward, verify_cover
 from .divisors import equivalent, is_principal, reduce_at
 from .errors import MalformedGraphError, PointError, TropcoverError
-from .graphs import CycleSpace, MetricGraph, Point, validate
+from .graphs import MetricGraph, Point, validate
 from .jacobian import abel_jacobi, period_lattice
 from .prym import kernel_component_count, pairing_table, prym_contains
 from .rationals import rat
@@ -146,15 +146,14 @@ def cmd_jac(args):
     lat = period_lattice(graph)
     d = serialize.divisor_from_obj(graph, _read_json(args.divisor))
     coords = abel_jacobi(lat, d)
-    tree = [e for e in graph.edge_ids if e not in lat.cycles.nontree]
-    return serialize.dumps(serialize.jacobian_point_to_obj(coords, tree))
+    return serialize.dumps(serialize.jacobian_point_to_obj(coords, lat.cycles.forest))
 
 
 def cmd_cover(args):
     if args.action == "free":
         graph = _read_graph(args.graph)
         if args.bits is not None:
-            cs = CycleSpace(graph)
+            cs = graph.cycle_space()
             if len(args.bits) != len(cs.nontree) or set(args.bits) - {"0", "1"}:
                 raise MalformedGraphError(
                     "--bits needs %d binary digits (non-tree edges %s)"

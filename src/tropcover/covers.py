@@ -13,7 +13,7 @@ orientation, so offsets transport directly.
 
 The covers over one dilation cycle differ only in their sheet-swap bits, so
 the rest is built once per cycle: a CoverFrame, whose maps, fibers and
-interior cycle basis every cover of the cycle holds, and the vertices and
+interior graph every cover of the cycle holds, and the vertices and
 lifted names and lengths that each source is assembled from.  A parsed
 cover gets a frame built from its own maps.  A built cover's source
 carries its integer metric from the start, derived in integers from the
@@ -31,16 +31,17 @@ from typing import Dict, List
 from .divisors import Divisor
 from .errors import CoverError, CycleError, PointError
 from .graphs import (
-    CycleSpace,
     MetricGraph,
     Point,
     check_even_subgraph,
     is_even_subgraph,
     require_unaugmented,
+    virtual_loops,
     virtualize,
 )
 from .jacobian import Tables, period_lattice, scaled_abel_jacobi
 from .rationals import rat
+from .theta import theta_characteristic
 
 HALF = Fraction(1, 2)
 
@@ -60,8 +61,9 @@ class CoverFrame(
     by source id).  Build one with cover_frame."""
 
     @cached_property
-    def interior(self):
-        """(interior graph off the dilation set, its CycleSpace)."""
+    def interior(self) -> MetricGraph:
+        """The interior graph off the dilation set, whose spanning forest
+        orders the sheet-swap bits."""
         return _interior(self.target, self.dilation)
 
 
@@ -124,16 +126,18 @@ class DoubleCover:
         """(unaugmented source graph with virtual loops, loop registry)."""
         key = ("sharp", rat(eps))
         if key not in self._memo:
-            _, registry = self._memo[key] = virtualize(self.source, eps)
-            # loop ids depend on the source alone, so one map serves every eps
-            self._memo["loop_vertex"] = {
-                lid: v for v, lids in registry.items() for lid in lids
-            }
+            self._memo[key] = virtualize(self.source, eps)
         return self._memo[key]
 
     def loop_vertex(self, eid: str) -> str:
         """The source vertex carrying a virtual loop of source_sharp()."""
-        owner = self._memo.get("loop_vertex", {}).get(eid)
+        owners = self._memo.get("loop_vertex")
+        if owners is None:
+            # loop ids depend on the source alone, so one map serves every eps
+            owners = self._memo["loop_vertex"] = {
+                lid: v for v, lids in virtual_loops(self.source).items() for lid in lids
+            }
+        owner = owners.get(eid)
         if owner is None:
             raise PointError("%r is neither a source edge nor a virtual loop" % eid)
         return owner
@@ -170,9 +174,9 @@ class DoubleCover:
 # -- construction --------------------------------------------------------
 
 
-def _interior(graph: MetricGraph, cycle: frozenset):
-    """(subgraph on off-cycle vertices with both-ends-off edges, its
-    CycleSpace); off the empty cycle that subgraph is graph itself."""
+def _interior(graph: MetricGraph, cycle: frozenset) -> MetricGraph:
+    """The subgraph on off-cycle vertices with both-ends-off edges; off
+    the empty cycle that subgraph is graph itself."""
     if cycle:
         on = set()
         for eid in cycle:
@@ -186,7 +190,7 @@ def _interior(graph: MetricGraph, cycle: frozenset):
             if t not in on and h not in on:
                 edges.append((eid, t, h, graph.length(eid)))
         graph = MetricGraph(verts, edges)
-    return graph, CycleSpace(graph)
+    return graph
 
 
 # What building a cover reads besides its frame: all but the placement of
@@ -277,7 +281,7 @@ def _covers_over(graph: MetricGraph, cycle: frozenset) -> List[DoubleCover]:
     """The 2^h covers dilated along cycle, in bit-vector order over the
     non-tree edges of the interior."""
     layout = _cover_layout(graph, cycle)
-    nontree = layout.frame.interior[1].nontree
+    nontree = layout.frame.interior.cycle_space().nontree
     return [
         _build_cover(layout, {e: mask >> i & 1 for i, e in enumerate(nontree)})
         for mask in range(1 << len(nontree))
@@ -295,7 +299,7 @@ def free_cover(graph: MetricGraph, bits: Dict[str, int]) -> DoubleCover:
     """One covering space from sheet-swap bits (0 or 1) on the non-tree edges."""
     require_unaugmented(graph)
     layout = _cover_layout(graph, frozenset())
-    unknown = set(bits) - set(layout.frame.interior[1].nontree)
+    unknown = set(bits) - set(layout.frame.interior.cycle_space().nontree)
     if unknown:
         raise CoverError("bits on tree edges or unknown edges: %s" % sorted(unknown))
     for eid, b in sorted(bits.items()):
@@ -501,12 +505,10 @@ def pullback_kernel(cover: DoubleCover, eps=1):
     is principal, so the labels of the g basis cycles decide every c: g + 1
     theta characteristics and g divisions instead of 2^g of each.
     """
-    from .theta import theta_characteristic
-
     target = cover.target
     lat = period_lattice(cover.source_sharp(eps)[0])
     tables = pullback_tables(cover, lat)
-    cs = CycleSpace(target)
+    cs = target.cycle_space()
     evens = cs.even_subgraphs()
     base = theta_characteristic(target).divisor
     basis_labels = []
@@ -529,7 +531,7 @@ def pullback_kernel(cover: DoubleCover, eps=1):
 def cover_class(cover: DoubleCover):
     """Complete isomorphism invariant over a fixed target: the dilation
     cycle plus the sheet-swap monodromy on the interior fundamental cycles."""
-    interior, ics = cover.frame.interior
+    interior = cover.frame.interior
     over_v, over_e = cover.frame.fibers
     # label the two lifts of each off-cycle vertex by sorted source id
     label = {}
@@ -542,7 +544,7 @@ def cover_class(cover: DoubleCover):
     for te in interior.edge_ids:
         st, sh = cover.source.ends(over_e[te][0][0])
         swap[te] = label[st] ^ label[sh]
-    mono = tuple(sum(swap[e] for e in cyc) % 2 for cyc in ics.basis)
+    mono = tuple(sum(swap[e] for e in cyc) % 2 for cyc in interior.cycle_space().basis)
     return (cover.dilation, mono)
 
 

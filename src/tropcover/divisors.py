@@ -14,6 +14,7 @@ from typing import Dict, Iterable, Optional
 from . import linalg
 from .errors import DegreeError, PointError, SlopeError
 from .graphs import MetricGraph, PLFunction, Point, refine
+from .jacobian import period_lattice, scaled_abel_jacobi
 
 
 class Divisor:
@@ -264,8 +265,6 @@ def reduce_at(D: Divisor, q: Point) -> Divisor:
 
 def is_principal(D: Divisor) -> bool:
     """Whether D = div(f) for some integer-slope PL function (lattice route)."""
-    from .jacobian import period_lattice, scaled_abel_jacobi
-
     if any(d != 0 for d in D.component_degrees().values()):
         if D.degree() != 0:
             raise DegreeError("is_principal needs a degree-0 divisor")
@@ -285,8 +284,6 @@ def principal_function(D: Divisor) -> Optional[PLFunction]:
     length-weighted pairing of v's root path with it: 0 at each
     component's root, its first vertex.
     """
-    from .jacobian import period_lattice
-
     if any(d != 0 for d in D.component_degrees().values()):
         return None
     ref = refine(D.graph, D.support())

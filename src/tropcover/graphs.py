@@ -100,8 +100,8 @@ class MetricGraph:
         # edge-ends at each vertex, sorted since edge_ids is; a loop
         # contributes both of its ends
         self._adj = {v: tuple(ends) for v, ends in adj.items()}
-        # the package's one cache for this immutable graph: components,
-        # the integer metric, the period lattice
+        # the package's one cache for this immutable graph: the cycle
+        # space, the integer metric, the period lattice
         self._memo = {}
 
     # -- basic accessors -------------------------------------------------
@@ -148,45 +148,29 @@ class MetricGraph:
 
     # -- connectivity and genus ------------------------------------------
 
-    def _component_data(self):
-        data = self._memo.get("components")
-        if data is None:
-            seen = set()
-            comps = []
-            for root in self.vertex_ids:
-                if root in seen:
-                    continue
-                stack = [root]
-                comp = []
-                seen.add(root)
-                while stack:
-                    v = stack.pop()
-                    comp.append(v)
-                    for eid, end in self._adj[v]:
-                        w = self.other_end(eid, end)
-                        if w not in seen:
-                            seen.add(w)
-                            stack.append(w)
-                comps.append(tuple(sorted(comp)))
-            index = {v: comp for comp in comps for v in comp}
-            data = self._memo["components"] = (tuple(comps), index)
-        return data
+    def cycle_space(self) -> "CycleSpace":
+        """The graph's one spanning forest with its cycle basis, memoized:
+        components, genus, even subgraphs, free-cover bits and the period
+        lattice all read it, so they agree on the tree."""
+        cs = self._memo.get("cycle_space")
+        if cs is None:
+            cs = self._memo["cycle_space"] = CycleSpace(self)
+        return cs
 
     def components(self):
         """Vertex sets of connected components, each sorted, listed by min id."""
-        return self._component_data()[0]
+        return self.cycle_space().components
 
     def components_by_vertex(self) -> Dict[str, tuple]:
         """Each vertex id mapped to its component, as listed by components()."""
-        return self._component_data()[1]
+        return self.cycle_space().component_of
 
     def is_connected(self) -> bool:
         return len(self.vertex_ids) <= 1 or len(self.components()) == 1
 
     def genus(self) -> int:
         """First Betti number plus the total vertex genus."""
-        b1 = len(self.edge_ids) - len(self.vertex_ids) + len(self.components())
-        return b1 + sum(self._genus.values())
+        return len(self.cycle_space().nontree) + sum(self._genus.values())
 
     # -- points ----------------------------------------------------------
 
@@ -249,35 +233,39 @@ def validate(vertices, edges=None):
 
 
 class CycleSpace:
-    """Spanning forest, fundamental cycle basis, and the 2^g even subgraphs.
+    """Spanning forest, components, fundamental cycle basis, and the 2^g
+    even subgraphs.  Read a graph's through MetricGraph.cycle_space().
 
+    One breadth-first search per component, rooted at its smallest vertex
+    id, gives the forest; `components` lists each component's sorted
+    vertex ids by root and `component_of` maps a vertex to its component.
     Basis cycles are integer edge vectors (dicts), oriented so the defining
     non-tree edge is traversed tail to head.
     """
 
     def __init__(self, graph: MetricGraph):
-        # no reference to the graph is kept: a period lattice in the graph's
-        # memo holds its cycle space, and a reference back would be a cycle
+        # no reference to the graph is kept: the graph's memo holds its
+        # cycle space, and a reference back would be a cycle
         parent = {}  # vid -> (edge id, end used to arrive, previous vid) or None
-        seen = set()
         forest = set()
+        components = []
         for root in graph.vertex_ids:
-            if root in seen:
+            if root in parent:
                 continue
             parent[root] = None
-            seen.add(root)
             queue = [root]
-            while queue:
-                v = queue.pop(0)
+            for v in queue:  # the queue grows while it is read
                 for eid, end in graph.ends_at(v):
                     w = graph.other_end(eid, end)
-                    if w not in seen:
-                        seen.add(w)
+                    if w not in parent:
                         parent[w] = (eid, end, v)
                         forest.add(eid)
                         queue.append(w)
+            components.append(tuple(sorted(queue)))
         self.parent = parent
         self.forest = frozenset(forest)
+        self.components = tuple(components)
+        self.component_of = {v: comp for comp in components for v in comp}
         self.nontree = tuple(e for e in graph.edge_ids if e not in forest)
         self.basis = [self._fundamental_cycle(graph, e) for e in self.nontree]
 
@@ -550,9 +538,10 @@ class ShortestPaths:
             elif abs(rise) > ell:
                 raise SlopeError("distances rise by more than the length of %r" % reid)
             else:
-                # the descent directions meet at offset (ell + rise) / 2
+                # the descent directions meet at offset (ell + rise) / 2,
+                # strictly inside the segment and so inside its base edge
                 beid, a, _ = ref.seg[reid]
-                self.ridges[reid] = ref.base.point(beid, a + Fraction(ell + rise, 2 * scale))
+                self.ridges[reid] = Point.on_edge(beid, a + Fraction(ell + rise, 2 * scale))
         for v in g.vertex_ids:
             if v not in tight:
                 raise SlopeError("no segment descends from %r toward the source" % v)
@@ -613,24 +602,26 @@ def distance_field(graph: MetricGraph, source) -> DistanceField:
 # -- virtualization of vertex genus --------------------------------------
 
 
-def virtualize(graph: MetricGraph, eps=1):
-    """Replace vertex genus by loops of length eps; returns (graph, registry).
+def virtual_loops(graph: MetricGraph):
+    """The registry of virtualize(graph, eps), the same for every eps: each
+    vertex of positive genus mapped to the ids of its loops, named "v!k"
+    and primed when the graph already uses the name."""
+    registry = {}
+    for v in graph.vertex_ids:
+        loops = tuple(_fresh("%s!%d" % (v, k), graph._edges) for k in range(graph.genus_of(v)))
+        if loops:
+            registry[v] = loops
+    return registry
 
-    The registry maps each vertex of positive genus to the ids of its loops,
-    named "v!k" and primed when the graph already uses the name.
-    """
+
+def virtualize(graph: MetricGraph, eps=1):
+    """Replace vertex genus by loops of length eps; returns (graph, registry)
+    with the registry of virtual_loops."""
     eps = rat(eps)
     if eps <= 0:
         raise MalformedGraphError("loop length must be positive")
     vertices = [(v, 0) for v in graph.vertex_ids]
     edges = [(e, *graph.ends(e), graph.length(e)) for e in graph.edge_ids]
-    registry = {}
-    for v in graph.vertex_ids:
-        loops = []
-        for k in range(graph.genus_of(v)):
-            lid = _fresh("%s!%d" % (v, k), graph._edges)
-            edges.append((lid, v, v, eps))
-            loops.append(lid)
-        if loops:
-            registry[v] = tuple(loops)
+    registry = virtual_loops(graph)
+    edges += [(lid, v, v, eps) for v, lids in registry.items() for lid in lids]
     return MetricGraph(vertices, edges), registry

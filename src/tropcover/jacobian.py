@@ -19,12 +19,11 @@ from operator import mul
 from typing import Dict, List, NamedTuple, Tuple
 
 from . import linalg
-from .divisors import Divisor
 from .errors import DegreeError, PointError
 
 # refine is bound here as well as in graphs and divisors: the benchmark's
 # tracer patches every module binding of it and checks this one
-from .graphs import CycleSpace, MetricGraph, Point, refine  # noqa: F401
+from .graphs import MetricGraph, Point, refine  # noqa: F401
 
 
 class PeriodLattice:
@@ -46,7 +45,7 @@ class PeriodLattice:
 
     def __init__(self, graph: MetricGraph):
         self._graph = weakref.ref(graph)
-        self.cycles = cs = CycleSpace(graph)
+        self.cycles = cs = graph.cycle_space()
         self.basis = cs.basis
         g = self.rank = len(self.basis)
         self.scale, width = graph.integer_metric()
@@ -125,8 +124,8 @@ def period_lattice(graph: MetricGraph) -> PeriodLattice:
     return lat
 
 
-def abel_jacobi(lat: PeriodLattice, D: Divisor, q: Point = None) -> List[Fraction]:
-    """Coordinates of a component-wise degree-0 divisor.
+def abel_jacobi(lat: PeriodLattice, D, q: Point = None) -> List[Fraction]:
+    """Coordinates of a component-wise degree-0 divisor D.
 
     The path from the root to each support point lies in the fundamental
     tree, so the coordinates are the tree-path pairing for the tree that
@@ -140,7 +139,7 @@ def abel_jacobi(lat: PeriodLattice, D: Divisor, q: Point = None) -> List[Fractio
     return [Fraction(x, den) for x in nums]
 
 
-def scaled_abel_jacobi(lat, D: Divisor) -> Tuple[List[int], int]:
+def scaled_abel_jacobi(lat, D) -> Tuple[List[int], int]:
     """(integer numerators, common denominator) of abel_jacobi(lat, D).
 
     The sum of a * pot[v] over vertex points v, plus a * (pot[tail(e)] +

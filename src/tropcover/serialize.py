@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .covers import DoubleCover, cover_frame
 from .divisors import Divisor
-from .errors import MalformedGraphError
+from .errors import CoverError, MalformedGraphError, PointError
 from .graphs import MetricGraph, Point
 from .rationals import rat, rat_str
 
@@ -115,8 +115,8 @@ def divisor_from_obj(graph: MetricGraph, obj) -> Divisor:
             raise MalformedGraphError("%s: 'at' needs 'vertex' or 'edge'" % where)
         try:
             p = graph.check_point(p)
-        except Exception:
-            raise MalformedGraphError("%s: point is not on the graph" % where)
+        except PointError:
+            raise MalformedGraphError("%s: point is not on the graph" % where) from None
         coeffs.append((p, rec["coeff"]))
     return Divisor(graph, coeffs)
 
@@ -156,8 +156,8 @@ def cover_from_obj(obj) -> DoubleCover:
     inv = {str(k): str(v) for k, v in obj["involution"].items()}
     try:
         return DoubleCover(cover_frame(target, vmap, emap, inv), source)
-    except Exception as exc:
-        raise MalformedGraphError("cover: %s" % exc)
+    except CoverError as exc:
+        raise MalformedGraphError("cover: %s" % exc) from None
 
 
 # -- jacobian points ------------------------------------------------------

@@ -17,11 +17,9 @@ from typing import Optional
 from .divisors import Divisor
 from .errors import CycleError, DegreeError
 from .graphs import (
-    CycleSpace,
     MetricGraph,
     Point,
     ShortestPaths,
-    check_even_subgraph,
     require_unaugmented,
 )
 
@@ -37,9 +35,11 @@ class ThetaCharacteristic:
 def theta_characteristic(
     graph: MetricGraph, cycle=frozenset(), p: Optional[Point] = None
 ) -> ThetaCharacteristic:
-    """The theta-characteristic divisor for one even subgraph (or the basepoint one)."""
+    """The theta-characteristic divisor for one even subgraph (or the basepoint one).
+
+    ShortestPaths checks that a nonempty cycle is an even subgraph."""
     require_unaugmented(graph)
-    cycle = check_even_subgraph(graph, cycle)
+    cycle = frozenset(cycle)
     basepoint = None if cycle else graph.check_point(
         p if p is not None else Point.at_vertex(graph.vertex_ids[0])
     )
@@ -85,7 +85,7 @@ def two_torsion_divisor(
     graph: MetricGraph, cycle, p: Optional[Point] = None
 ) -> Divisor:
     """D_c = L_c - L_0, a representative of a 2-torsion class."""
-    cycle = check_even_subgraph(graph, cycle)
+    cycle = frozenset(cycle)
     base = theta_characteristic(graph, frozenset(), p)
     if not cycle:
         return Divisor.zero(graph)
@@ -103,5 +103,4 @@ def two_torsion_divisors(graph: MetricGraph):
 def enumerate_theta(graph: MetricGraph, p: Optional[Point] = None):
     """All 2^g theta characteristics, in cycle-span order (empty one first)."""
     require_unaugmented(graph)
-    cs = CycleSpace(graph)
-    return [theta_characteristic(graph, c, p) for c in cs.even_subgraphs()]
+    return [theta_characteristic(graph, c, p) for c in graph.cycle_space().even_subgraphs()]

@@ -319,6 +319,32 @@ def test_cover_verify_reports_a_vertex_map_entry_off_the_source(tmp_path, image)
     assert any("'ghost'" in msg for msg in rep["problems"]), rep["problems"]
 
 
+def test_malformed_cover_and_divisor_files_exit_2(tmp_path):
+    # what the maps or the points get wrong is malformed input; a fault in
+    # the library itself is not caught as one
+    obj = json.loads(golden("k4_cube.json"))
+    for rec in obj["edge_map"]:
+        if rec["src"] == "AB^0":
+            rec["tgt"] = "AC"
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps(obj))
+    code, out, err = run("cover", "verify", str(cover))
+    assert (code, out, err) == (2, "", "error: cover: edge 'AC' has 3 lifts\n")
+    divisor = tmp_path / "d.json"
+    divisor.write_text('[{"at":{"edge":"AB","offset":"5"},"coeff":1}]')
+    code, out, err = run("divisor", "principal", K4, str(divisor))
+    assert (code, out, err) == (2, "", "error: divisor[0]: point is not on the graph\n")
+
+
+def test_jac_tree_and_free_cover_bits_read_one_forest():
+    # jac prints the spanning tree; --bits counts and names its complement
+    code, out, _ = run("jac", K4, ZERO)
+    assert code == 0 and json.loads(out)["tree"] == ["AB", "AC", "AD"]
+    code, out, err = run("cover", "free", K4, "--bits", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: --bits needs 3 binary digits (non-tree edges BC,BD,CD)\n"
+
+
 def test_a_disconnected_graph_is_a_precondition_error(tmp_path):
     f = tmp_path / "two_loops.json"
     f.write_text(

@@ -13,6 +13,7 @@ from tropcover import (
     DoubleCover,
     MetricGraph,
     Point,
+    PointError,
     cover_class,
     covers_isomorphic,
     covers_with_dilation,
@@ -20,6 +21,7 @@ from tropcover import (
     free_covers,
     involution_divisor,
     is_principal,
+    period_lattice,
     pullback,
     pullback_kernel,
     pushforward,
@@ -162,6 +164,43 @@ def test_dumbbell_dilated_loop(dumbbell):
     for c in covers:
         assert verify_cover(c).ok, verify_cover(c).problems
     assert not covers_isomorphic(covers[0], covers[1])
+
+
+def test_loop_vertex_on_a_fresh_cover():
+    # two triangles at O, dilated along all six edges: O~ carries genus 1,
+    # so the virtualized source has the loop O~!0
+    bowtie = MetricGraph(
+        ["O", "a", "b", "c", "d"],
+        [
+            ("Oa", "O", "a", 1), ("ab", "a", "b", 1), ("bO", "b", "O", 1),
+            ("Oc", "O", "c", 1), ("cd", "c", "d", 1), ("dO", "d", "O", 1),
+        ],
+    )
+    cover = covers_with_dilation(bowtie, bowtie.edge_ids)[0]
+    # asked before source_sharp() has run
+    assert cover.loop_vertex("O~!0") == "O~"
+    mid_loop = Point.on_edge("O~!0", Fraction(1, 2))
+    assert cover.project_point(mid_loop) == Point.at_vertex("O")
+    fresh = covers_with_dilation(bowtie, bowtie.edge_ids)[0]
+    assert fresh.project_point(mid_loop) == Point.at_vertex("O")
+    assert fresh.source_sharp()[1] == {"O~": ("O~!0",)}
+    with pytest.raises(PointError):
+        fresh.loop_vertex("O~!1")
+
+
+def test_one_forest_orders_the_free_cover_bits():
+    rng = random.Random(53)
+    for _ in range(8):
+        g = random_graph(rng, max_genus=3)
+        cs = g.cycle_space()
+        for c in free_covers(g):
+            assert tuple(c.bits) == cs.nontree
+            assert c.frame.interior is g
+        # the torsion side reads the same forest: its basis cycles are the
+        # fundamental cycles of the non-tree edges the bits sit on
+        assert period_lattice(g).cycles is cs
+        for e, cyc in zip(cs.nontree, cs.basis):
+            assert cyc[e] == 1 and set(cyc) - {e} <= cs.forest
 
 
 def test_cover_errors(k4):
@@ -445,10 +484,11 @@ def test_parsed_covers_equal_frame_built_ones():
             assert parsed.source.same_model(c.source)
             for name in MAPS + ("dilation", "fibers"):
                 assert getattr(parsed.frame, name) == getattr(c.frame, name), name
-            # a parsed frame derives its interior cycle basis when asked
-            interior, ics = parsed.frame.interior
-            assert interior.same_model(c.frame.interior[0])
-            assert ics.basis == c.frame.interior[1].basis
+            # a parsed frame derives its interior graph when asked, and the
+            # graph its cycle basis
+            interior = parsed.frame.interior
+            assert interior.same_model(c.frame.interior)
+            assert interior.cycle_space().basis == c.frame.interior.cycle_space().basis
             assert cover_class(parsed) == cover_class(c)
             assert covers_isomorphic(parsed, c)
             assert verify_cover(parsed) == verify_cover(c)

@@ -179,6 +179,32 @@ def test_even_subgraph_count_and_closure():
             assert a ^ b in evens
 
 
+def test_one_cycle_space_per_graph():
+    rng = random.Random(29)
+    graphs = [random_graph(rng, max_genus=3) for _ in range(10)]
+    graphs.append(MetricGraph(["a", "b", "c"], [("e", "a", "a", 1), ("f", "c", "b", 1)]))
+    for g in graphs:
+        cs = g.cycle_space()
+        assert cs is g.cycle_space()
+        # the components are the forest's trees, rooted at their smallest id
+        assert g.components() is cs.components
+        assert [c[0] for c in cs.components] == [v for v in g.vertex_ids if cs.parent[v] is None]
+        assert sorted(v for c in cs.components for v in c) == list(g.vertex_ids)
+        for comp in cs.components:
+            assert all(g.components_by_vertex()[v] is comp for v in comp)
+            # a tree edge joins two vertices of one component
+            for e in cs.forest:
+                t, h = g.ends(e)
+                assert (t in comp) == (h in comp)
+        assert len(cs.forest) == len(g.vertex_ids) - len(cs.components)
+        assert g.genus() == len(cs.nontree) + sum(g.genus_of(v) for v in g.vertex_ids)
+        # a fresh build finds the same forest
+        fresh = CycleSpace(g)
+        assert fresh.forest == cs.forest and fresh.basis == cs.basis
+    assert graphs[-1].components() == (("a",), ("b", "c"))
+    assert not graphs[-1].is_connected() and graphs[-1].genus() == 1
+
+
 def test_k4_even_subgraphs(k4):
     evens = CycleSpace(k4).even_subgraphs()
     triangles = [s for s in evens if len(s) == 3]

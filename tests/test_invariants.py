@@ -27,6 +27,24 @@ def test_no_assert_in_the_library():
     assert not found
 
 
+def test_no_import_inside_a_function_in_the_library():
+    # every module imports at its top, so the import graph is the one the
+    # module headers show and a patched binding is the one that is called
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(SRC, name)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        found.append("%s:%d" % (name, node.lineno))
+    assert not found
+
+
 def test_corrupted_distance_field_fails_the_slope_check(k4):
     field = distance_field(k4, Point.at_vertex("A"))
     field.values["B"] += 1

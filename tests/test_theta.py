@@ -100,8 +100,14 @@ def test_unit_loop_and_tree(unit_loop):
 
 
 def test_rejects_bad_inputs(k4):
-    with pytest.raises(CycleError):
+    # the shortest-path pass checks the cycle: an odd set and an unknown
+    # edge are still refused, each with its own error
+    with pytest.raises(CycleError, match="is not an even subgraph"):
         theta_characteristic(k4, frozenset(["AB"]))
+    with pytest.raises(CycleError, match="is not an even subgraph"):
+        theta_characteristic(k4, ["AB", "AC"])
+    with pytest.raises(PointError, match="unknown edge 'XX'"):
+        theta_characteristic(k4, frozenset(["XX"]))
     aug = MetricGraph([("w", 1)], [("l", "w", "w", 1)])
     with pytest.raises(AugmentedGraphError):
         theta_characteristic(aug)
