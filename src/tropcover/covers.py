@@ -23,7 +23,6 @@ target's rather than from the source's Fractions.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List
@@ -321,11 +320,9 @@ def covers_with_dilation(graph: MetricGraph, cycle) -> List[DoubleCover]:
 # -- verification --------------------------------------------------------
 
 
-@dataclass
-class CoverReport:
-    ok: bool
-    dilation: frozenset
-    problems: List[str] = field(default_factory=list)
+# ok: a bool; dilation: a frozenset of target edges; problems: a list of
+# messages, empty when ok
+CoverReport = namedtuple("CoverReport", "ok dilation problems")
 
 
 def verify_cover(cover: DoubleCover) -> CoverReport:

@@ -26,7 +26,8 @@ class Divisor:
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         for p, a in items:
             p = graph.check_point(p)
-            a = int(a)
+            if type(a) is not int:
+                raise TypeError("coefficient at %r is not an int: %r" % (p, a))
             if a:
                 acc[p] = acc.get(p, 0) + a
         self._coeffs = {p: a for p, a in acc.items() if a}

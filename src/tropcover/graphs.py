@@ -10,7 +10,7 @@ at a rational offset from the tail.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, Union
@@ -27,13 +27,13 @@ from .rationals import rat
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True, order=True)
-class Point:
-    """A point of the metric space: a vertex, or an edge interior position."""
+class Point(namedtuple("Point", "kind id offset", defaults=(ZERO,))):
+    """A point of the metric space: a vertex, or an edge interior position.
 
-    kind: str  # "vertex" | "edge"
-    id: str
-    offset: Fraction = ZERO
+    kind is "vertex" or "edge"; offset is a Fraction from the edge's tail.
+    Points compare as the tuple (kind, id, offset)."""
+
+    __slots__ = ()
 
     @staticmethod
     def at_vertex(vid: str) -> "Point":
@@ -50,7 +50,8 @@ class Point:
     def __hash__(self):
         # equal offsets share numerator and denominator; hashing those skips
         # the modular inverse that hashing a Fraction costs
-        return hash((self.kind, self.id, self.offset.numerator, self.offset.denominator))
+        kind, vid, offset = self
+        return hash((kind, vid, offset.numerator, offset.denominator))
 
     def __repr__(self):
         if self.is_vertex:
@@ -71,9 +72,10 @@ class MetricGraph:
                 vid, g = v
             if vid in genus:
                 raise MalformedGraphError("duplicate vertex id %r" % vid)
-            if not isinstance(g, int) or g < 0:
+            # a bool is an int to Python but not a genus
+            if type(g) is not int or g < 0:
                 raise MalformedGraphError("genus at %r is not a nonnegative integer" % vid)
-            genus[vid] = int(g)
+            genus[vid] = g
         edict = {}
         for eid, tail, head, length in edges:
             if eid in edict:

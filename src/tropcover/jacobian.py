@@ -13,10 +13,11 @@ Gram matrix (PeriodLattice.divide).
 from __future__ import annotations
 
 import weakref
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Dict, List, NamedTuple, Tuple
+from typing import List, Tuple
 
 from . import linalg
 from .errors import DegreeError, PointError
@@ -103,17 +104,11 @@ class PeriodLattice:
         return not any(self.divide(nums, den)[1])
 
 
-class Tables(NamedTuple):
-    """What scaled_abel_jacobi reads, for tables that a PeriodLattice does
-    not own: points of `graph`, coordinates in a basis of rank `rank`,
-    pot[v] scaled by `scale` and col[e] as in PeriodLattice (the pullback
-    of a cover's source tables to its target, see covers.pullback_tables)."""
-
-    graph: MetricGraph
-    scale: int
-    rank: int
-    pot: Dict[str, List[int]]
-    col: Dict[str, Tuple[int, ...]]
+# What scaled_abel_jacobi reads, for tables that a PeriodLattice does not
+# own: points of `graph`, coordinates in a basis of rank `rank`, pot[v]
+# scaled by `scale` and col[e] as in PeriodLattice (the pullback of a
+# cover's source tables to its target, see covers.pullback_tables).
+Tables = namedtuple("Tables", "graph scale rank pot col")
 
 
 def period_lattice(graph: MetricGraph) -> PeriodLattice:

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 
 def rat(x) -> Fraction:
-    """Coerce an int, string ("p/q" or "n"), or Fraction to a Fraction."""
+    """Coerce an int, string ("p/q" or "n"), or Fraction to a Fraction.
+
+    A bool is not a rational here, although Python counts it as an int."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)

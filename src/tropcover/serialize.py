@@ -104,7 +104,8 @@ def divisor_from_obj(graph: MetricGraph, obj) -> Divisor:
             isinstance(rec, dict) and "at" in rec and "coeff" in rec,
             "%s: needs 'at' and 'coeff'" % where,
         )
-        _expect(isinstance(rec["coeff"], int), "%s: coeff must be an integer" % where)
+        # type(x) is int: a JSON true is an int to Python, not a coefficient
+        _expect(type(rec["coeff"]) is int, "%s: coeff must be an integer" % where)
         at = rec["at"]
         if "vertex" in at:
             p = Point.at_vertex(str(at["vertex"]))
@@ -150,7 +151,10 @@ def cover_from_obj(obj) -> DoubleCover:
         where = "edge_map[%d]" % i
         for key in ("src", "tgt", "degree"):
             _expect(isinstance(rec, dict) and key in rec, "%s: missing %r" % (where, key))
-        _expect(rec["degree"] in (1, 2), "%s: degree must be 1 or 2" % where)
+        _expect(
+            type(rec["degree"]) is int and rec["degree"] in (1, 2),
+            "%s: degree must be 1 or 2" % where,
+        )
         emap[str(rec["src"])] = (str(rec["tgt"]), rec["degree"])
     vmap = {str(k): str(v) for k, v in obj["vertex_map"].items()}
     inv = {str(k): str(v) for k, v in obj["involution"].items()}

@@ -11,7 +11,7 @@ unique non-effective one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 from .divisors import Divisor
@@ -24,12 +24,10 @@ from .graphs import (
 )
 
 
-@dataclass
-class ThetaCharacteristic:
-    cycle: frozenset  # even subgraph label (empty for the non-effective one)
-    divisor: Divisor
-    effective: bool
-    basepoint: Optional[Point]  # used when cycle is empty
+# cycle: the even subgraph label (empty for the non-effective one);
+# divisor: a Divisor; effective: a bool; basepoint: the Point used when
+# cycle is empty, else None
+ThetaCharacteristic = namedtuple("ThetaCharacteristic", "cycle divisor effective basepoint")
 
 
 def theta_characteristic(

@@ -61,6 +61,28 @@ def test_validate_reports_what_the_graph_model_rejects(tmp_path):
         assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
+def test_json_booleans_are_not_integers(tmp_path):
+    # Python counts true as the int 1; a graph, divisor or cover file does not
+    with open(K4) as fh:
+        k4 = fh.read()
+    cube = golden("k4_cube.json")
+    cases = {
+        "length": (k4.replace('"length":"1"', '"length":true', 1), ("validate",)),
+        "genus": (k4.replace('"genus":0', '"genus":true', 1), ("validate",)),
+        "coeff": (
+            '[{"at":{"vertex":"A"},"coeff":true},{"at":{"vertex":"B"},"coeff":-1}]',
+            ("divisor", "principal", K4),
+        ),
+        "degree": (cube.replace('"degree":1', '"degree":true', 1), ("cover", "verify")),
+    }
+    for name, (text, argv) in cases.items():
+        assert "true" in text
+        f = tmp_path / ("%s.json" % name)
+        f.write_text(text)
+        code, out, err = run(*argv, str(f))
+        assert (code, out) == (2, ""), (name, err)
+
+
 def test_malformed_json_exits_2(tmp_path):
     f = tmp_path / "nope.json"
     f.write_text("{not json")

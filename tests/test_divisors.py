@@ -37,6 +37,13 @@ def test_divisor_arithmetic(k4):
     assert not a.is_effective()
 
 
+@pytest.mark.parametrize("coeff", [Fraction(3, 2), Fraction(2), 1.5, True, "1"])
+def test_divisor_coefficients_are_ints(k4, coeff):
+    # a coefficient is never truncated or coerced: 3/2 is not 1, True is not 1
+    with pytest.raises(TypeError):
+        Divisor(k4, [(Point.at_vertex("A"), coeff)])
+
+
 def test_canonical_divisor(k4, unit_loop, dumbbell):
     K = canonical_divisor(k4)
     assert K.degree() == 2 * k4.genus() - 2

@@ -12,9 +12,11 @@ from tropcover import (
     MetricGraph,
     Point,
     distance_field,
+    enumerate_theta,
     is_even_subgraph,
     refine,
     validate,
+    verify_cover,
     virtualize,
 )
 from conftest import random_graph
@@ -82,9 +84,11 @@ def test_validate_rejects_bad_data():
         (["a"], [("e", "a", "a", "x")]),
         (["a"], [("e", "a", "a", None)]),
         (["a"], [("e", "a", "a", "1/0")]),
+        (["a"], [("e", "a", "a", True)]),
         ([("a", 0), ("b", -1)], []),
         ([("a", 0), ("b", 1.5)], []),
         ([("a", 0), ("b", "2")], []),
+        ([("a", 0), ("b", True)], []),
     ],
     ids=[
         "duplicate-vertex",
@@ -96,9 +100,11 @@ def test_validate_rejects_bad_data():
         "length-text",
         "length-none",
         "length-zero-denominator",
+        "length-bool",
         "genus-negative",
         "genus-float",
         "genus-text",
+        "genus-bool",
     ],
 )
 def test_malformed_graph_data(vertices, edges):
@@ -120,7 +126,32 @@ def test_point_normalization(k4):
     q = k4.point("AB", Fraction(1))
     assert q.is_vertex and q.id == "B"
     mid = k4.point("AB", Fraction(1, 2))
-    assert mid.on_edge
+    assert mid == Point("edge", "AB", Fraction(1, 2)) and not mid.is_vertex
+
+
+def test_point_is_an_immutable_kind_id_offset_triple(k4, cube_cover):
+    a, b = Point.at_vertex("A"), Point.at_vertex("B")
+    e1, e2 = Point.on_edge("AB", "1/3"), Point.on_edge("AB", "2/3")
+    f = Point.on_edge("AC", "1/2")
+    # order is lexicographic on (kind, id, offset): "edge" < "vertex"
+    assert sorted([b, f, e2, a, e1]) == [e1, e2, f, a, b]
+    assert a.offset == 0 and a == ("vertex", "A", 0)
+    kind, vid, offset = e1
+    assert (kind, vid, offset) == ("edge", "AB", Fraction(1, 3))
+    # equal offsets hash equal, however they were written
+    same = Point.on_edge("AB", Fraction(2, 6))
+    assert same == e1 and hash(same) == hash(e1) and len({e1, same}) == 1
+    with pytest.raises(AttributeError):
+        e1.offset = Fraction(1, 2)
+    with pytest.raises(AttributeError):
+        e1.label = "x"
+    assert repr(a) == "Point(A)" and repr(e1) == "Point(AB@1/3)"
+    # the result records read by name
+    t = enumerate_theta(k4)[0]
+    assert t.cycle == frozenset() and not t.effective
+    assert t.basepoint == a and t.divisor.degree() == 2
+    report = verify_cover(cube_cover)
+    assert report.ok and report.dilation == frozenset() and report.problems == []
 
 
 def test_refine_preserves_genus_and_length():

@@ -2,6 +2,8 @@
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -43,6 +45,20 @@ def test_no_import_inside_a_function_in_the_library():
                     if isinstance(node, (ast.Import, ast.ImportFrom)):
                         found.append("%s:%d" % (name, node.lineno))
     assert not found
+
+
+def test_cold_start_imports_neither_dataclasses_nor_inspect():
+    # every CLI call pays the package import; dataclasses pulls in inspect,
+    # ast, dis and tokenize, and the records are namedtuples instead
+    env = dict(os.environ, PYTHONPATH=os.path.join(SRC, os.pardir))
+    code = (
+        "import sys, tropcover, tropcover.cli, tropcover.serialize; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
 
 
 def test_corrupted_distance_field_fails_the_slope_check(k4):
