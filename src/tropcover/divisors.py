@@ -327,7 +327,7 @@ def effective_representative(D: Divisor) -> Optional[Divisor]:
     """
     if D.degree() < 0:
         return None
-    red = reduce_at(D, Point.at_vertex(D.graph.vertex_ids[0]))
+    red = reduce_at(D, D.graph.basepoint())
     return red if red.is_effective() else None
 
 

@@ -10,7 +10,7 @@ at a rational offset from the tail.
 from __future__ import annotations
 
 import heapq
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, Union
@@ -189,6 +189,12 @@ class MetricGraph:
         if not 0 < t < ell:
             raise PointError("offset %s outside edge %r of length %s" % (t, eid, ell))
         return Point.on_edge(eid, t)
+
+    def basepoint(self) -> Point:
+        """The first model vertex, the default basepoint."""
+        if not self.vertex_ids:
+            raise PointError("the graph has no vertices")
+        return Point.at_vertex(self.vertex_ids[0])
 
     def vertex_point(self, vid: str) -> Point:
         if vid not in self._genus:
@@ -473,30 +479,36 @@ class PLFunction:
 
 
 class ShortestPaths:
-    """Distances to a point or to a nonempty even subgraph, from one
-    Dijkstra run on the model refined at the source.
+    """Distances to a point or to a nonempty even subgraph from one
+    certified Dijkstra run, and the orientation away from the source.
 
-    dist[v] is the distance of each refined vertex in the refined graph's
-    integer metric.  `cycle` holds the source's edges (empty for a point),
-    which the refinement leaves uncut; `ridges` maps every other segment
-    on which the two descent directions meet inside it to the meeting
-    point, as a point of the base graph.  The distances are checked
-    against a shortest-path certificate before they are served.
+    The run is on `graph`: the given graph, or for a point inside an edge
+    the model refined there, whose new vertex `origin` maps to the point.
+    dist[v] is each model vertex's distance in the model's integer metric;
+    `cycle` holds the source's edges (empty for a point).  indeg[v] counts
+    the segments descending to v plus half of v's source ends (the source
+    is oriented totally cyclically); `ridges` maps every other segment off
+    the source, where the descent directions meet, to the meeting point
+    as a point of the base graph.
     """
 
     def __init__(self, graph: MetricGraph, source: Union[Point, frozenset]):
+        self.origin, self._seg = {}, {}  # model -> base, for a cut edge only
         if isinstance(source, Point):
             source = graph.check_point(source)
             self.cycle = frozenset()
-            self.refinement = ref = refine(graph, [source])
-            self.seeds = (ref.to_refined_point(source).id,)
+            if source.is_vertex:
+                self.seeds = (source.id,)
+            else:
+                ref = refine(graph, [source])
+                graph, self.origin, self._seg = ref.graph, ref.origin, ref.seg
+                self.seeds = tuple(ref.origin)  # the new vertex
         else:
             self.cycle = check_even_subgraph(graph, source)
             if not self.cycle:
                 raise PointError("empty source cycle")
-            self.refinement = ref = refine(graph, ())
             self.seeds = tuple(sorted({v for e in self.cycle for v in graph.ends(e)}))
-        g = ref.graph
+        self.graph = g = graph
         _, length = g.integer_metric()
         dist = self.dist = {}
         heap = [(0, v) for v in self.seeds]  # sorted: a heap
@@ -514,18 +526,23 @@ class ShortestPaths:
                 raise PointError("graph is disconnected: %r is not reachable from the source" % v)
         self._check()
 
+    def base_point(self, v: str) -> Point:
+        """The base graph's point at model vertex v."""
+        return self.origin[v] if v in self.origin else Point.at_vertex(v)
+
     def _check(self):
-        """Certify dist and find the ridges: 0 at the seeds, a rise of at
-        most the length on every segment off the source, and a tight
-        segment (one whose rise is its length) down from every other
-        vertex.  A ridge lies on each segment off the source that is not
-        tight."""
-        ref = self.refinement
-        g, dist = ref.graph, self.dist
+        """Certify dist, orient the model and find the ridges: 0 at the
+        seeds, a rise of at most the length on every segment off the
+        source, and a segment descending by its full length to every other
+        vertex.  A ridge lies on each segment off the source that descends
+        to neither end."""
+        g, dist = self.graph, self.dist
         scale, length = g.integer_metric()
         if any(dist[v] for v in self.seeds):
             raise SlopeError("nonzero distance at a source vertex")
-        tight = set(self.seeds)
+        # an even subgraph gives each vertex an even number of source ends
+        ends = Counter(v for e in self.cycle for v in g.ends(e))
+        indeg = self.indeg = {v: ends[v] // 2 for v in g.vertex_ids}
         self.ridges = {}
         for reid in g.edge_ids:
             if reid in self.cycle:
@@ -534,18 +551,18 @@ class ShortestPaths:
             ell = length[reid]
             rise = dist[h] - dist[t]
             if rise == ell:
-                tight.add(h)
+                indeg[h] += 1
             elif rise == -ell:
-                tight.add(t)
+                indeg[t] += 1
             elif abs(rise) > ell:
                 raise SlopeError("distances rise by more than the length of %r" % reid)
             else:
                 # the descent directions meet at offset (ell + rise) / 2,
                 # strictly inside the segment and so inside its base edge
-                beid, a, _ = ref.seg[reid]
+                beid, a, _ = self._seg.get(reid, (reid, ZERO, None))
                 self.ridges[reid] = Point.on_edge(beid, a + Fraction(ell + rise, 2 * scale))
         for v in g.vertex_ids:
-            if v not in tight:
+            if not indeg[v] and v not in self.seeds:
                 raise SlopeError("no segment descends from %r toward the source" % v)
 
 
@@ -563,18 +580,14 @@ class DistanceField(PLFunction):
     def __init__(self, graph: MetricGraph, source: Union[Point, frozenset]):
         paths = ShortestPaths(graph, source)
         self.source_cycle = paths.cycle
-        first = paths.refinement
-        scale, length = first.graph.integer_metric()
-        at = {
-            first.to_base_point(Point.at_vertex(v)): Fraction(d, scale)
-            for v, d in paths.dist.items()
-        }
+        scale, length = paths.graph.integer_metric()
+        at = {paths.base_point(v): Fraction(d, scale) for v, d in paths.dist.items()}
         for reid, p in paths.ridges.items():
-            t, h = first.graph.ends(reid)
+            t, h = paths.graph.ends(reid)
             at[p] = Fraction(length[reid] + paths.dist[t] + paths.dist[h], 2 * scale)
         self.ridge_base_points = tuple(sorted(paths.ridges.values()))
-        # the first refinement's new vertex, if any, is the source
-        ref = refine(graph, [*first.origin.values(), *self.ridge_base_points])
+        # the pass's new vertex, if any, is the source
+        ref = refine(graph, [*paths.origin.values(), *self.ridge_base_points])
         super().__init__(
             ref, {v: at[ref.to_base_point(Point.at_vertex(v))] for v in ref.graph.vertex_ids}
         )

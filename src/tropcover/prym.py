@@ -31,7 +31,7 @@ class HomologyAction:
     """
 
     def __init__(self, cover: DoubleCover, eps=1):
-        self.sharp, self.registry = cover.source_sharp(eps)
+        self.sharp, _ = cover.source_sharp(eps)
         self.lattice = lat = period_lattice(self.sharp)
         nontree = lat.cycles.nontree
         self.matrix = []  # row j = coordinates of the image of basis cycle j

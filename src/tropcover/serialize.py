@@ -52,8 +52,11 @@ def graph_to_obj(graph: MetricGraph) -> dict:
 
 def graph_from_obj(obj) -> MetricGraph:
     _expect(isinstance(obj, dict), "graph: expected an object")
-    _expect("vertices" in obj, "graph: missing 'vertices'")
-    _expect("edges" in obj, "graph: missing 'edges'")
+    for key in ("vertices", "edges"):
+        _expect(key in obj, "graph: missing %r" % key)
+        _expect(isinstance(obj[key], list), "graph: %r must be a list" % key)
+    # MetricGraph takes an empty graph; a graph file names a vertex
+    _expect(obj["vertices"], "graph: 'vertices' is empty")
     vertices = []
     for i, v in enumerate(obj["vertices"]):
         where = "vertices[%d]" % i
@@ -107,6 +110,7 @@ def divisor_from_obj(graph: MetricGraph, obj) -> Divisor:
         # type(x) is int: a JSON true is an int to Python, not a coefficient
         _expect(type(rec["coeff"]) is int, "%s: coeff must be an integer" % where)
         at = rec["at"]
+        _expect(isinstance(at, dict), "%s: 'at' must be an object" % where)
         if "vertex" in at:
             p = Point.at_vertex(str(at["vertex"]))
         elif "edge" in at:
@@ -144,6 +148,9 @@ def cover_from_obj(obj) -> DoubleCover:
     _expect(isinstance(obj, dict), "cover: expected an object")
     for key in ("target", "source", "vertex_map", "edge_map", "involution"):
         _expect(key in obj, "cover: missing %r" % key)
+    for key in ("vertex_map", "involution"):
+        _expect(isinstance(obj[key], dict), "cover: %r must be an object" % key)
+    _expect(isinstance(obj["edge_map"], list), "cover: 'edge_map' must be a list")
     target = graph_from_obj(obj["target"])
     source = graph_from_obj(obj["source"])
     emap = {}

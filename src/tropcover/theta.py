@@ -3,10 +3,11 @@
 Given an even subgraph c (possibly empty, in which case a basepoint p is
 used), orient the graph so the distance-to-source function increases away
 from the source, and give the source itself a totally cyclic orientation.
-The divisor sum((indeg - 1) x) over the model refined at the source and
-at the ridges, where descent directions meet, is a theta characteristic:
-twice it is equivalent to the canonical class.  The empty cycle yields the
-unique non-effective one.
+The divisor sum((indeg - 1) x), plus one chip at each ridge where descent
+directions meet, is a theta characteristic: twice it is equivalent to the
+canonical class.  The empty cycle yields the unique non-effective one.
+One ShortestPaths pass certifies the distances and counts the in-degrees;
+it refines the graph only at a basepoint inside an edge.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import namedtuple
 from typing import Optional
 
 from .divisors import Divisor
-from .errors import CycleError, DegreeError
+from .errors import DegreeError
 from .graphs import (
     MetricGraph,
     Point,
@@ -38,33 +39,12 @@ def theta_characteristic(
     ShortestPaths checks that a nonempty cycle is an even subgraph."""
     require_unaugmented(graph)
     cycle = frozenset(cycle)
-    basepoint = None if cycle else graph.check_point(
-        p if p is not None else Point.at_vertex(graph.vertex_ids[0])
-    )
+    basepoint = None if cycle else graph.check_point(p if p is not None else graph.basepoint())
     paths = ShortestPaths(graph, cycle or basepoint)
-    ref = paths.refinement
-    g = ref.graph
-    # the distances and the refined lengths share one integer metric
-    dist = paths.dist
-    _, length = g.integer_metric()
     # both ends of a ridge's segment are outgoing and both halves come in
     # at the ridge, so the ridge carries one chip
     coeffs = [(x, 1) for x in paths.ridges.values()]
-    for v in g.vertex_ids:
-        indeg = cyclic_ends = 0
-        for reid, end in g.ends_at(v):
-            if reid in cycle:  # the source's edges are not cut
-                cyclic_ends += 1
-            # incoming iff the distance decreases toward the far endpoint
-            elif dist[v] == dist[g.other_end(reid, end)] + length[reid]:
-                indeg += 1
-        if cyclic_ends % 2:
-            raise CycleError(
-                "vertex %r has an odd number (%d) of source ends" % (v, cyclic_ends)
-            )
-        indeg += cyclic_ends // 2  # totally cyclic: half the ends come in
-        if indeg != 1:
-            coeffs.append((ref.to_base_point(Point.at_vertex(v)), indeg - 1))
+    coeffs += [(paths.base_point(v), n - 1) for v, n in paths.indeg.items() if n != 1]
     div = Divisor(graph, coeffs)
     if div.degree() != graph.genus() - 1:
         raise DegreeError(

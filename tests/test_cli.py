@@ -358,6 +358,75 @@ def test_malformed_cover_and_divisor_files_exit_2(tmp_path):
     assert (code, out, err) == (2, "", "error: divisor[0]: point is not on the graph\n")
 
 
+def _cube_with(key, value):
+    obj = json.loads(golden("k4_cube.json"))
+    obj[key] = value
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        pytest.param(
+            '[{"at":%s,"coeff":1}]' % at,
+            ("divisor", "principal", K4),
+            "divisor[0]: 'at' must be an object",
+            id="at-%s" % at,
+        )
+        for at in ("5", "null")
+    ]
+    + [
+        pytest.param(
+            _cube_with(key, value),
+            ("cover", "verify"),
+            "cover: %r must be an object" % key,
+            id="%s-%s" % (key, json.dumps(value)),
+        )
+        for key in ("vertex_map", "involution")
+        for value in ([], None, 5)
+    ]
+    + [
+        pytest.param(
+            _cube_with("edge_map", value),
+            ("cover", "verify"),
+            "cover: 'edge_map' must be a list",
+            id="edge_map-%s" % json.dumps(value),
+        )
+        for value in (5, None)
+    ]
+    + [
+        pytest.param(
+            '{"vertices":5,"edges":[]}',
+            ("validate",),
+            "graph: 'vertices' must be a list",
+            id="vertices-5",
+        ),
+        pytest.param(
+            '{"vertices":[{"id":"a"}],"edges":null}',
+            ("theta",),
+            "graph: 'edges' must be a list",
+            id="edges-null",
+        ),
+    ]
+    + [
+        pytest.param(
+            '{"vertices":[],"edges":[]}',
+            (verb,),
+            "graph: 'vertices' is empty",
+            id="empty-%s" % verb,
+        )
+        for verb in ("validate", "theta", "pair")
+    ],
+)
+def test_malformed_json_shapes_exit_2_naming_the_field(tmp_path, text, argv, message):
+    # each shape crashed with a TypeError, AttributeError or IndexError
+    # (exit 1), or validated an empty graph as ok
+    f = tmp_path / "in.json"
+    f.write_text(text)
+    code, out, err = run(*argv, str(f))
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_jac_tree_and_free_cover_bits_read_one_forest():
     # jac prints the spanning tree; --bits counts and names its complement
     code, out, _ = run("jac", K4, ZERO)

@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -76,8 +77,21 @@ def test_corrupted_distance_field_fails_the_slope_check(k4):
         ("A", "A", 1, "at a source vertex"),
         (frozenset(["BC", "BD", "CD"]), "A", -1, "no segment descends"),
         (frozenset(["BC", "BD", "CD"]), "B", 1, "at a source vertex"),
+        # AB@1/2 is cut into halves: distances in half units, A at 1, C at 3
+        (Point.on_edge("AB", Fraction(1, 2)), "A", 1, "rise by"),
+        (Point.on_edge("AB", Fraction(1, 2)), "C", -1, "no segment descends"),
+        (Point.on_edge("AB", Fraction(1, 2)), "AB@1/2", 1, "at a source vertex"),
     ],
-    ids=["longer", "shorter", "point-seed", "cycle-off", "cycle-seed"],
+    ids=[
+        "longer",
+        "shorter",
+        "point-seed",
+        "cycle-off",
+        "cycle-seed",
+        "interior-longer",
+        "interior-shorter",
+        "interior-seed",
+    ],
 )
 def test_corrupted_pass_distance_fails_the_certificate(k4, source, vertex, delta, message):
     if isinstance(source, str):

@@ -17,6 +17,7 @@ from tropcover import (
     canonical,
     canonical_divisor,
     distance_field,
+    effective_representative,
     enumerate_theta,
     equivalent,
     pairing_table,
@@ -189,6 +190,39 @@ def test_one_shortest_path_pass_per_characteristic_and_no_field(k4, monkeypatch)
         built["passes"] = 0
         call(k4)
         assert built == {"passes": n, "fields": 0}, call.__name__
+
+
+def test_a_pass_builds_a_graph_only_at_a_point_inside_an_edge(k4, monkeypatch):
+    # an even subgraph or a vertex cuts no edge, so the pass runs on k4
+    # itself; only a basepoint inside an edge is refined into a new graph
+    from tropcover import graphs
+
+    built = []
+    build_graph = graphs.MetricGraph.__init__
+
+    def counted_graph(self, *args):
+        built.append(args)
+        build_graph(self, *args)
+
+    monkeypatch.setattr(graphs.MetricGraph, "__init__", counted_graph)
+    assert len(enumerate_theta(k4)) == 8
+    assert built == []
+    t = theta_characteristic(k4, frozenset(), mid("AB"))
+    assert len(built) == 1
+    assert t.basepoint == mid("AB") and t.divisor.coeff(mid("AB")) == -1
+
+
+def test_an_empty_graph_has_no_default_basepoint():
+    # MetricGraph takes an empty graph (covers build one for an interior
+    # that meets every vertex); the default point is a typed error on it
+    g = MetricGraph([], [])
+    for call in (
+        lambda: theta_characteristic(g),
+        lambda: enumerate_theta(g),
+        lambda: effective_representative(Divisor.zero(g)),
+    ):
+        with pytest.raises(PointError, match="the graph has no vertices"):
+            call()
 
 
 def test_a_disconnected_graph_gives_a_typed_error():
