@@ -190,8 +190,7 @@ def cmd_cover(args):
         d = serialize.divisor_from_obj(cover.target, _read_json(args.divisor))
         out = pullback(cover, d)
     else:
-        sharp, _ = cover.source_sharp()
-        d = serialize.divisor_from_obj(sharp, _read_json(args.divisor))
+        d = serialize.divisor_from_obj(cover.source_sharp(), _read_json(args.divisor))
         out = pushforward(cover, d)
     return serialize.dumps(serialize.divisor_to_obj(out))
 
@@ -199,8 +198,7 @@ def cmd_cover(args):
 def cmd_prym(args):
     cover = _read_cover(args.cover)
     if args.action == "contains":
-        sharp, _ = cover.source_sharp()
-        d = serialize.divisor_from_obj(sharp, _read_json(args.divisor))
+        d = serialize.divisor_from_obj(cover.source_sharp(), _read_json(args.divisor))
         return "true\n" if prym_contains(cover, d) else "false\n"
     return "%d\n" % kernel_component_count(cover)
 

@@ -14,10 +14,15 @@ orientation, so offsets transport directly.
 The covers over one dilation cycle differ only in their sheet-swap bits, so
 the rest is built once per cycle: a CoverFrame, whose maps, fibers and
 interior graph every cover of the cycle holds, and the vertices and
-lifted names and lengths that each source is assembled from.  A parsed
-cover gets a frame built from its own maps.  A built cover's source
-carries its integer metric from the start, derived in integers from the
-target's rather than from the source's Fractions.
+lifted names and lengths that each source is assembled from.  A built
+and a parsed cover get their frame from cover_frame alike, which derives
+the dilation set from the edge map.  A built cover's source carries its
+integer metric from the start, derived in integers from the target's
+rather than from the source's Fractions.
+
+Vertex genus appears only at the dilated vertices of a dilated cover, so
+only there does source_sharp() virtualize it into a new graph: a free
+cover's virtualized source is its source.
 """
 
 from __future__ import annotations
@@ -66,12 +71,12 @@ class CoverFrame(
         return _interior(self.target, self.dilation)
 
 
-def cover_frame(target, vertex_map, edge_map, involution_v, dilation=None) -> CoverFrame:
+def cover_frame(target, vertex_map, edge_map, involution_v) -> CoverFrame:
     """The frame of the covers of target with these maps, which it keeps
     without copying.  The edge involution swaps the two lifts of each
     target edge and fixes the single lift of a dilated one; the dilation
-    set is the edges with a degree-2 lift unless given.  Raises CoverError
-    for a target edge whose lifts cannot be paired."""
+    set is the target edges with a degree-2 lift.  Raises CoverError for a
+    target edge whose lifts cannot be paired."""
     over_e = {}
     for se, (te, d) in sorted(edge_map.items()):
         over_e.setdefault(te, []).append((se, d))
@@ -90,8 +95,7 @@ def cover_frame(target, vertex_map, edge_map, involution_v, dilation=None) -> Co
     for sv, tv in sorted(vertex_map.items()):
         d = 2 if involution_v.get(sv, sv) == sv else 1
         over_v.setdefault(tv, []).append((sv, d))
-    if dilation is None:
-        dilation = frozenset(te for te, d in edge_map.values() if d == 2)
+    dilation = frozenset(te for te, d in edge_map.values() if d == 2)
     return CoverFrame(
         target, dilation, vertex_map, edge_map, involution_v, involution_e,
         (over_v, over_e),
@@ -108,7 +112,7 @@ class DoubleCover:
         self.source = source
         self.bits = bits
         # the package's one cache for this cover: per eps, the virtualized
-        # source and the homology action; the virtual loops' vertices
+        # source and the homology action
         self._memo = {}
 
     # the frame's fields, shared with every cover of the frame: read-only
@@ -121,8 +125,9 @@ class DoubleCover:
 
     # -- virtualized source ----------------------------------------------
 
-    def source_sharp(self, eps=1):
-        """(unaugmented source graph with virtual loops, loop registry)."""
+    def source_sharp(self, eps=1) -> MetricGraph:
+        """The source with its vertex genus virtualized by loops of length
+        eps: the source itself when it has no genus, as a free cover's."""
         key = ("sharp", rat(eps))
         if key not in self._memo:
             self._memo[key] = virtualize(self.source, eps)
@@ -130,16 +135,10 @@ class DoubleCover:
 
     def loop_vertex(self, eid: str) -> str:
         """The source vertex carrying a virtual loop of source_sharp()."""
-        owners = self._memo.get("loop_vertex")
-        if owners is None:
-            # loop ids depend on the source alone, so one map serves every eps
-            owners = self._memo["loop_vertex"] = {
-                lid: v for v, lids in virtual_loops(self.source).items() for lid in lids
-            }
-        owner = owners.get(eid)
-        if owner is None:
-            raise PointError("%r is neither a source edge nor a virtual loop" % eid)
-        return owner
+        for v, lids in virtual_loops(self.source).items():
+            if eid in lids:
+                return v
+        raise PointError("%r is neither a source edge nor a virtual loop" % eid)
 
     # -- point maps -------------------------------------------------------
 
@@ -153,7 +152,7 @@ class DoubleCover:
         return self.target.point(te, p.offset * d)
 
     def involute_point(self, p: Point, eps=1) -> Point:
-        sharp, _ = self.source_sharp(eps)
+        sharp = self.source_sharp(eps)
         if p.is_vertex:
             return Point.at_vertex(self.involution_v.get(p.id, p.id))
         if p.id in self.edge_map:
@@ -252,8 +251,9 @@ def _cover_layout(graph: MetricGraph, cycle: frozenset) -> _CoverLayout:
             for se in lifts:
                 emap[se] = (eid, 1)
                 src_length[se] = length[eid] * k
-    # the checked cycle is the dilation set: covers along one cycle share it
-    frame = cover_frame(graph, vmap, emap, inv_v, cycle)
+    # the derived dilation set equals cycle; the covers keep the caller's
+    # object, so whoever keeps the cycle and the covers' reports keeps one set
+    frame = cover_frame(graph, vmap, emap, inv_v)._replace(dilation=cycle)
     return _CoverLayout(frame, vertices, dilated, undilated, (scale * k, src_length))
 
 
@@ -442,7 +442,7 @@ def verify_cover(cover: DoubleCover) -> CoverReport:
 
 def pullback(cover: DoubleCover, D: Divisor, eps=1) -> Divisor:
     """phi^* D on the virtualized source."""
-    sharp, _ = cover.source_sharp(eps)
+    sharp = cover.source_sharp(eps)
     if not D.graph.same_model(cover.target):
         raise CoverError("divisor does not live on the cover target")
     out = []
@@ -480,14 +480,14 @@ def pullback_tables(cover: DoubleCover, lat) -> Tables:
 
 def pushforward(cover: DoubleCover, D: Divisor, eps=1) -> Divisor:
     """phi_* D for D on the virtualized source."""
-    sharp, _ = cover.source_sharp(eps)
+    sharp = cover.source_sharp(eps)
     if not D.graph.same_model(sharp):
         raise CoverError("divisor does not live on the virtualized source")
     return Divisor(cover.target, [(cover.project_point(p), a) for p, a in D.items()])
 
 
 def involution_divisor(cover: DoubleCover, D: Divisor, eps=1) -> Divisor:
-    sharp, _ = cover.source_sharp(eps)
+    sharp = cover.source_sharp(eps)
     if not D.graph.same_model(sharp):
         raise CoverError("divisor does not live on the virtualized source")
     return Divisor(sharp, [(cover.involute_point(p, eps), a) for p, a in D.items()])
@@ -503,7 +503,7 @@ def pullback_kernel(cover: DoubleCover, eps=1):
     theta characteristics and g divisions instead of 2^g of each.
     """
     target = cover.target
-    lat = period_lattice(cover.source_sharp(eps)[0])
+    lat = period_lattice(cover.source_sharp(eps))
     tables = pullback_tables(cover, lat)
     cs = target.cycle_space()
     evens = cs.even_subgraphs()

@@ -618,9 +618,9 @@ def distance_field(graph: MetricGraph, source) -> DistanceField:
 
 
 def virtual_loops(graph: MetricGraph):
-    """The registry of virtualize(graph, eps), the same for every eps: each
-    vertex of positive genus mapped to the ids of its loops, named "v!k"
-    and primed when the graph already uses the name."""
+    """The loops that virtualize(graph, eps) adds, the same for every eps:
+    each vertex of positive genus mapped to the ids of its loops, named
+    "v!k" and primed when the graph already uses the name."""
     registry = {}
     for v in graph.vertex_ids:
         loops = tuple(_fresh("%s!%d" % (v, k), graph._edges) for k in range(graph.genus_of(v)))
@@ -629,14 +629,16 @@ def virtual_loops(graph: MetricGraph):
     return registry
 
 
-def virtualize(graph: MetricGraph, eps=1):
-    """Replace vertex genus by loops of length eps; returns (graph, registry)
-    with the registry of virtual_loops."""
+def virtualize(graph: MetricGraph, eps=1) -> MetricGraph:
+    """Replace vertex genus by the loops of virtual_loops, of length eps: a
+    graph without vertex genus is its own virtualization."""
     eps = rat(eps)
     if eps <= 0:
         raise MalformedGraphError("loop length must be positive")
+    registry = virtual_loops(graph)
+    if not registry:
+        return graph
     vertices = [(v, 0) for v in graph.vertex_ids]
     edges = [(e, *graph.ends(e), graph.length(e)) for e in graph.edge_ids]
-    registry = virtual_loops(graph)
     edges += [(lid, v, v, eps) for v, lids in registry.items() for lid in lids]
-    return MetricGraph(vertices, edges), registry
+    return MetricGraph(vertices, edges)

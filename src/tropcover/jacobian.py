@@ -4,10 +4,11 @@ Coordinates of a degree-0 divisor are the edge-length inner products of a
 path 1-chain against the fundamental cycle basis: each support point is
 reached from its component's root along the fundamental tree of the cycle
 basis, and a point inside an edge by the tree path to the edge's tail plus
-the segment up to the point.  The class is taken modulo the lattice spanned
-by the Gram matrix columns.  Everything is exact: membership, reduction
-and principal_function's certificate all read one integer division by the
-Gram matrix (PeriodLattice.divide).
+the segment up to the point.  The map takes no basepoint: on a divisor of
+degree 0 on every component, a basepoint's own path cancels.  The class is
+taken modulo the lattice spanned by the Gram matrix columns.  Everything is
+exact: membership, reduction and principal_function's certificate all read
+one integer division by the Gram matrix (PeriodLattice.divide).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import DegreeError, PointError
 
 # refine is bound here as well as in graphs and divisors: the benchmark's
 # tracer patches every module binding of it and checks this one
-from .graphs import MetricGraph, Point, refine  # noqa: F401
+from .graphs import MetricGraph, refine  # noqa: F401
 
 
 class PeriodLattice:
@@ -119,17 +120,13 @@ def period_lattice(graph: MetricGraph) -> PeriodLattice:
     return lat
 
 
-def abel_jacobi(lat: PeriodLattice, D, q: Point = None) -> List[Fraction]:
+def abel_jacobi(lat: PeriodLattice, D) -> List[Fraction]:
     """Coordinates of a component-wise degree-0 divisor D.
 
     The path from the root to each support point lies in the fundamental
     tree, so the coordinates are the tree-path pairing for the tree that
-    `lat.cycles` spans.  A basepoint q is checked to be a point of the
-    graph, but with degree 0 on every component the basepoint's own path
-    cancels, so q does not change the coordinates.
+    `lat.cycles` spans; any basepoint would give the same coordinates.
     """
-    if q is not None:
-        lat.graph.check_point(q)
     nums, den = scaled_abel_jacobi(lat, D)
     return [Fraction(x, den) for x in nums]
 

@@ -31,7 +31,7 @@ class HomologyAction:
     """
 
     def __init__(self, cover: DoubleCover, eps=1):
-        self.sharp, _ = cover.source_sharp(eps)
+        self.sharp = cover.source_sharp(eps)
         self.lattice = lat = period_lattice(self.sharp)
         nontree = lat.cycles.nontree
         self.matrix = []  # row j = coordinates of the image of basis cycle j
@@ -120,7 +120,7 @@ def prym_contains(cover: DoubleCover, D: Divisor, eps=1) -> bool:
     in the Prym iff it is the image of a degree-0 class under
     (1 - involution); in particular its pushforward must be principal.
     """
-    sharp, _ = cover.source_sharp(eps)
+    sharp = cover.source_sharp(eps)
     if not D.graph.same_model(sharp):
         raise CoverError("divisor does not live on the virtualized source")
     if D.degree() != 0:
@@ -147,7 +147,7 @@ def _pullback_in_prym(cover: DoubleCover, D: Divisor, eps) -> bool:
 
 def kernel_component_count(cover: DoubleCover, eps=1) -> int:
     """Components of the norm-map kernel: 1 (dilated) or 2 (free)."""
-    sharp, _ = cover.source_sharp(eps)
+    sharp = cover.source_sharp(eps)
     moved = next(
         (v for v in sharp.vertex_ids if cover.involution_v.get(v, v) != v), None
     )

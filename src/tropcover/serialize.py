@@ -22,6 +22,15 @@ def _expect(cond, msg):
         raise MalformedGraphError(msg)
 
 
+def _id(obj, key, where):
+    """obj[key], which names a vertex or an edge: a JSON string, taken as
+    it is, since str() would read 1 and "1" as one id."""
+    x = obj[key]
+    if type(x) is not str:
+        raise MalformedGraphError("%s: %r must be a string" % (where, key))
+    return x
+
+
 def _parse_rat(x, where):
     try:
         v = rat(x)
@@ -61,19 +70,14 @@ def graph_from_obj(obj) -> MetricGraph:
     for i, v in enumerate(obj["vertices"]):
         where = "vertices[%d]" % i
         _expect(isinstance(v, dict) and "id" in v, "%s: missing 'id'" % where)
-        vertices.append((str(v["id"]), v.get("genus", 0)))
+        vertices.append((_id(v, "id", where), v.get("genus", 0)))
     edges = []
     for i, e in enumerate(obj["edges"]):
         where = "edges[%d]" % i
         for key in ("id", "tail", "head", "length"):
             _expect(isinstance(e, dict) and key in e, "%s: missing %r" % (where, key))
         edges.append(
-            (
-                str(e["id"]),
-                str(e["tail"]),
-                str(e["head"]),
-                e["length"],
-            )
+            (_id(e, "id", where), _id(e, "tail", where), _id(e, "head", where), e["length"])
         )
     # the genus and length rules are MetricGraph's
     return MetricGraph(vertices, edges)
@@ -112,10 +116,10 @@ def divisor_from_obj(graph: MetricGraph, obj) -> Divisor:
         at = rec["at"]
         _expect(isinstance(at, dict), "%s: 'at' must be an object" % where)
         if "vertex" in at:
-            p = Point.at_vertex(str(at["vertex"]))
+            p = Point.at_vertex(_id(at, "vertex", where))
         elif "edge" in at:
             _expect("offset" in at, "%s: edge point needs 'offset'" % where)
-            p = Point.on_edge(str(at["edge"]), _parse_rat(at["offset"], where))
+            p = Point.on_edge(_id(at, "edge", where), _parse_rat(at["offset"], where))
         else:
             raise MalformedGraphError("%s: 'at' needs 'vertex' or 'edge'" % where)
         try:
@@ -144,6 +148,14 @@ def cover_to_obj(cover: DoubleCover) -> dict:
     }
 
 
+def _cover_graph(obj, key) -> MetricGraph:
+    """The cover's target or source graph; a fault in it names which."""
+    try:
+        return graph_from_obj(obj[key])
+    except MalformedGraphError as exc:
+        raise MalformedGraphError("cover: %s: %s" % (key, exc)) from None
+
+
 def cover_from_obj(obj) -> DoubleCover:
     _expect(isinstance(obj, dict), "cover: expected an object")
     for key in ("target", "source", "vertex_map", "edge_map", "involution"):
@@ -151,8 +163,7 @@ def cover_from_obj(obj) -> DoubleCover:
     for key in ("vertex_map", "involution"):
         _expect(isinstance(obj[key], dict), "cover: %r must be an object" % key)
     _expect(isinstance(obj["edge_map"], list), "cover: 'edge_map' must be a list")
-    target = graph_from_obj(obj["target"])
-    source = graph_from_obj(obj["source"])
+    target, source = _cover_graph(obj, "target"), _cover_graph(obj, "source")
     emap = {}
     for i, rec in enumerate(obj["edge_map"]):
         where = "edge_map[%d]" % i
@@ -162,9 +173,13 @@ def cover_from_obj(obj) -> DoubleCover:
             type(rec["degree"]) is int and rec["degree"] in (1, 2),
             "%s: degree must be 1 or 2" % where,
         )
-        emap[str(rec["src"])] = (str(rec["tgt"]), rec["degree"])
-    vmap = {str(k): str(v) for k, v in obj["vertex_map"].items()}
-    inv = {str(k): str(v) for k, v in obj["involution"].items()}
+        emap[_id(rec, "src", where)] = (_id(rec, "tgt", where), rec["degree"])
+    for key in ("vertex_map", "involution"):
+        # the keys of a JSON object are strings already
+        bad = next((k for k, v in obj[key].items() if type(v) is not str), None)
+        if bad is not None:
+            raise MalformedGraphError("%s: the image of %r must be a string" % (key, bad))
+    vmap, inv = dict(obj["vertex_map"]), dict(obj["involution"])
     try:
         return DoubleCover(cover_frame(target, vmap, emap, inv), source)
     except CoverError as exc:
@@ -185,9 +200,8 @@ def jacobian_point_to_obj(coords, tree_edges) -> dict:
 # -- top-level helpers ----------------------------------------------------
 
 
-def dumps(obj, pretty=False) -> str:
-    if pretty:
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def dumps(obj) -> str:
+    """Compact JSON with sorted keys, one line."""
     return json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n"
 
 

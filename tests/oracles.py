@@ -348,7 +348,7 @@ class FractionHomologyAction:
     Fraction generators."""
 
     def __init__(self, cover, eps=1):
-        self.sharp, _ = cover.source_sharp(eps)
+        self.sharp = cover.source_sharp(eps)
         self.lattice = lat = period_lattice(self.sharp)
         nontree = lat.cycles.nontree
         self.matrix = []
@@ -384,7 +384,7 @@ def divisor_prym_contains(cover, D, eps=1):
     """Prym membership the Divisor way: the pushforward Divisor must be
     principal, then the Fraction coordinates of D are projected onto the
     Fraction null space and tested against the projected lattice."""
-    sharp, _ = cover.source_sharp(eps)
+    sharp = cover.source_sharp(eps)
     if not D.graph.same_model(sharp):
         raise CoverError("divisor does not live on the virtualized source")
     if D.degree() != 0:
@@ -533,7 +533,7 @@ def exhaustive_pullback_kernel(cover, eps=1):
     """Even subgraphs c with phi^* D_c principal, from all 2^g torsion
     divisors: each one's pulled-back coordinates tested against the
     source's period lattice."""
-    lat = period_lattice(cover.source_sharp(eps)[0])
+    lat = period_lattice(cover.source_sharp(eps))
     tables = pullback_tables(cover, lat)
     evens, torsion = two_torsion_divisors(cover.target)
     return [c for c, D in zip(evens, torsion) if lat.contains(*scaled_abel_jacobi(tables, D))]

@@ -209,7 +209,7 @@ def test_criterion_5_pullback_kernel():
     # the two torsion pullbacks on the cube, both non-principal
     k4 = build_k4()
     cube = free_covers(k4)[7]
-    sharp, _ = cube.source_sharp()
+    sharp = cube.source_sharp()
     tri = frozenset(["BC", "BD", "CD"])
     up_tri = pullback(cube, two_torsion_divisor(k4, tri))
     want_tri = Divisor(
@@ -243,7 +243,7 @@ def test_criterion_7_weil_pairing():
         ok = ok and weil_pairing(cube, frozenset(sq)) == 0
     ok = ok and weil_pairing(cube, frozenset()) == 0
 
-    sharp, _ = cube.source_sharp()
+    sharp = cube.source_sharp()
     m = lambda e: mid(sharp, e)
     fig6 = Divisor(
         sharp,

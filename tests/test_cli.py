@@ -358,9 +358,14 @@ def test_malformed_cover_and_divisor_files_exit_2(tmp_path):
     assert (code, out, err) == (2, "", "error: divisor[0]: point is not on the graph\n")
 
 
-def _cube_with(key, value):
+def _cube_with(value, *path):
+    """The cube cover file with the entry at path set to value."""
     obj = json.loads(golden("k4_cube.json"))
-    obj[key] = value
+    *outer, last = path
+    node = obj
+    for key in outer:
+        node = node[key]
+    node[last] = value
     return json.dumps(obj)
 
 
@@ -377,7 +382,7 @@ def _cube_with(key, value):
     ]
     + [
         pytest.param(
-            _cube_with(key, value),
+            _cube_with(value, key),
             ("cover", "verify"),
             "cover: %r must be an object" % key,
             id="%s-%s" % (key, json.dumps(value)),
@@ -387,7 +392,7 @@ def _cube_with(key, value):
     ]
     + [
         pytest.param(
-            _cube_with("edge_map", value),
+            _cube_with(value, "edge_map"),
             ("cover", "verify"),
             "cover: 'edge_map' must be a list",
             id="edge_map-%s" % json.dumps(value),
@@ -416,6 +421,74 @@ def _cube_with(key, value):
             id="empty-%s" % verb,
         )
         for verb in ("validate", "theta", "pair")
+    ]
+    # ids are JSON strings: str() would read ["a"] as a vertex and 1 as "1"
+    + [
+        pytest.param(
+            '{"vertices":[{"id":%s},{"id":"1"}],"edges":[]}' % vid,
+            ("validate",),
+            "vertices[0]: 'id' must be a string",
+            id="vertex-id-%s" % vid,
+        )
+        for vid in ('["a"]', "1", "null")
+    ]
+    + [
+        pytest.param(
+            '{"vertices":[{"id":"a"}],"edges":[%s]}'
+            % json.dumps(dict({"id": "e", "tail": "a", "head": "a", "length": "1"}, **{key: 0})),
+            ("validate",),
+            "edges[0]: %r must be a string" % key,
+            id="edge-%s-0" % key,
+        )
+        for key in ("id", "tail", "head")
+    ]
+    + [
+        pytest.param(
+            '[{"at":%s,"coeff":1}]' % at,
+            ("divisor", "principal", K4),
+            "divisor[0]: %r must be a string" % key,
+            id="divisor-%s-1" % key,
+        )
+        for key, at in (("vertex", '{"vertex":1}'), ("edge", '{"edge":1,"offset":"1/2"}'))
+    ]
+    + [
+        pytest.param(
+            _cube_with(1, "edge_map", 0, key),
+            ("cover", "verify"),
+            "edge_map[0]: %r must be a string" % key,
+            id="edge_map-%s-1" % key,
+        )
+        for key in ("src", "tgt")
+    ]
+    + [
+        pytest.param(
+            _cube_with(None, key, "A^0"),
+            ("cover", "verify"),
+            "%s: the image of 'A^0' must be a string" % key,
+            id="%s-image-null" % key,
+        )
+        for key in ("vertex_map", "involution")
+    ]
+    # a fault in either graph of a cover names the graph
+    + [
+        pytest.param(
+            _cube_with({"vertices": [], "edges": []}, "target"),
+            ("cover", "verify"),
+            "cover: target: graph: 'vertices' is empty",
+            id="cover-target-empty",
+        ),
+        pytest.param(
+            _cube_with(1, "source", "vertices", 0, "id"),
+            ("cover", "verify"),
+            "cover: source: vertices[0]: 'id' must be a string",
+            id="cover-source-id-1",
+        ),
+        pytest.param(
+            _cube_with("A^0", "source", "vertices", 1, "id"),
+            ("cover", "verify"),
+            "cover: source: duplicate vertex id 'A^0'",
+            id="cover-source-duplicate",
+        ),
     ],
 )
 def test_malformed_json_shapes_exit_2_naming_the_field(tmp_path, text, argv, message):

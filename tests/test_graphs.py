@@ -19,6 +19,7 @@ from tropcover import (
     verify_cover,
     virtualize,
 )
+from tropcover.graphs import virtual_loops
 from conftest import random_graph
 
 
@@ -247,19 +248,32 @@ def test_k4_even_subgraphs(k4):
 
 def test_virtualize_genus_eps_independent():
     g = MetricGraph([("w", 2)], [])
+    assert virtual_loops(g) == {"w": ("w!0", "w!1")}
     for eps in (1, Fraction(1, 2), 3):
-        sharp, registry = virtualize(g, eps)
+        sharp = virtualize(g, eps)
         assert sharp.genus() == 2
         assert not sharp.is_augmented()
-        assert list(registry["w"]) == ["w!0", "w!1"]
-        for lid in registry["w"]:
-            assert sharp.length(lid) == Fraction(eps)
+        assert sharp.edge_ids == ("w!0", "w!1")
+        for lid in virtual_loops(g)["w"]:
+            assert sharp.ends(lid) == ("w", "w") and sharp.length(lid) == Fraction(eps)
+
+
+def test_a_graph_without_genus_is_its_own_virtualization(k4):
+    for eps in (1, Fraction(1, 2), 3):
+        assert virtualize(k4, eps) is k4
+    assert virtual_loops(k4) == {}
+    # the loop length is checked before the shortcut
+    for eps in (0, -1):
+        with pytest.raises(MalformedGraphError, match="loop length must be positive"):
+            virtualize(k4, eps)
+    with pytest.raises(TypeError):
+        virtualize(k4, 0.5)
 
 
 def test_virtualize_avoids_a_user_edge_named_like_a_loop():
     g = MetricGraph([("u", 1), "v"], [("u!0", "u", "v", 1)])
-    sharp, registry = virtualize(g, Fraction(1, 2))
-    (lid,) = registry["u"]
+    sharp = virtualize(g, Fraction(1, 2))
+    (lid,) = virtual_loops(g)["u"]
     assert lid != "u!0"
     assert sharp.ends(lid) == ("u", "u") and sharp.length(lid) == Fraction(1, 2)
     assert sharp.ends("u!0") == ("u", "v") and sharp.length("u!0") == 1

@@ -85,16 +85,6 @@ def test_abel_jacobi_zero_iff_principal():
         assert lattice_contains(lat, v) == is_principal(D)
 
 
-def test_basepoint_change_is_lattice_shift(k4):
-    lat = period_lattice(k4)
-    D = Divisor(
-        k4, [(Point.at_vertex("B"), 1), (Point.on_edge("CD", Fraction(1, 3)), -1)]
-    )
-    v1 = abel_jacobi(lat, D, q=Point.at_vertex("A"))
-    v2 = abel_jacobi(lat, D, q=Point.at_vertex("D"))
-    assert lattice_contains(lat, [a - b for a, b in zip(v1, v2)])
-
-
 def test_lattice_contains_basics(k4):
     lat = period_lattice(k4)
     assert lattice_contains(lat, [0, 0, 0])

@@ -27,7 +27,7 @@ from tropcover import (
     pullback_kernel,
     weil_pairing,
 )
-from tropcover import covers, divisors, jacobian, theta
+from tropcover import covers, divisors, graphs, jacobian, theta
 from conftest import build_k4, random_graph
 import oracles
 from oracles import identity, mat_mul
@@ -57,7 +57,7 @@ def test_homology_action_cube(cube_cover):
 
 def test_homology_action_respects_involution(cube_cover):
     act = homology_action(cube_cover)
-    sharp, _ = cube_cover.source_sharp()
+    sharp = cube_cover.source_sharp()
     rng = random.Random(67)
     pts = [Point.at_vertex(v) for v in sharp.vertex_ids]
     for _ in range(5):
@@ -73,7 +73,7 @@ def test_homology_action_respects_involution(cube_cover):
 
 def test_pushforward_matrix(cube_cover):
     act = homology_action(cube_cover)
-    sharp, _ = cube_cover.source_sharp()
+    sharp = cube_cover.source_sharp()
     rng = random.Random(71)
     pts = [Point.at_vertex(v) for v in sharp.vertex_ids]
     from tropcover import lattice_contains, period_lattice, pushforward
@@ -89,7 +89,7 @@ def test_pushforward_matrix(cube_cover):
 
 
 def test_prym_membership_examples(cube_cover):
-    sharp, _ = cube_cover.source_sharp()
+    sharp = cube_cover.source_sharp()
     m = lambda e: mid(sharp, e)
     not_in_prym = Divisor(
         sharp,
@@ -112,7 +112,7 @@ def test_prym_membership_examples(cube_cover):
 
 
 def test_prym_requires_kernel_membership(cube_cover):
-    sharp, _ = cube_cover.source_sharp()
+    sharp = cube_cover.source_sharp()
     D = Divisor(
         sharp, [(Point.at_vertex("A^0"), 1), (Point.at_vertex("B^0"), -1)]
     )
@@ -122,7 +122,7 @@ def test_prym_requires_kernel_membership(cube_cover):
 
 def test_prym_invariant_under_equivalence(cube_cover):
     """Membership depends only on the divisor class."""
-    sharp, _ = cube_cover.source_sharp()
+    sharp = cube_cover.source_sharp()
     m = lambda e: mid(sharp, e)
     D = Divisor(
         sharp,
@@ -203,6 +203,21 @@ def test_pairing_table_builds_each_theta_characteristic_once(k4, monkeypatch):
     assert calls == [evens[0], evens[1], evens[2], evens[4]]
 
 
+def test_pairing_table_builds_one_graph_per_free_cover(k4, monkeypatch):
+    # a free cover's source has no vertex genus, so it is its own
+    # virtualization: the table builds the 2^g sources and no copy of them
+    built = []
+    build_graph = graphs.MetricGraph.__init__
+
+    def counted_graph(self, *args):
+        built.append(args)
+        build_graph(self, *args)
+
+    monkeypatch.setattr(graphs.MetricGraph, "__init__", counted_graph)
+    evens, table = pairing_table(k4)
+    assert len(built) == len(table) == 8
+
+
 def test_pairing_table_decides_entries_without_divisors(k4, monkeypatch):
     # every row of the table, the trivial cover's included, and every
     # pullback kernel reads pulled-back tables: no Divisor is pulled back,
@@ -278,7 +293,7 @@ def test_graph_and_covers_are_freed_without_the_cycle_collector():
 
 def test_trivial_cover_prym(k4):
     trivial = free_covers(k4)[0]
-    sharp, _ = trivial.source_sharp()
+    sharp = trivial.source_sharp()
     assert not sharp.is_connected()
     x0 = Point.at_vertex("A^0")
     x1 = Point.at_vertex("A^1")
