@@ -53,7 +53,6 @@ from .graphs import (
 from .jacobian import (
     PeriodLattice,
     abel_jacobi,
-    add_points,
     canonical,
     lattice_contains,
     period_lattice,

@@ -21,10 +21,11 @@ from .theta import enumerate_theta
 
 
 def _read_json(path):
+    # JSON text is UTF-8 (RFC 8259), whatever the locale says
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedGraphError("%s: %s" % (path, exc))
     return serialize.loads(text)
 
@@ -58,8 +59,11 @@ def _parse_point(graph: MetricGraph, spec: str) -> Point:
 
 def _emit(args, text: str):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise MalformedGraphError("--out: %s" % exc) from None
     else:
         sys.stdout.write(text)
 

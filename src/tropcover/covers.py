@@ -378,7 +378,7 @@ def verify_cover(cover: DoubleCover) -> CoverReport:
 
     # one pass over each source vertex's edge ends gives harmonicity, the
     # local degree and the ramification excess sum(d_end - 1)
-    src_adj, tgt_adj = src._adj, tgt._adj
+    src_adj, tgt_adj = src.incidence(), tgt.incidence()
     local_degree = {}
     ramified = []
     for sv in src.vertex_ids:

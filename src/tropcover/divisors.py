@@ -28,9 +28,15 @@ class Divisor:
             p = graph.check_point(p)
             if type(a) is not int:
                 raise TypeError("coefficient at %r is not an int: %r" % (p, a))
-            if a:
-                acc[p] = acc.get(p, 0) + a
-        self._coeffs = {p: a for p, a in acc.items() if a}
+            # Point.__hash__ runs in Python: a new point is hashed once,
+            # by setdefault, and only a repeated one is looked up again
+            n = len(acc)
+            acc.setdefault(p, a)
+            if len(acc) == n:
+                acc[p] += a
+        for p in [p for p, a in acc.items() if not a]:
+            del acc[p]
+        self._coeffs = acc
 
     @staticmethod
     def zero(graph: MetricGraph) -> "Divisor":

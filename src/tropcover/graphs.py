@@ -94,16 +94,9 @@ class MetricGraph:
         self._edges = edict
         self.vertex_ids = tuple(sorted(genus))
         self.edge_ids = tuple(sorted(edict))
-        adj = {v: [] for v in genus}
-        for eid in self.edge_ids:
-            tail, head, _ = edict[eid]
-            adj[tail].append((eid, 0))
-            adj[head].append((eid, 1))
-        # edge-ends at each vertex, sorted since edge_ids is; a loop
-        # contributes both of its ends
-        self._adj = {v: tuple(ends) for v, ends in adj.items()}
-        # the package's one cache for this immutable graph: the cycle
-        # space, the integer metric, the period lattice
+        # the package's one cache for this immutable graph, each entry built
+        # on first read: the incidence, the integer metric, the cycle space,
+        # the period lattice
         self._memo = {}
 
     # -- basic accessors -------------------------------------------------
@@ -134,12 +127,22 @@ class MetricGraph:
             )
         return metric
 
-    def ends_at(self, vid: str):
-        """Sorted (edge id, end) pairs incident to a vertex; end 0=tail, 1=head."""
-        return self._adj[vid]
+    def incidence(self):
+        """{vertex id: its (edge id, end) pairs}, end 0=tail, 1=head, sorted by
+        edge id; a loop contributes both of its ends.  Built on first read;
+        a traversal reads the mapping once, not once per step."""
+        adj = self._memo.get("incidence")
+        if adj is None:
+            ends = {v: [] for v in self._genus}
+            for eid in self.edge_ids:
+                tail, head, _ = self._edges[eid]
+                ends[tail].append((eid, 0))
+                ends[head].append((eid, 1))
+            adj = self._memo["incidence"] = {v: tuple(es) for v, es in ends.items()}
+        return adj
 
     def valence(self, vid: str) -> int:
-        return len(self._adj[vid])
+        return len(self.incidence()[vid])
 
     def other_end(self, eid: str, vid_end: int) -> str:
         t, h, _ = self._edges[eid]
@@ -182,13 +185,13 @@ class MetricGraph:
             raise PointError("unknown edge %r" % eid)
         t = rat(offset)
         tail, head, ell = self._edges[eid]
+        if _inside(t, ell):
+            return Point("edge", eid, t)
         if t == 0:
             return Point.at_vertex(tail)
         if t == ell:
             return Point.at_vertex(head)
-        if not 0 < t < ell:
-            raise PointError("offset %s outside edge %r of length %s" % (t, eid, ell))
-        return Point.on_edge(eid, t)
+        raise PointError("offset %s outside edge %r of length %s" % (t, eid, ell))
 
     def basepoint(self) -> Point:
         """The first model vertex, the default basepoint."""
@@ -209,7 +212,7 @@ class MetricGraph:
                 raise PointError("unknown vertex %r" % p.id)
             return p
         edge = self._edges.get(p.id)
-        if edge is not None and 0 < p.offset < edge[2]:
+        if edge is not None and isinstance(p.offset, Fraction) and _inside(p.offset, edge[2]):
             return p
         return self.point(p.id, p.offset)
 
@@ -219,6 +222,12 @@ class MetricGraph:
         return self is other or (
             self._genus == other._genus and self._edges == other._edges
         )
+
+
+def _inside(t: Fraction, ell: Fraction) -> bool:
+    """0 < t < ell, decided on integer cross products."""
+    n = t.numerator
+    return 0 < n and n * ell.denominator < ell.numerator * t.denominator
 
 
 def validate(vertices, edges=None):
@@ -257,13 +266,14 @@ class CycleSpace:
         parent = {}  # vid -> (edge id, end used to arrive, previous vid) or None
         forest = set()
         components = []
+        adj = graph.incidence()
         for root in graph.vertex_ids:
             if root in parent:
                 continue
             parent[root] = None
             queue = [root]
             for v in queue:  # the queue grows while it is read
-                for eid, end in graph.ends_at(v):
+                for eid, end in adj[v]:
                     w = graph.other_end(eid, end)
                     if w not in parent:
                         parent[w] = (eid, end, v)
@@ -452,28 +462,6 @@ class PLFunction:
         vt, vh = self.values[t], self.values[h]
         return vt + (vh - vt) * rp.offset / ell
 
-    def _breakpoints(self):
-        pts = []
-        for v in self.refinement.graph.vertex_ids:
-            pts.append(self.refinement.to_base_point(Point.at_vertex(v)))
-        return pts
-
-    def _combine(self, other: "PLFunction", sign: int) -> "PLFunction":
-        if not self.graph.same_model(other.graph):
-            raise PointError("functions live on different graphs")
-        ref = refine(self.graph, self._breakpoints() + other._breakpoints())
-        vals = {}
-        for v in ref.graph.vertex_ids:
-            bp = ref.to_base_point(Point.at_vertex(v))
-            vals[v] = self.value(bp) + sign * other.value(bp)
-        return PLFunction(ref, vals)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
 
 # -- distance fields -----------------------------------------------------
 
@@ -510,6 +498,7 @@ class ShortestPaths:
             self.seeds = tuple(sorted({v for e in self.cycle for v in graph.ends(e)}))
         self.graph = g = graph
         _, length = g.integer_metric()
+        adj = g.incidence()
         dist = self.dist = {}
         heap = [(0, v) for v in self.seeds]  # sorted: a heap
         while heap:
@@ -517,7 +506,7 @@ class ShortestPaths:
             if v in dist:
                 continue
             dist[v] = d
-            for eid, end in g.ends_at(v):
+            for eid, end in adj[v]:
                 w = g.other_end(eid, end)
                 if w not in dist:
                     heapq.heappush(heap, (d + length[eid], w))

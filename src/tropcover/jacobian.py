@@ -186,10 +186,6 @@ def _reduce(lat: PeriodLattice, nums, den: int) -> Tuple[Fraction, ...]:
     return tuple(Fraction(sum(map(mul, row, r)), q) for row in lat.scaled_gram)
 
 
-def add_points(lat: PeriodLattice, v, w) -> Tuple[Fraction, ...]:
-    return canonical(lat, [a + b for a, b in zip(v, w)])
-
-
 def torsion_points(lat: PeriodLattice, m: int):
     """Canonical representatives of the m^g torsion classes."""
     if m < 2:

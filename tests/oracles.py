@@ -17,7 +17,10 @@ covers assembled one at a time from the target's Fraction lengths (the
 library shares one frame per dilation cycle and derives each source's
 integer metric from the target's), and the pullback kernel by testing
 every one of the 2^g pulled-back torsion classes (the library decides the
-g basis cycles and adds their labels).
+g basis cycles and adds their labels).  The incidence is rebuilt from
+the edge list by scanning it once per vertex, and the arithmetic that no
+library caller needs lives here: the sum of two PL functions on the
+refinement at both sets of breakpoints, and Jacobian addition.
 """
 
 import heapq
@@ -34,9 +37,11 @@ from tropcover import (
     MetricGraph,
     PLFunction,
     Point,
+    PointError,
     PrymError,
     SlopeError,
     abel_jacobi,
+    canonical,
     divisor_of,
     is_principal,
     linalg,
@@ -421,6 +426,7 @@ def fraction_distance_field(graph, source):
             seeds = {v for reid in zero_edges(ref) for v in g.ends(reid)}
         else:
             seeds = {ref.to_refined_point(seed_points[0]).id}
+        adj = g.incidence()
         dist = {}
         heap = [(Fraction(0), v) for v in sorted(seeds)]
         while heap:
@@ -428,7 +434,7 @@ def fraction_distance_field(graph, source):
             if v in dist:
                 continue
             dist[v] = d
-            for eid, end in g.ends_at(v):
+            for eid, end in adj[v]:
                 w = g.other_end(eid, end)
                 if w not in dist:
                     heapq.heappush(heap, (d + g.length(eid), w))
@@ -471,10 +477,11 @@ def fraction_theta_divisor(graph, cycle=frozenset(), p=None):
         source = p if p is not None else Point.at_vertex(graph.vertex_ids[0])
     _, ref, values = fraction_distance_field(graph, source)
     g = ref.graph
+    adj = g.incidence()
     coeffs = []
     for v in g.vertex_ids:
         indeg = cyclic = 0
-        for reid, end in g.ends_at(v):
+        for reid, end in adj[v]:
             if ref.seg[reid][0] in cycle:
                 cyclic += 1
             elif values[v] == values[g.other_end(reid, end)] + g.length(reid):
@@ -490,8 +497,9 @@ def build_cover(graph, cycle, bits):
     scratch: every vertex, map and lifted length is derived again, dilated
     lifts are halved in Fractions, and the frame (edge involution,
     dilation set, fibers) is derived from the maps, as for a parsed cover."""
+    adj = graph.incidence()
     on_deg = {
-        v: sum(1 for eid, _ in graph.ends_at(v) if eid in cycle)
+        v: sum(1 for eid, _ in adj[v] if eid in cycle)
         for v in graph.vertex_ids
     }
     vertices = []
@@ -537,3 +545,39 @@ def exhaustive_pullback_kernel(cover, eps=1):
     tables = pullback_tables(cover, lat)
     evens, torsion = two_torsion_divisors(cover.target)
     return [c for c, D in zip(evens, torsion) if lat.contains(*scaled_abel_jacobi(tables, D))]
+
+
+def incidence(graph):
+    """{vertex id: its (edge id, end) pairs by edge id}, scanning every
+    edge for each vertex: a loop at v puts both of its ends at v."""
+    return {
+        v: tuple(
+            (eid, end)
+            for eid in graph.edge_ids
+            for end, w in enumerate(graph.ends(eid))
+            if w == v
+        )
+        for v in graph.vertex_ids
+    }
+
+
+def pl_combine(f, g, sign=1):
+    """f + sign * g on the refinement at the breakpoints of both."""
+    if not f.graph.same_model(g.graph):
+        raise PointError("functions live on different graphs")
+    breaks = [
+        h.refinement.to_base_point(Point.at_vertex(v))
+        for h in (f, g)
+        for v in h.refinement.graph.vertex_ids
+    ]
+    ref = refine(f.graph, breaks)
+    values = {}
+    for v in ref.graph.vertex_ids:
+        p = ref.to_base_point(Point.at_vertex(v))
+        values[v] = f.value(p) + sign * g.value(p)
+    return PLFunction(ref, values)
+
+
+def add_points(lat, v, w):
+    """The canonical representative of v + w in the Jacobian."""
+    return canonical(lat, [a + b for a, b in zip(v, w)])

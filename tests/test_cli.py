@@ -310,6 +310,26 @@ def test_out_flag(tmp_path):
     assert dest.read_text() == golden("k4_pair.json")
 
 
+@pytest.mark.parametrize("where", ["missing/o.json", "."])
+def test_out_to_a_path_that_cannot_be_opened_exits_2(tmp_path, where):
+    # a file in a directory that does not exist, and a directory
+    dest = tmp_path / where
+    code, out, err = run("pair", K4, "--out", str(dest))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --out: ") and str(dest) in err and err.count("\n") == 1
+
+
+def test_a_file_that_is_not_utf8_exits_2_naming_the_path(tmp_path):
+    with open(K4, "rb") as fh:
+        k4 = fh.read()
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(k4.replace(b'"A"', b'"\xc4"'))
+    for argv in (("validate", str(bad)), ("divisor", "principal", K4, str(bad))):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: %s: " % bad) and "utf-8" in err
+
+
 def test_export_dot(tmp_path):
     code, out, _ = run("export", "dot", K4)
     assert code == 0

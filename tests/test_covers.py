@@ -17,6 +17,8 @@ from tropcover import (
     cover_class,
     covers_isomorphic,
     covers_with_dilation,
+    enumerate_theta,
+    equivalent,
     free_cover,
     free_covers,
     involution_divisor,
@@ -39,6 +41,36 @@ SQUARE = frozenset(["AC", "AD", "BC", "BD"])
 
 def mid(graph, eid):
     return graph.point(eid, graph.length(eid) / 2)
+
+
+def test_free_covers_pull_theta_characteristics_back_to_theta_characteristics():
+    """A free cover is a local isometry, so the distance from pi^-1(gamma)
+    is the pullback of the distance from gamma: pi^* L_gamma is the source's
+    L_{pi^-1 gamma} for every nonempty even gamma.  pi^* L_0 is only
+    equivalent to the source's non-effective characteristic, whose
+    basepoint is the source's own.  The source census is a pass of its own
+    on a graph twice the size."""
+    rng = random.Random(6)
+    connected = 0
+    for _ in range(8):
+        g = random_graph(rng, max_genus=3, min_genus=2)
+        chars = enumerate_theta(g)
+        for cover in free_covers(g):
+            if not cover.source.is_connected():
+                continue
+            connected += 1
+            lifted = enumerate_theta(cover.source)
+            by_cycle = {t.cycle: t.divisor for t in lifted}
+            for t in chars:
+                up = pullback(cover, t.divisor)
+                if t.cycle:
+                    over = frozenset(se for se, (te, _) in cover.edge_map.items() if te in t.cycle)
+                    assert up == by_cycle[over]
+                else:
+                    matches = [s for s in lifted if equivalent(up, s.divisor)]
+                    assert len(matches) == 1
+                    assert not matches[0].cycle and not matches[0].effective
+    assert connected >= 20
 
 
 def test_free_cover_counts(k4, dumbbell, unit_loop):

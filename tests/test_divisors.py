@@ -21,6 +21,7 @@ from tropcover import (
 )
 from tropcover.divisors import PLFunction, laplacian_image_contains
 from conftest import random_divisor, random_graph
+from oracles import pl_combine
 
 
 def mid(eid):
@@ -35,6 +36,15 @@ def test_divisor_arithmetic(k4):
     assert (-a) == b
     assert (2 * a).degree() == 2
     assert not a.is_effective()
+
+
+def test_divisor_sums_repeated_points_and_drops_zeros(k4):
+    a, b = Point.at_vertex("A"), Point.at_vertex("B")
+    # an edge end is its vertex, so it adds to the vertex's coefficient
+    D = Divisor(k4, [(a, 1), (Point("edge", "AB", Fraction(0)), 2), (b, 3), (mid("BC"), 0), (b, -3)])
+    assert D.items() == ((a, 3),) and D.degree() == 3
+    assert Divisor(k4, {a: 0, mid("CD"): 0}).is_zero()
+    assert Divisor(k4, [(a, 2), (b, -1)]).items() == ((a, 2), (b, -1))
 
 
 @pytest.mark.parametrize("coeff", [Fraction(3, 2), Fraction(2), 1.5, True, "1"])
@@ -75,7 +85,7 @@ def test_theta_field_identity(k4):
     tri = frozenset(["BC", "BD", "CD"])
     f_gamma = distance_field(k4, tri)
     f_p = distance_field(k4, Point.at_vertex("A"))
-    d = divisor_of(f_gamma - f_p)
+    d = divisor_of(pl_combine(f_gamma, f_p, -1))
     L_gamma = theta_characteristic(k4, tri).divisor
     L_0 = theta_characteristic(k4).divisor
     assert d == 2 * L_gamma - 2 * L_0

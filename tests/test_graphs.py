@@ -11,16 +11,20 @@ from tropcover import (
     MalformedGraphError,
     MetricGraph,
     Point,
+    PointError,
     distance_field,
+    effective_representative,
     enumerate_theta,
     is_even_subgraph,
     refine,
+    serialize,
     validate,
     verify_cover,
     virtualize,
 )
 from tropcover.graphs import virtual_loops
-from conftest import random_graph
+from conftest import random_divisor, random_graph
+from oracles import incidence
 
 
 def floyd_warshall(graph):
@@ -128,6 +132,56 @@ def test_point_normalization(k4):
     assert q.is_vertex and q.id == "B"
     mid = k4.point("AB", Fraction(1, 2))
     assert mid == Point("edge", "AB", Fraction(1, 2)) and not mid.is_vertex
+
+
+def test_offsets_off_the_edge_raise_and_its_ends_are_vertices():
+    g = MetricGraph(["a", "b"], [("e", "a", "b", "3/2"), ("l", "b", "b", "1/3")])
+    for eid, ell, tail, head in (("e", Fraction(3, 2), "a", "b"), ("l", Fraction(1, 3), "b", "b")):
+        for t, vid in ((Fraction(0), tail), (ell, head), (0, tail)):
+            assert g.point(eid, t) == Point.at_vertex(vid)
+            assert g.check_point(Point("edge", eid, t)) == Point.at_vertex(vid)
+        for t in (ell / 7, ell - Fraction(1, 10**9)):
+            p = Point.on_edge(eid, t)
+            assert g.point(eid, t) == p and g.check_point(p) is p
+        for t in (-ell, Fraction(-1, 10**9), ell + Fraction(1, 10**9), 2 * ell, -1):
+            with pytest.raises(PointError, match="offset .* outside edge %r" % eid):
+                g.point(eid, t)
+            with pytest.raises(PointError, match="offset .* outside edge %r" % eid):
+                g.check_point(Point("edge", eid, t))
+    # an int offset inside the edge comes back as a Fraction
+    assert g.check_point(Point("edge", "e", 1)).offset == Fraction(1)
+    with pytest.raises(PointError, match="unknown edge 'x'"):
+        g.check_point(Point.on_edge("x", "1/2"))
+
+
+def test_incidence_is_built_on_first_read_and_matches_the_edge_list():
+    rng = random.Random(41)
+    graphs = [random_graph(rng, max_genus=4) for _ in range(30)]
+    loops = parallels = 0
+    for g in graphs:
+        assert "incidence" not in g._memo
+        g.cycle_space()
+        adj = g._memo["incidence"]
+        assert adj == incidence(g) and g.incidence() is adj
+        for v in g.vertex_ids:
+            assert g.valence(v) == len(adj[v])
+        ends = [frozenset(g.ends(e)) for e in g.edge_ids]
+        loops += sum(len(e) == 1 for e in ends)
+        parallels += len(ends) - len(set(ends))
+    # the sample has loops and parallel edges
+    assert loops and parallels
+
+
+def test_reduction_and_serialization_read_no_incidence(k4):
+    rng = random.Random(43)
+    for _ in range(10):
+        g = random_graph(rng, max_genus=3, unit_lengths=True)
+        # random_graph is connected, so this is its genus
+        D = random_divisor(rng, g, len(g.edge_ids) - len(g.vertex_ids) + 1)
+        assert effective_representative(D) is not None
+        assert "incidence" not in D.graph._memo
+    again = serialize.graph_from_obj(serialize.graph_to_obj(k4))
+    assert "incidence" not in k4._memo and "incidence" not in again._memo
 
 
 def test_point_is_an_immutable_kind_id_offset_triple(k4, cube_cover):
