@@ -35,7 +35,13 @@ def _read_graph(path) -> MetricGraph:
 
 
 def _read_cover(path):
-    return serialize.cover_from_obj(_read_json(path))
+    """A cover file that passes verify_cover: one that fails is malformed
+    input, named by its first problem (cover verify reports them all)."""
+    cover = serialize.cover_from_obj(_read_json(path))
+    problems = verify_cover(cover).problems
+    if problems:
+        raise MalformedGraphError("cover: %s" % problems[0])
+    return cover
 
 
 def _parse_point(graph: MetricGraph, spec: str) -> Point:
@@ -179,8 +185,7 @@ def cmd_cover(args):
         covers = covers_with_dilation(graph, cycle)
         return "".join(serialize.dumps(serialize.cover_to_obj(c)) for c in covers)
     if args.action == "verify":
-        cover = _read_cover(args.graph)
-        report = verify_cover(cover)
+        report = verify_cover(serialize.cover_from_obj(_read_json(args.graph)))
         return serialize.dumps(
             {
                 "ok": report.ok,

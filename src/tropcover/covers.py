@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Dict, List
 
 from .divisors import Divisor
@@ -43,7 +44,7 @@ from .graphs import (
     virtual_loops,
     virtualize,
 )
-from .jacobian import Tables, period_lattice, scaled_abel_jacobi
+from .jacobian import period_lattice, scaled_abel_jacobi
 from .rationals import rat
 from .theta import theta_characteristic
 
@@ -350,6 +351,11 @@ def verify_cover(cover: DoubleCover) -> CoverReport:
     for sv in vertex_map:
         if sv not in src_genus:
             complain("vertex map names %r, which is not a source vertex" % sv)
+    inv_v = cover.involution_v
+    for sv in sorted({*inv_v, *inv_v.values()}.difference(src_genus)):
+        complain("involution names %r, which is not a source vertex" % sv)
+    for se in sorted(edge_map.keys() - src_edges.keys()):
+        complain("edge map names %r, which is not a source edge" % se)
     for se in src.edge_ids:
         image = edge_map.get(se)
         if image is None:
@@ -406,7 +412,7 @@ def verify_cover(cover: DoubleCover) -> CoverReport:
     problems.extend(ramified)
 
     # involution
-    inv_v, inv_e = cover.involution_v, cover.involution_e
+    inv_e = cover.involution_e
     for sv in src.vertex_ids:
         isv = inv_v.get(sv)
         if isv is None or inv_v.get(isv) != sv:
@@ -452,30 +458,18 @@ def pullback(cover: DoubleCover, D: Divisor, eps=1) -> Divisor:
     return Divisor(sharp, out)
 
 
-def pullback_tables(cover: DoubleCover, lat) -> Tables:
-    """Abel-Jacobi tables on the target whose coordinates for D are those
-    of pullback(cover, D) in lat, the period lattice of the virtualized
-    source.
-
-    A target vertex v pulls back to its fiber, weighted by local degree,
-    so pot*[v] = sum of d * pot[lift].  A point at offset t on an edge e
-    pulls back to offset t/d on each lift, and lifts keep e's orientation,
-    so it contributes pot*[tail e] + t * col*[e] with col*[e] the sum of
-    col[lift] (d * t/d = t).
-    """
-    over_v, over_e = cover.frame.fibers
-    pot = {}
-    for v in cover.target.vertex_ids:
-        acc = [0] * lat.rank
-        for sv, d in over_v.get(v, ()):
-            for j, x in enumerate(lat.pot[sv]):
-                acc[j] += d * x
-        pot[v] = acc
-    col = {
-        e: tuple(map(sum, zip(*(lat.col[se] for se, _ in over_e.get(e, ())))))
-        for e in cover.target.edge_ids
-    }
-    return Tables(cover.target, lat.scale, lat.rank, pot, col)
+def pullback_matrix(cover: DoubleCover, lat) -> List[List[int]]:
+    """Q with Q x the coordinates in lat, the virtualized source's period
+    lattice, of the pullback of a target class with coordinates x, up to a
+    lattice vector.  A lift of length l/d counts d times, so <phi^* c,
+    gamma> = <c, phi_* gamma>: row j is basis cycle j pushed forward (a
+    virtual loop to 0), read on the target's non-tree edges."""
+    over_e = cover.frame.fibers[1]
+    nontree = cover.target.cycle_space().nontree
+    return [
+        [sum(cyc.get(se, 0) for se, _ in over_e.get(te, ())) for te in nontree]
+        for cyc in lat.basis
+    ]
 
 
 def pushforward(cover: DoubleCover, D: Divisor, eps=1) -> Divisor:
@@ -497,21 +491,24 @@ def pullback_kernel(cover: DoubleCover, eps=1):
     """Even subgraphs c with phi^* D_c principal, in even_subgraphs order.
 
     2 D_c is principal, so Gram^-1 of the coordinates of phi^* D_c in the
-    source's period lattice is z + r / q with r / q in {0, 1/2}^rank.  The
-    label 2r / q mod 2 is additive in c and vanishes exactly when phi^* D_c
-    is principal, so the labels of the g basis cycles decide every c: g + 1
-    theta characteristics and g divisions instead of 2^g of each.
+    source's period lattice (pullback_matrix times those of D_c) is z + r / q
+    with r / q in {0, 1/2}^rank.  The label 2r / q mod 2 is additive in c
+    and vanishes exactly when phi^* D_c is principal, so the labels of the
+    g basis cycles decide every c: g + 1 theta characteristics and g
+    divisions instead of 2^g of each.
     """
     target = cover.target
     lat = period_lattice(cover.source_sharp(eps))
-    tables = pullback_tables(cover, lat)
+    pull = pullback_matrix(cover, lat)
+    target_lat = period_lattice(target)
     cs = target.cycle_space()
     evens = cs.even_subgraphs()
     base = theta_characteristic(target).divisor
     basis_labels = []
     for i in range(len(cs.basis)):
         D = theta_characteristic(target, evens[1 << i]).divisor - base
-        _, r, q = lat.divide(*scaled_abel_jacobi(tables, D))
+        nums, den = scaled_abel_jacobi(target_lat, D)
+        _, r, q = lat.divide([sum(map(mul, row, nums)) for row in pull], den)
         if any(2 * x != q for x in r if x):
             raise CoverError("the pullback of a 2-torsion class is not 2-torsion")
         basis_labels.append(sum(1 << j for j, x in enumerate(r) if x))

@@ -14,7 +14,6 @@ one integer division by the Gram matrix (PeriodLattice.divide).
 from __future__ import annotations
 
 import weakref
-from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -105,13 +104,6 @@ class PeriodLattice:
         return not any(self.divide(nums, den)[1])
 
 
-# What scaled_abel_jacobi reads, for tables that a PeriodLattice does not
-# own: points of `graph`, coordinates in a basis of rank `rank`, pot[v]
-# scaled by `scale` and col[e] as in PeriodLattice (the pullback of a
-# cover's source tables to its target, see covers.pullback_tables).
-Tables = namedtuple("Tables", "graph scale rank pot col")
-
-
 def period_lattice(graph: MetricGraph) -> PeriodLattice:
     """Memoized on the (immutable) graph instance."""
     lat = graph._memo.get("period_lattice")
@@ -131,12 +123,11 @@ def abel_jacobi(lat: PeriodLattice, D) -> List[Fraction]:
     return [Fraction(x, den) for x in nums]
 
 
-def scaled_abel_jacobi(lat, D) -> Tuple[List[int], int]:
+def scaled_abel_jacobi(lat: PeriodLattice, D) -> Tuple[List[int], int]:
     """(integer numerators, common denominator) of abel_jacobi(lat, D).
 
     The sum of a * pot[v] over vertex points v, plus a * (pot[tail(e)] +
-    t * col[e]) over points at offset t on an edge e.  lat is a
-    PeriodLattice or Tables.
+    t * col[e]) over points at offset t on an edge e.
     """
     graph = lat.graph
     if not D.graph.same_model(graph):

@@ -13,7 +13,7 @@ from operator import mul
 from typing import Tuple
 
 from . import linalg
-from .covers import DoubleCover, free_covers, pullback_tables, pushforward
+from .covers import DoubleCover, free_covers, pullback_matrix, pushforward
 from .divisors import Divisor, is_principal
 from .errors import CoverError, DegreeError, PrymError
 from .graphs import Point
@@ -68,8 +68,8 @@ class HomologyAction:
         ]
         gens = [[row[j] for row in proj] for j in range(g)]
         self.prym_lattice = linalg.IntegerLattice(gens, len(self.null), lat.scale)
-        # tables giving the source coordinates of pulled-back target divisors
-        self.pulled_back = pullback_tables(cover, lat)
+        # pull . target coords = source coords of the pullback
+        self.pull = pullback_matrix(cover, lat)
 
     def fixed_complement_rank(self) -> int:
         """rank(Id - involution), the dimension of the Prym."""
@@ -136,13 +136,13 @@ def prym_contains(cover: DoubleCover, D: Divisor, eps=1) -> bool:
     return act.contains(*scaled_abel_jacobi(act.lattice, D))
 
 
-def _pullback_in_prym(cover: DoubleCover, D: Divisor, eps) -> bool:
-    """prym_contains(cover, pullback(cover, D, eps), eps), with the
-    coordinates read from the pulled-back tables, without a Divisor on the
-    source.  A pullback has degree 0 on each sheet of a disconnected
-    source, so the trivial cover's row needs no parity branch."""
+def _pullback_in_prym(cover: DoubleCover, nums, den: int, eps) -> bool:
+    """prym_contains(cover, pullback(cover, D, eps), eps) for D with target
+    coordinates nums / den, without a Divisor on the source.  A pullback
+    has degree 0 on each sheet of a disconnected source, so the trivial
+    cover's row needs no parity branch."""
     act = homology_action(cover, eps)
-    return act.contains(*scaled_abel_jacobi(act.pulled_back, D))
+    return act.contains([sum(map(mul, row, nums)) for row in act.pull], den)
 
 
 def kernel_component_count(cover: DoubleCover, eps=1) -> int:
@@ -165,7 +165,8 @@ def weil_pairing(cover: DoubleCover, cycle, eps=1) -> int:
     if cover.dilation:
         raise CoverError("the pairing is defined for free covers only")
     D = two_torsion_divisor(cover.target, cycle)
-    return 0 if _pullback_in_prym(cover, D, eps) else 1
+    x = scaled_abel_jacobi(period_lattice(cover.target), D)
+    return 0 if _pullback_in_prym(cover, *x, eps) else 1
 
 
 def pairing_table(graph, eps=1):
@@ -173,7 +174,9 @@ def pairing_table(graph, eps=1):
     even-subgraph order, entries the mod-2 pairing."""
     covers = free_covers(graph)
     evens, torsion = two_torsion_divisors(graph)
+    lat = period_lattice(graph)
+    coords = [scaled_abel_jacobi(lat, D) for D in torsion]  # once per class
     table = [
-        [0 if _pullback_in_prym(c, D, eps) else 1 for D in torsion] for c in covers
+        [0 if _pullback_in_prym(c, *x, eps) else 1 for x in coords] for c in covers
     ]
     return evens, table

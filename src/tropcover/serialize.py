@@ -217,7 +217,7 @@ def loads(text: str):
 
 def to_dot(graph: MetricGraph, divisor: Divisor = None) -> str:
     """Layout-free DOT with lengths as edge labels and optional divisor
-    coefficients as vertex / edge-point annotations."""
+    coefficients as vertex / edge-point annotations; json.dumps quotes ids."""
     vlabel = {}
     epoints = {}
     if divisor is not None:
@@ -232,13 +232,13 @@ def to_dot(graph: MetricGraph, divisor: Divisor = None) -> str:
         if graph.genus_of(v):
             attrs.append("genus=%d" % graph.genus_of(v))
         if v in vlabel:
-            attrs.append('label="%s (%+d)"' % (v, vlabel[v]))
+            attrs.append("label=%s" % json.dumps("%s (%+d)" % (v, vlabel[v])))
         lines.append(
             "  %s%s;" % (json.dumps(v), " [%s]" % ", ".join(attrs) if attrs else "")
         )
     for e in graph.edge_ids:
         t, h = graph.ends(e)
-        attrs = ['label="%s"' % e, 'len="%s"' % rat_str(graph.length(e))]
+        attrs = ["label=%s" % json.dumps(e), 'len="%s"' % rat_str(graph.length(e))]
         if e in epoints:
             marks = ", ".join(
                 "%+d@%s" % (a, rat_str(off)) for off, a in sorted(epoints[e])

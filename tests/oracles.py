@@ -9,8 +9,8 @@ representatives by a Fraction solve (the library solves in integers),
 principal functions by a Fraction Laplacian solve (the library reads the
 slope field off the same integer division), the homology action and Prym
 membership in Fractions on the pulled-back and pushed-forward Divisors (the
-library works in integers on pulled-back tables), distance fields and theta
-characteristics by Dijkstra and slope tests in Fractions on the edge
+library works in integers through the pullback matrix), distance fields and
+theta characteristics by Dijkstra and slope tests in Fractions on the edge
 lengths (the library works in the refined graph's integer metric), the
 Gram determinant by Kirchhoff's weighted matrix-tree theorem, double
 covers assembled one at a time from the target's Fraction lengths (the
@@ -46,10 +46,11 @@ from tropcover import (
     is_principal,
     linalg,
     period_lattice,
+    pullback,
     pushforward,
     refine,
 )
-from tropcover.covers import cover_frame, pullback_tables
+from tropcover.covers import cover_frame
 from tropcover.divisors import UnitSubdivision
 from tropcover.jacobian import scaled_abel_jacobi
 from tropcover.theta import two_torsion_divisors
@@ -539,12 +540,15 @@ def build_cover(graph, cycle, bits):
 
 def exhaustive_pullback_kernel(cover, eps=1):
     """Even subgraphs c with phi^* D_c principal, from all 2^g torsion
-    divisors: each one's pulled-back coordinates tested against the
-    source's period lattice."""
+    divisors: each one pulled back as a Divisor on the virtualized source
+    and its coordinates tested against the source's period lattice."""
     lat = period_lattice(cover.source_sharp(eps))
-    tables = pullback_tables(cover, lat)
     evens, torsion = two_torsion_divisors(cover.target)
-    return [c for c, D in zip(evens, torsion) if lat.contains(*scaled_abel_jacobi(tables, D))]
+    return [
+        c
+        for c, D in zip(evens, torsion)
+        if lat.contains(*scaled_abel_jacobi(lat, pullback(cover, D, eps)))
+    ]
 
 
 def incidence(graph):

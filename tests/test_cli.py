@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropcover import enumerate_theta, serialize
+from tropcover import covers, enumerate_theta, serialize
 from tropcover.cli import main
 from conftest import build_k4, random_graph
 from oracles import tree_abel_jacobi
@@ -340,6 +340,52 @@ def test_export_dot(tmp_path):
     assert code == 0 and "points=" in out
 
 
+def test_export_dot_quotes_labels_and_marks_vertex_genus(tmp_path):
+    # a double quote in an edge or vertex id stays inside its label
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({
+        "vertices": [{"id": 'A"x', "genus": 1}, {"id": "B"}],
+        "edges": [{"id": 'e"]; x [', "tail": 'A"x', "head": "B", "length": "2"}],
+    }))
+    div = tmp_path / "d.json"
+    div.write_text(json.dumps([{"at": {"vertex": 'A"x'}, "coeff": 1}, {"at": {"vertex": "B"}, "coeff": -1}]))
+    code, out, _ = run("export", "dot", str(graph), str(div))
+    assert (code, out) == (0, "\n".join([
+        "graph {",
+        '  "A\\"x" [genus=1, label="A\\"x (+1)"];',
+        '  "B" [label="B (-1)"];',
+        '  "A\\"x" -- "B" [label="e\\"]; x [", len="2"];',
+        "}",
+        "",
+    ]))
+
+
+def test_validate_pretty():
+    code, out, _ = run("validate", "--pretty", K4)
+    assert (code, out) == (0, "valid graph: 4 vertices, 6 edges, genus 3\n")
+
+
+def test_cover_pullback_and_pushforward(tmp_path):
+    # pullback prints covers.pullback; pushing it forward gives 2 D
+    cube = tmp_path / "cube.json"
+    cube.write_text(golden("k4_cube.json"))
+    cover = serialize.cover_from_obj(json.loads(golden("k4_cube.json")))
+    div = tmp_path / "d.json"
+    div.write_text(
+        '[{"at":{"vertex":"A"},"coeff":2},{"at":{"edge":"BC","offset":"1/3"},"coeff":-1},'
+        '{"at":{"vertex":"D"},"coeff":-1}]'
+    )
+    D = serialize.divisor_from_obj(cover.target, json.loads(div.read_text()))
+    code, out, _ = run("cover", "pullback", str(cube), str(div))
+    assert code == 0
+    assert json.loads(out) == serialize.divisor_to_obj(covers.pullback(cover, D))
+    up = tmp_path / "up.json"
+    up.write_text(out)
+    code, out, _ = run("cover", "pushforward", str(cube), str(up))
+    assert code == 0
+    assert json.loads(out) == serialize.divisor_to_obj(2 * D)
+
+
 def test_graph_json_round_trip():
     k4 = build_k4()
     obj = serialize.graph_to_obj(k4)
@@ -387,6 +433,52 @@ def _cube_with(value, *path):
         node = node[key]
     node[last] = value
     return json.dumps(obj)
+
+
+def _cube_off_the_source(kind):
+    """The cube cover file with its edge map naming a deleted source edge,
+    or its involution swapping a source vertex with a non-source one."""
+    obj = json.loads(golden("k4_cube.json"))
+    if kind == "edge-map":
+        obj["source"]["edges"] = [e for e in obj["source"]["edges"] if e["id"] != "AB^0"]
+    else:
+        obj["involution"].update({"A^0": "Z", "Z": "A^0"})
+    return json.dumps(obj)
+
+
+OFF_THE_SOURCE = pytest.mark.parametrize(
+    "kind, problem",
+    [
+        ("edge-map", "edge map names 'AB^0', which is not a source edge"),
+        ("involution", "involution names 'Z', which is not a source vertex"),
+    ],
+    ids=["edge-map", "involution"],
+)
+
+
+@OFF_THE_SOURCE
+def test_cover_verify_reports_map_entries_off_the_source(tmp_path, kind, problem):
+    f = tmp_path / "cover.json"
+    f.write_text(_cube_off_the_source(kind))
+    code, out, err = run("cover", "verify", str(f))
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["ok"] is False and rep["problems"][0] == problem
+
+
+@OFF_THE_SOURCE
+def test_verbs_that_use_a_cover_refuse_one_that_fails_verification(tmp_path, kind, problem):
+    f = tmp_path / "cover.json"
+    f.write_text(_cube_off_the_source(kind))
+    div = tmp_path / "d.json"
+    div.write_text('[{"at":{"vertex":"A^1"},"coeff":1},{"at":{"vertex":"B^1"},"coeff":-1}]')
+    for argv in (
+        ("prym", "components", str(f)),
+        ("prym", "contains", str(f), str(div)),
+        ("cover", "pullback", str(f), str(div)),
+        ("cover", "pushforward", str(f), str(div)),
+    ):
+        assert run(*argv) == (2, "", "error: cover: %s\n" % problem), argv
 
 
 @pytest.mark.parametrize(

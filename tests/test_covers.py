@@ -1,5 +1,6 @@
 """Double covers: construction, verification, divisor transport."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from tropcover import (
     MetricGraph,
     Point,
     PointError,
+    TropcoverError,
     cover_class,
     covers_isomorphic,
     covers_with_dilation,
@@ -438,6 +440,50 @@ def test_verify_reports_a_vertex_map_entry_off_the_source(cube_cover, image):
     rep = verify_cover(cover_from_obj(obj))
     assert not rep.ok
     assert any("'ghost'" in msg for msg in rep.problems), rep.problems
+
+
+def edit_cover_file(rng, obj):
+    """One random edit of a cover file: drop or rewire a source edge, drop
+    or retarget an edge map record, or set a vertex map or involution
+    entry to any name the file uses, or to one it does not."""
+    src, tgt = obj["source"], obj["target"]
+    names = [x["id"] for g in (src, tgt) for x in g["vertices"] + g["edges"]] + ["Z"]
+    kind = rng.randrange(6)
+    if kind == 0 and src["edges"]:
+        del src["edges"][rng.randrange(len(src["edges"]))]
+    elif kind == 1 and src["edges"]:
+        edge = rng.choice(src["edges"])
+        edge[rng.choice(["tail", "head"])] = rng.choice(src["vertices"])["id"]
+    elif kind == 2 and obj["edge_map"]:
+        del obj["edge_map"][rng.randrange(len(obj["edge_map"]))]
+    elif kind == 3 and obj["edge_map"]:
+        rec = rng.choice(obj["edge_map"])
+        rec[rng.choice(["src", "tgt"])] = rng.choice(names)
+    else:
+        field = obj["vertex_map" if kind == 4 else "involution"]
+        field[rng.choice(names)] = rng.choice(names)
+
+
+def test_verify_never_raises_on_a_parsed_cover(k4):
+    # seeded edits of a free and a dilated cover file: every one that
+    # parses gets a report, never an exception
+    bases = [
+        cover_to_obj(free_cover(k4, {"BC": 1, "BD": 1, "CD": 1})),
+        cover_to_obj(covers_with_dilation(k4, TRIANGLE)[0]),
+    ]
+    rng = random.Random(4409)
+    parsed = failed = 0
+    for _ in range(800):
+        obj = copy.deepcopy(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            edit_cover_file(rng, obj)
+        try:
+            cover = cover_from_obj(obj)
+        except TropcoverError:
+            continue
+        parsed += 1
+        failed += not verify_cover(cover).ok
+    assert parsed > 300 and failed > 200
 
 
 def scale_ratio_against_the_oracle(cover):

@@ -27,7 +27,7 @@ from tropcover import (
     pullback_kernel,
     weil_pairing,
 )
-from tropcover import covers, divisors, graphs, jacobian, theta
+from tropcover import covers, divisors, graphs, jacobian, prym, theta
 from conftest import build_k4, random_graph
 import oracles
 from oracles import identity, mat_mul
@@ -220,7 +220,7 @@ def test_pairing_table_builds_one_graph_per_free_cover(k4, monkeypatch):
 
 def test_pairing_table_decides_entries_without_divisors(k4, monkeypatch):
     # every row of the table, the trivial cover's included, and every
-    # pullback kernel reads pulled-back tables: no Divisor is pulled back,
+    # pullback kernel reads the pullback matrix: no Divisor is pulled back,
     # pushed forward or tested for principality, and no Fraction
     # coordinates are built
     calls = {}
@@ -253,6 +253,49 @@ def test_pairing_table_decides_entries_without_divisors(k4, monkeypatch):
     for cover, kernel in zip(all_covers, kernels):
         up = [c for c, D in zip(evens, torsion) if divisors.is_principal(covers.pullback(cover, D))]
         assert kernel == up
+
+
+def test_pairing_table_reads_each_torsion_class_once(k4, monkeypatch):
+    # 2^g Abel-Jacobi evaluations for the 4^g entries: each cover's
+    # pullback matrix carries the target's coordinates to its source
+    calls = []
+    original = prym.scaled_abel_jacobi
+
+    def counting(lat, D):
+        calls.append(lat)
+        return original(lat, D)
+
+    monkeypatch.setattr(prym, "scaled_abel_jacobi", counting)
+    evens, table = pairing_table(k4)
+    assert len(calls) == 8
+    assert all(lat is period_lattice(k4) for lat in calls)
+
+
+def test_pullback_matrix_against_the_push_matrix_and_the_involution():
+    # phi_* phi^* = 2 and the involution fixes every pullback, exactly in
+    # integers: push_matrix . Q = 2 Id and matrix . Q = Q, on the trivial,
+    # free and dilated covers of graphs with fractional lengths and loops,
+    # with virtual loops of two lengths
+    rng = random.Random(7717)
+    kinds = set()
+    for _ in range(8):
+        g = random_graph(rng, max_genus=4, min_genus=1)
+        n = g.genus()
+        all_covers = free_covers(g) + [
+            c for cyc in CycleSpace(g).even_subgraphs() if cyc for c in covers_with_dilation(g, cyc)
+        ]
+        for cover in all_covers:
+            for eps in (1, Fraction(1, 3)):
+                act = homology_action(cover, eps)
+                Q = act.pull
+                assert len(Q) == len(act.matrix) and all(len(row) == n for row in Q)
+                assert mat_mul(act.push_matrix, Q) == [
+                    [2 * (i == j) for j in range(n)] for i in range(n)
+                ]
+                assert mat_mul(act.matrix, Q) == Q
+            sharp = cover.source_sharp()
+            kinds.add("dilated" if cover.dilation else "free" if sharp.is_connected() else "trivial")
+    assert kinds == {"trivial", "free", "dilated"}
 
 
 def test_pairing_table_random_graphs():
