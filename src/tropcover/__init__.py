@@ -13,7 +13,6 @@ from .covers import (
     free_covers,
     involution_divisor,
     pullback,
-    pullback_kernel,
     pushforward,
     verify_cover,
 )
@@ -64,6 +63,7 @@ from .prym import (
     kernel_component_count,
     pairing_table,
     prym_contains,
+    pullback_kernel,
     weil_pairing,
 )
 from .theta import (

@@ -118,8 +118,9 @@ def cmd_theta(args):
                 "%d at %s"
                 % (
                     e["coeff"],
-                    e["at"].get("vertex")
-                    or "%s@%s" % (e["at"]["edge"], e["at"]["offset"]),
+                    e["at"]["vertex"]
+                    if "vertex" in e["at"]
+                    else "%s@%s" % (e["at"]["edge"], e["at"]["offset"]),
                 )
                 for e in rec["divisor"]
             )

@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 from typing import Dict, List
 
 from .divisors import Divisor
@@ -44,9 +43,7 @@ from .graphs import (
     virtual_loops,
     virtualize,
 )
-from .jacobian import period_lattice, scaled_abel_jacobi
 from .rationals import rat
-from .theta import theta_characteristic
 
 HALF = Fraction(1, 2)
 
@@ -458,20 +455,6 @@ def pullback(cover: DoubleCover, D: Divisor, eps=1) -> Divisor:
     return Divisor(sharp, out)
 
 
-def pullback_matrix(cover: DoubleCover, lat) -> List[List[int]]:
-    """Q with Q x the coordinates in lat, the virtualized source's period
-    lattice, of the pullback of a target class with coordinates x, up to a
-    lattice vector.  A lift of length l/d counts d times, so <phi^* c,
-    gamma> = <c, phi_* gamma>: row j is basis cycle j pushed forward (a
-    virtual loop to 0), read on the target's non-tree edges."""
-    over_e = cover.frame.fibers[1]
-    nontree = cover.target.cycle_space().nontree
-    return [
-        [sum(cyc.get(se, 0) for se, _ in over_e.get(te, ())) for te in nontree]
-        for cyc in lat.basis
-    ]
-
-
 def pushforward(cover: DoubleCover, D: Divisor, eps=1) -> Divisor:
     """phi_* D for D on the virtualized source."""
     sharp = cover.source_sharp(eps)
@@ -485,38 +468,6 @@ def involution_divisor(cover: DoubleCover, D: Divisor, eps=1) -> Divisor:
     if not D.graph.same_model(sharp):
         raise CoverError("divisor does not live on the virtualized source")
     return Divisor(sharp, [(cover.involute_point(p, eps), a) for p, a in D.items()])
-
-
-def pullback_kernel(cover: DoubleCover, eps=1):
-    """Even subgraphs c with phi^* D_c principal, in even_subgraphs order.
-
-    2 D_c is principal, so Gram^-1 of the coordinates of phi^* D_c in the
-    source's period lattice (pullback_matrix times those of D_c) is z + r / q
-    with r / q in {0, 1/2}^rank.  The label 2r / q mod 2 is additive in c
-    and vanishes exactly when phi^* D_c is principal, so the labels of the
-    g basis cycles decide every c: g + 1 theta characteristics and g
-    divisions instead of 2^g of each.
-    """
-    target = cover.target
-    lat = period_lattice(cover.source_sharp(eps))
-    pull = pullback_matrix(cover, lat)
-    target_lat = period_lattice(target)
-    cs = target.cycle_space()
-    evens = cs.even_subgraphs()
-    base = theta_characteristic(target).divisor
-    basis_labels = []
-    for i in range(len(cs.basis)):
-        D = theta_characteristic(target, evens[1 << i]).divisor - base
-        nums, den = scaled_abel_jacobi(target_lat, D)
-        _, r, q = lat.divide([sum(map(mul, row, nums)) for row in pull], den)
-        if any(2 * x != q for x in r if x):
-            raise CoverError("the pullback of a 2-torsion class is not 2-torsion")
-        basis_labels.append(sum(1 << j for j, x in enumerate(r) if x))
-    labels = [0]  # per mask: its lowest basis cycle's label XOR the rest's
-    for mask in range(1, len(evens)):
-        low = mask & -mask
-        labels.append(labels[mask ^ low] ^ basis_labels[low.bit_length() - 1])
-    return [c for c, label in zip(evens, labels) if not label]
 
 
 # -- isomorphism invariant ------------------------------------------------

@@ -1,4 +1,4 @@
-"""Prym varieties of double covers and the two-torsion pairing.
+"""Jacobians of double covers: Prym varieties, pullback kernels, the pairing.
 
 The involution of a cover acts on the cycle space of its (virtualized)
 source; the Prym variety is the image of (1 - involution) inside the
@@ -10,16 +10,30 @@ the pulled-back two-torsion divisor lands in the Prym.
 from __future__ import annotations
 
 from operator import mul
-from typing import Tuple
+from typing import List
 
 from . import linalg
-from .covers import DoubleCover, free_covers, pullback_matrix, pushforward
+from .covers import DoubleCover, free_covers, pushforward
 from .divisors import Divisor, is_principal
 from .errors import CoverError, DegreeError, PrymError
 from .graphs import Point
 from .jacobian import period_lattice, scaled_abel_jacobi
 from .rationals import rat
-from .theta import two_torsion_divisor, two_torsion_divisors
+from .theta import theta_characteristic, two_torsion_divisor, two_torsion_divisors
+
+
+def _cycle_matrix(cycles, image, nontree) -> List[List[int]]:
+    """Row j: cycle j mapped edge by edge, image(e) giving [(edge,
+    multiplicity)], read on the non-tree edges nontree.  A cover's
+    involution, push and pullback matrices are all of this form."""
+    rows = []
+    for cyc in cycles:
+        mapped = {}
+        for e, c in cyc.items():
+            for f, m in image(e):
+                mapped[f] = mapped.get(f, 0) + m * c
+        rows.append([mapped.get(nt, 0) for nt in nontree])
+    return rows
 
 
 class HomologyAction:
@@ -31,28 +45,26 @@ class HomologyAction:
     """
 
     def __init__(self, cover: DoubleCover, eps=1):
-        self.sharp = cover.source_sharp(eps)
-        self.lattice = lat = period_lattice(self.sharp)
+        self.lattice = lat = period_lattice(cover.source_sharp(eps))
         nontree = lat.cycles.nontree
-        self.matrix = []  # row j = coordinates of the image of basis cycle j
-        for cyc in lat.basis:
-            image = {}
-            for eid, c in cyc.items():
-                ie, sign = _iota_edge(cover, eid)
-                image[ie] = image.get(ie, 0) + sign * c
-            self.matrix.append([image.get(nt, 0) for nt in nontree])
+        inv_e = cover.involution_e
+
+        def involute(e):  # a lift to its partner, a dilated lift to itself
+            if e in inv_e:
+                return ((inv_e[e], 1),)
+            cover.loop_vertex(e)  # PointError unless e is a virtual loop,
+            return ((e, -1),)  # which is reversed in place
+
+        # row j = coordinates of the image of basis cycle j
+        self.matrix = _cycle_matrix(lat.basis, involute, nontree)
         self.target_lattice = period_lattice(cover.target)
         # pushforward matrix: row i expresses the target cycle i pulled
         # back along the cover (degree-weighted) in the source basis, so
         # that P . source coords = target coords of the pushforward
-        self.push_matrix = []
-        for tcyc in self.target_lattice.basis:
-            lifted = {}
-            for se, (te, d) in cover.edge_map.items():
-                c = tcyc.get(te, 0)
-                if c:
-                    lifted[se] = d * c
-            self.push_matrix.append([lifted.get(nt, 0) for nt in nontree])
+        over_e = cover.frame.fibers[1]
+        self.push_matrix = _cycle_matrix(
+            self.target_lattice.basis, lambda te: over_e.get(te, ()), nontree
+        )
         # membership data: integer rows of the left null space of Id - J
         # (scaling a row moves the projected class and lattice alike), and
         # the lattice generators projected onto them, over lat.scale
@@ -94,14 +106,18 @@ class HomologyAction:
         return self.prym_lattice.contains(proj, den)
 
 
-def _iota_edge(cover: DoubleCover, eid: str) -> Tuple[str, int]:
-    """Image of an oriented edge under the involution, with sign."""
-    if eid in cover.edge_map:
-        if cover.edge_map[eid][1] == 2:
-            return eid, 1  # dilated edges are fixed pointwise
-        return cover.involution_e[eid], 1
-    cover.loop_vertex(eid)  # only a virtual loop lies outside edge_map
-    return eid, -1  # virtual loops are reversed in place
+def pullback_matrix(cover: DoubleCover, lat) -> List[List[int]]:
+    """Q with Q x the coordinates in lat, the virtualized source's period
+    lattice, of the pullback of a target class with coordinates x, up to a
+    lattice vector.  A lift of length l/d counts d times, so <phi^* c,
+    gamma> = <c, phi_* gamma>: row j is basis cycle j pushed forward (a
+    virtual loop to 0), read on the target's non-tree edges."""
+    edge_map = cover.edge_map
+    return _cycle_matrix(
+        lat.basis,
+        lambda se: ((edge_map[se][0], 1),) if se in edge_map else (),
+        cover.target.cycle_space().nontree,
+    )
 
 
 def homology_action(cover: DoubleCover, eps=1) -> HomologyAction:
@@ -136,12 +152,10 @@ def prym_contains(cover: DoubleCover, D: Divisor, eps=1) -> bool:
     return act.contains(*scaled_abel_jacobi(act.lattice, D))
 
 
-def _pullback_in_prym(cover: DoubleCover, nums, den: int, eps) -> bool:
-    """prym_contains(cover, pullback(cover, D, eps), eps) for D with target
-    coordinates nums / den, without a Divisor on the source.  A pullback
-    has degree 0 on each sheet of a disconnected source, so the trivial
-    cover's row needs no parity branch."""
-    act = homology_action(cover, eps)
+def _pullback_in_prym(act: HomologyAction, nums, den: int) -> bool:
+    """prym_contains(cover, pullback(cover, D)) for D with target coordinates
+    nums / den and act the cover's action.  A pullback has degree 0 on each
+    sheet of a disconnected source: the trivial cover needs no parity branch."""
     return act.contains([sum(map(mul, row, nums)) for row in act.pull], den)
 
 
@@ -160,16 +174,48 @@ def kernel_component_count(cover: DoubleCover, eps=1) -> int:
     return 1 if prym_contains(cover, D, eps) else 2
 
 
-def weil_pairing(cover: DoubleCover, cycle, eps=1) -> int:
+def pullback_kernel(cover: DoubleCover, eps=1):
+    """Even subgraphs c with phi^* D_c principal, in even_subgraphs order.
+
+    2 D_c is principal, so Gram^-1 of the coordinates of phi^* D_c in the
+    source's period lattice (pullback_matrix times those of D_c) is z + r / q
+    with r / q in {0, 1/2}^rank.  The label 2r / q mod 2 is additive in c
+    and vanishes exactly when phi^* D_c is principal, so the labels of the
+    g basis cycles decide every c: g + 1 theta characteristics and g
+    divisions instead of 2^g of each.
+    """
+    target = cover.target
+    lat = period_lattice(cover.source_sharp(eps))
+    pull = pullback_matrix(cover, lat)
+    target_lat = period_lattice(target)
+    cs = target.cycle_space()
+    evens = cs.even_subgraphs()
+    base = theta_characteristic(target).divisor
+    basis_labels = []
+    for i in range(len(cs.basis)):
+        D = theta_characteristic(target, evens[1 << i]).divisor - base
+        nums, den = scaled_abel_jacobi(target_lat, D)
+        _, r, q = lat.divide([sum(map(mul, row, nums)) for row in pull], den)
+        if any(2 * x != q for x in r if x):
+            raise CoverError("the pullback of a 2-torsion class is not 2-torsion")
+        basis_labels.append(sum(1 << j for j, x in enumerate(r) if x))
+    labels = [0]  # per mask: its lowest basis cycle's label XOR the rest's
+    for mask in range(1, len(evens)):
+        low = mask & -mask
+        labels.append(labels[mask ^ low] ^ basis_labels[low.bit_length() - 1])
+    return [c for c, label in zip(evens, labels) if not label]
+
+
+def weil_pairing(cover: DoubleCover, cycle) -> int:
     """Mod-2 pairing of a free cover with an even subgraph's torsion class."""
     if cover.dilation:
         raise CoverError("the pairing is defined for free covers only")
     D = two_torsion_divisor(cover.target, cycle)
     x = scaled_abel_jacobi(period_lattice(cover.target), D)
-    return 0 if _pullback_in_prym(cover, *x, eps) else 1
+    return 0 if _pullback_in_prym(homology_action(cover), *x) else 1
 
 
-def pairing_table(graph, eps=1):
+def pairing_table(graph):
     """(even subgraphs, matrix): rows follow free_covers order, columns the
     even-subgraph order, entries the mod-2 pairing."""
     covers = free_covers(graph)
@@ -177,6 +223,7 @@ def pairing_table(graph, eps=1):
     lat = period_lattice(graph)
     coords = [scaled_abel_jacobi(lat, D) for D in torsion]  # once per class
     table = [
-        [0 if _pullback_in_prym(c, *x, eps) else 1 for x in coords] for c in covers
+        [0 if _pullback_in_prym(act, *x) else 1 for x in coords]
+        for act in map(homology_action, covers)
     ]
     return evens, table

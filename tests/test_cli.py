@@ -5,12 +5,14 @@ import io
 import json
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from tropcover import covers, enumerate_theta, serialize
 from tropcover.cli import main
+from tropcover.rationals import rat
 from conftest import build_k4, random_graph
 from oracles import tree_abel_jacobi
 
@@ -632,3 +634,58 @@ def test_a_disconnected_graph_is_a_precondition_error(tmp_path):
         code, out, err = run(verb, str(f))
         assert code == 3 and out == ""
         assert err == "error: graph is disconnected: 'b' is not reachable from the source\n"
+
+
+def _parallel_edges(tmp_path, lengths, ids=("a", "b")):
+    """A graph file: len(lengths) parallel edges between two vertices."""
+    f = tmp_path / "parallel.json"
+    a, b = ids
+    edges = [
+        {"id": "e%d" % i, "tail": a, "head": b, "length": ell}
+        for i, ell in enumerate(lengths)
+    ]
+    f.write_text(json.dumps({"vertices": [{"id": a}, {"id": b}], "edges": edges}))
+    return str(f)
+
+
+def test_a_rational_with_an_exponent_exits_2(tmp_path):
+    # Fraction reads "1e5000" as 10**5000: validate passed it, and theta and
+    # cover free crashed printing it (exit 1)
+    graph = _parallel_edges(tmp_path, ["1e5000", "1"])
+    for argv in (("validate",), ("theta",), ("cover", "free")):
+        code, out, err = run(*argv, graph)
+        assert (code, out, err) == (2, "", "error: edge 'e0' has unparseable length\n")
+    code, _, err = run("validate", _parallel_edges(tmp_path, ["1E2", "1"]))
+    assert code == 2 and "unparseable length" in err
+    bad = tmp_path / "d.json"
+    bad.write_text('[{"at":{"edge":"AB","offset":"1e-1"},"coeff":1}]')
+    code, _, err = run("divisor", "principal", K4, str(bad))
+    assert code == 2 and "bad rational '1e-1'" in err
+    code, _, err = run("divisor", "reduce", K4, ZERO, "--at", "AB@5e-1")
+    assert code == 2 and err == "error: --at: bad offset '5e-1'\n"
+    # a decimal without an exponent is still read exactly
+    code, out, _ = run("validate", _parallel_edges(tmp_path, ["1.25", "1"]))
+    assert code == 0
+    assert rat("1.25") == Fraction(5, 4) and rat(" 3/6 ") == Fraction(1, 2)
+
+
+def test_an_output_past_the_digit_limit_exits_2(tmp_path):
+    # every input has fewer than 4,300 digits, but the theta divisors'
+    # offsets have more: rat_str crashed (exit 1)
+    graph = _parallel_edges(tmp_path, ["1/%d" % 2**8000, "1/%d" % 3**5000, "1"])
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert run("validate", graph)[0] == 0
+        code, out, err = run("theta", graph)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (code, out) == (2, "")
+    assert err == "error: a rational exceeds the 4300-digit limit for integer strings\n"
+
+
+def test_theta_pretty_names_a_vertex_whose_id_is_empty(tmp_path):
+    graph = _parallel_edges(tmp_path, ["1", "1", "1"], ids=("", "b"))
+    code, out, err = run("theta", "--pretty", graph)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "cycle {}: -1 at  + 2 at b  [non-effective]"

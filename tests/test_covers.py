@@ -581,3 +581,24 @@ def test_parsed_covers_equal_frame_built_ones():
             assert verify_cover(parsed) == verify_cover(c)
             kinds.add(bool(c.dilation))
     assert kinds == {False, True}
+
+
+def test_verify_reports_an_augmented_target(cube_cover, k4):
+    target = MetricGraph(
+        [("A", 1), "B", "C", "D"],
+        [(e, *k4.ends(e), k4.length(e)) for e in k4.edge_ids],
+    )
+    cover = DoubleCover(cube_cover.frame._replace(target=target), cube_cover.source)
+    report = verify_cover(cover)
+    assert not report.ok and "target is augmented" in report.problems
+
+
+def test_divisor_transport_refuses_a_divisor_of_another_graph(cube_cover, k4):
+    on_target = Divisor(k4, [(Point.at_vertex("A"), 1)])
+    on_source = Divisor(cube_cover.source, [(Point.at_vertex("A^0"), 1)])
+    with pytest.raises(CoverError, match="cover target"):
+        pullback(cube_cover, on_source)
+    with pytest.raises(CoverError, match="virtualized source"):
+        pushforward(cube_cover, on_target)
+    with pytest.raises(CoverError, match="virtualized source"):
+        involution_divisor(cube_cover, on_target)

@@ -8,7 +8,9 @@ import pytest
 from tropcover import (
     DegreeError,
     Divisor,
+    MetricGraph,
     Point,
+    PointError,
     canonical_divisor,
     distance_field,
     divisor_of,
@@ -188,3 +190,10 @@ def test_effective_representative(k4):
     assert equivalent(eff, Ltri)
     E = Divisor(k4, [(Point.at_vertex("C"), 1)])
     assert effective_representative(E).is_effective()
+
+
+def test_reduce_at_refuses_a_disconnected_host():
+    two_loops = MetricGraph(["a", "b"], [("e", "a", "a", 1), ("f", "b", "b", 1)])
+    D = Divisor(two_loops, [(Point.at_vertex("a"), 1)])
+    with pytest.raises(PointError, match="disconnected"):
+        reduce_at(D, Point.at_vertex("a"))

@@ -22,7 +22,7 @@ from tropcover import (
     verify_cover,
     virtualize,
 )
-from tropcover.graphs import virtual_loops
+from tropcover.graphs import ShortestPaths, virtual_loops
 from conftest import random_divisor, random_graph
 from oracles import incidence
 
@@ -376,3 +376,8 @@ def test_integer_metric_is_the_lengths_over_the_lcm():
                 assert type(n) is int and n == h.length(e) * scale
             assert h.integer_metric() is h.integer_metric()
     assert MetricGraph(["p"], []).integer_metric() == (1, {})
+
+
+def test_shortest_paths_refuse_an_empty_cycle(k4):
+    with pytest.raises(PointError, match="empty source cycle"):
+        ShortestPaths(k4, frozenset())

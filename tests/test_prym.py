@@ -13,6 +13,7 @@ from tropcover import (
     CycleSpace,
     Divisor,
     Point,
+    PointError,
     PrymError,
     abel_jacobi,
     covers_with_dilation,
@@ -190,10 +191,10 @@ def test_pairing_table_builds_each_theta_characteristic_once(k4, monkeypatch):
         calls.append(cycle)
         return original(graph, cycle, p)
 
-    # patch every binding, as the benchmark's tracer does: covers binds
+    # patch every binding, as the benchmark's tracer does: prym binds
     # the name at import
     monkeypatch.setattr(theta, "theta_characteristic", counting)
-    monkeypatch.setattr(covers, "theta_characteristic", counting)
+    monkeypatch.setattr(prym, "theta_characteristic", counting)
     evens, table = pairing_table(k4)
     assert len(calls) == 8 and len(set(calls)) == 8
     assert evens == CycleSpace(k4).even_subgraphs()
@@ -365,3 +366,43 @@ def test_memos_return_the_same_object(cube_cover):
     with pytest.raises(TypeError) as action_err:
         homology_action(cube_cover, 0.5)
     assert str(action_err.value) == str(sharp_err.value)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        graphs.MetricGraph(["a"], []),
+        graphs.MetricGraph(["a", "b"], [("e", "a", "b", Fraction(3, 2))]),
+    ],
+    ids=["one vertex", "one-edge tree"],
+)
+def test_the_pairing_and_the_kernel_of_a_tree(graph):
+    # genus 0: one even subgraph, one free cover (two copies of the tree),
+    # and an action whose null space is empty
+    assert pairing_table(graph) == ([frozenset()], [[0]])
+    (cover,) = free_covers(graph)
+    assert homology_action(cover).null == []
+    assert weil_pairing(cover, frozenset()) == 0
+    assert pullback_kernel(cover) == [frozenset()]
+
+
+def test_prym_contains_on_the_trivial_cover_needs_a_principal_pushforward(k4):
+    trivial = free_covers(k4)[0]
+    assert not trivial.source.is_connected()
+    D = Divisor(
+        trivial.source, [(Point.at_vertex("A^0"), 1), (Point.at_vertex("B^0"), -1)]
+    )
+    with pytest.raises(PrymError, match="pushforward is not principal"):
+        prym_contains(trivial, D)
+
+
+def test_the_homology_action_refuses_a_source_edge_off_the_edge_map(cube_cover):
+    # only a virtual loop may lie outside the edge map: a source with an
+    # extra edge parallel to AB^0 has it in a basis cycle, which the
+    # involution cannot map
+    src = cube_cover.source
+    edges = [(e, *src.ends(e), src.length(e)) for e in src.edge_ids]
+    extra = graphs.MetricGraph(src.vertex_ids, edges + [("X", *src.ends("AB^0"), 1)])
+    cover = covers.DoubleCover(cube_cover.frame, extra)
+    with pytest.raises(PointError, match="'X' is neither a source edge nor a virtual loop"):
+        prym.HomologyAction(cover)
