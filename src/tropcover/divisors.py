@@ -151,10 +151,15 @@ def divisor_of(f: PLFunction) -> Divisor:
 
 
 class UnitSubdivision:
-    """Combinatorial model: every edge split into segments of equal length 1/L.
+    """Integer model: every edge split into segments of equal length 1/scale.
 
-    L is the lcm of the denominators of the edge lengths and of the offsets
-    of the prescribed points, so all of those become vertices.
+    scale is the lcm of the graph's scale and of the denominators of the
+    offsets of the prescribed points, so all of those become vertices.
+    Vertices are numbered: the base vertices in vertex_ids order, then each
+    edge's interior lattice points from tail to head, edges in edge_ids
+    order.  nbr[i] lists vertex i's (neighbour, multiplicity) pairs; loops
+    are dropped (they never move chips), so a loop of one segment vanishes
+    and a loop of several is a chain.  No refined graph is built.
     """
 
     def __init__(self, graph: MetricGraph, points: Iterable[Point] = ()):
@@ -165,62 +170,76 @@ class UnitSubdivision:
             if not p.is_vertex:
                 denoms.append(p.offset.denominator)
         self.scale = lcm(graph_scale, *denoms)
-        step = Fraction(1, self.scale)
         up = self.scale // graph_scale
-        cuts = []
-        for eid in graph.edge_ids:
-            for k in range(1, length[eid] * up):
-                cuts.append(graph.point(eid, k * step))
-        self.refinement = refine(graph, cuts)
         self.graph = graph
-
-    def vertex_of(self, p: Point) -> str:
-        rp = self.refinement.to_refined_point(p)
-        if not rp.is_vertex:
-            raise PointError("point %r is not a lattice point" % (p,))
-        return rp.id
-
-    def to_divisor(self, chips: Dict[str, int]) -> Divisor:
-        return Divisor(
-            self.graph,
-            [
-                (self.refinement.to_base_point(Point.at_vertex(v)), a)
-                for v, a in chips.items()
-                if a
-            ],
-        )
-
-    def neighbors(self):
-        """v -> {u: multiplicity}; loops are dropped (they never move chips)."""
-        g = self.refinement.graph
-        nbr = {v: {} for v in g.vertex_ids}
-        for eid in g.edge_ids:
-            t, h = g.ends(eid)
-            if t == h:
+        self._base = {v: i for i, v in enumerate(graph.vertex_ids)}
+        base_nbr = [{} for _ in self._base]
+        nbr = []
+        self._first = {}  # edge id -> the number of its first interior point
+        self._edge_of = []  # interior point's number - len(base) -> its edge id
+        n = len(base_nbr)
+        for eid in graph.edge_ids:
+            t, h = (self._base[v] for v in graph.ends(eid))
+            k = length[eid] * up  # segments
+            if k == 1:
+                if t != h:
+                    base_nbr[t][h] = base_nbr[t].get(h, 0) + 1
+                    base_nbr[h][t] = base_nbr[h].get(t, 0) + 1
                 continue
-            nbr[t][h] = nbr[t].get(h, 0) + 1
-            nbr[h][t] = nbr[h].get(t, 0) + 1
-        return nbr
+            first, last = n, n + k - 2
+            self._first[eid] = first
+            self._edge_of += [eid] * (k - 1)
+            base_nbr[t][first] = 1
+            base_nbr[h][last] = base_nbr[h].get(last, 0) + 1
+            if k == 2:
+                nbr.append(((t, 2),) if t == h else ((t, 1), (h, 1)))
+            else:
+                nbr.append(((t, 1), (first + 1, 1)))
+                nbr += [((i - 1, 1), (i + 1, 1)) for i in range(first + 1, last)]
+                nbr.append(((last - 1, 1), (h, 1)))
+            n = last + 1
+        self.nbr = [tuple(d.items()) for d in base_nbr] + nbr
+
+    def index(self, p: Point) -> int:
+        """The number of the vertex at p."""
+        p = self.graph.check_point(p)
+        if p.is_vertex:
+            return self._base[p.id]
+        den = p.offset.denominator
+        if self.scale % den:
+            raise PointError("point %r is not a lattice point" % (p,))
+        return self._first[p.id] + p.offset.numerator * (self.scale // den) - 1
+
+    def point(self, i: int) -> Point:
+        """The point of vertex i."""
+        n = len(self._base)
+        if i < n:
+            return Point.at_vertex(self.graph.vertex_ids[i])
+        eid = self._edge_of[i - n]
+        return Point("edge", eid, Fraction(i - self._first[eid] + 1, self.scale))
+
+    def to_divisor(self, chips) -> Divisor:
+        """The divisor of a chip list, one entry per vertex."""
+        return Divisor(self.graph, [(self.point(i), a) for i, a in enumerate(chips) if a])
 
 
 def _bfs_order(nbr, q):
     order = [q]
-    seen = {q}
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for u in sorted(nbr[v]):
-            if u not in seen:
-                seen.add(u)
+    seen = [False] * len(nbr)
+    seen[q] = True
+    for v in order:  # the order grows while it is read
+        for u, _ in nbr[v]:
+            if not seen[u]:
+                seen[u] = True
                 order.append(u)
     return order
 
 
-def _fire_set(chips, nbr, fire):
+def _fire_set(chips, nbr, fire, inside):
+    """Fire each vertex of `fire`, the set whose members `inside` marks."""
     for v in fire:
-        for u, m in nbr[v].items():
-            if u not in fire:
+        for u, m in nbr[v]:
+            if not inside[u]:
                 chips[v] -= m
                 chips[u] += m
 
@@ -229,40 +248,48 @@ def reduce_at(D: Divisor, q: Point) -> Divisor:
     """The q-reduced representative of D on the unit subdivision."""
     graph = D.graph
     q = graph.check_point(q)
-    sub = UnitSubdivision(graph, list(D.support()) + [q])
-    nbr = sub.neighbors()
-    chips = {v: 0 for v in sub.refinement.graph.vertex_ids}
+    sub = UnitSubdivision(graph, [*D.support(), q])
+    nbr = sub.nbr
+    n = len(nbr)
+    chips = [0] * n
     for p, a in D.items():
-        chips[sub.vertex_of(p)] += a
-    qv = sub.vertex_of(q)
+        chips[sub.index(p)] += a
+    qv = sub.index(q)
     order = _bfs_order(nbr, qv)
-    if len(order) != len(chips):
+    if len(order) != n:
         raise PointError("graph is disconnected; reduce_at needs a connected host")
 
     # phase 1: make chips nonnegative away from q by firing prefix sets
-    for j in range(len(order) - 1, 0, -1):
-        prefix = set(order[:j])
+    in_prefix = [True] * n
+    for j in range(n - 1, 0, -1):
         target = order[j]
-        while chips[target] < 0:
-            _fire_set(chips, nbr, prefix)
+        in_prefix[target] = False
+        if chips[target] < 0:
+            prefix = order[:j]
+            while chips[target] < 0:
+                _fire_set(chips, nbr, prefix, in_prefix)
 
     # phase 2: Dhar's burning algorithm
     while True:
-        burnt = {qv}
+        burnt = [False] * n
+        burnt[qv] = True
         hot = [qv]
-        exposure = {v: 0 for v in chips}
+        exposure = [0] * n
+        left = n - 1
         while hot:
             v = hot.pop()
-            for u, m in nbr[v].items():
-                if u in burnt:
+            for u, m in nbr[v]:
+                if burnt[u]:
                     continue
                 exposure[u] += m
                 if exposure[u] > chips[u]:
-                    burnt.add(u)
+                    burnt[u] = True
+                    left -= 1
                     hot.append(u)
-        if len(burnt) == len(chips):
+        if not left:
             break
-        _fire_set(chips, nbr, set(chips) - burnt)
+        unburnt = [not b for b in burnt]
+        _fire_set(chips, nbr, [v for v in range(n) if unburnt[v]], unburnt)
 
     return sub.to_divisor(chips)
 
@@ -340,19 +367,16 @@ def effective_representative(D: Divisor) -> Optional[Divisor]:
 def laplacian_image_contains(graph: MetricGraph, D: Divisor) -> bool:
     """Discrete oracle: D lies in the integer image of the unit-subdivision
     Laplacian.  Independent of the period-lattice route."""
-    sub = UnitSubdivision(graph, list(D.support()))
-    nbr = sub.neighbors()
-    verts = sub.refinement.graph.vertex_ids
-    idx = {v: i for i, v in enumerate(verts)}
-    chips = [0] * len(verts)
+    sub = UnitSubdivision(graph, D.support())
+    n = len(sub.nbr)
+    chips = [0] * n
     for p, a in D.items():
-        chips[idx[sub.vertex_of(p)]] += a
+        chips[sub.index(p)] += a
     cols = []
-    for v in verts:
-        col = [0] * len(verts)
-        deg = sum(nbr[v].values())
-        col[idx[v]] = deg
-        for u, m in nbr[v].items():
-            col[idx[u]] = -m
+    for v, row in enumerate(sub.nbr):
+        col = [0] * n
+        col[v] = sum(m for _, m in row)
+        for u, m in row:
+            col[u] = -m
         cols.append(col)
     return linalg.in_lattice(cols, chips)

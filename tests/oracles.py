@@ -17,10 +17,13 @@ covers assembled one at a time from the target's Fraction lengths (the
 library shares one frame per dilation cycle and derives each source's
 integer metric from the target's), and the pullback kernel by testing
 every one of the 2^g pulled-back torsion classes (the library decides the
-g basis cycles and adds their labels).  The incidence is rebuilt from
-the edge list by scanning it once per vertex, and the arithmetic that no
-library caller needs lives here: the sum of two PL functions on the
-refinement at both sets of breakpoints, and Jacobian addition.
+g basis cycles and adds their labels), and the unit subdivision and
+q-reduction on a refined MetricGraph with string ids (the library numbers
+the lattice points and fires chips on integer lists).  The incidence is
+rebuilt from the edge list by scanning it once per vertex, and the
+arithmetic that no library caller needs lives here: the sum of two PL
+functions on the refinement at both sets of breakpoints, and Jacobian
+addition.
 """
 
 import heapq
@@ -51,7 +54,6 @@ from tropcover import (
     refine,
 )
 from tropcover.covers import cover_frame
-from tropcover.divisors import UnitSubdivision
 from tropcover.jacobian import scaled_abel_jacobi
 from tropcover.theta import two_torsion_divisors
 
@@ -135,9 +137,118 @@ def _root_chains(graph, tree):
     return root_chain
 
 
+class RefinedUnitSubdivision:
+    """The unit subdivision as a refined MetricGraph: every edge cut at each
+    multiple of 1/scale, one named vertex and one Point per lattice point,
+    the route the library took before it numbered the lattice points.
+
+    scale is the lcm of the denominators of the edge lengths and of the
+    offsets of the prescribed points, so all of those become vertices.
+    """
+
+    def __init__(self, graph, points=()):
+        graph_scale, length = graph.integer_metric()
+        denoms = []
+        for p in points:
+            p = graph.check_point(p)
+            if not p.is_vertex:
+                denoms.append(p.offset.denominator)
+        self.scale = lcm(graph_scale, *denoms)
+        step = Fraction(1, self.scale)
+        up = self.scale // graph_scale
+        cuts = []
+        for eid in graph.edge_ids:
+            for k in range(1, length[eid] * up):
+                cuts.append(graph.point(eid, k * step))
+        self.refinement = refine(graph, cuts)
+        self.graph = graph
+
+    def vertex_of(self, p):
+        rp = self.refinement.to_refined_point(p)
+        if not rp.is_vertex:
+            raise PointError("point %r is not a lattice point" % (p,))
+        return rp.id
+
+    def to_divisor(self, chips):
+        return Divisor(
+            self.graph,
+            [
+                (self.refinement.to_base_point(Point.at_vertex(v)), a)
+                for v, a in chips.items()
+                if a
+            ],
+        )
+
+    def neighbors(self):
+        """v -> {u: multiplicity}; loops are dropped (they never move chips)."""
+        g = self.refinement.graph
+        nbr = {v: {} for v in g.vertex_ids}
+        for eid in g.edge_ids:
+            t, h = g.ends(eid)
+            if t == h:
+                continue
+            nbr[t][h] = nbr[t].get(h, 0) + 1
+            nbr[h][t] = nbr[h].get(t, 0) + 1
+        return nbr
+
+
+def _refined_fire_set(chips, nbr, fire):
+    for v in fire:
+        for u, m in nbr[v].items():
+            if u not in fire:
+                chips[v] -= m
+                chips[u] += m
+
+
+def refined_reduce_at(D, q):
+    """The q-reduced representative of D by firing on the refined unit
+    subdivision with string ids: prefix sets of a breadth-first order whose
+    neighbours are visited in id order, then Dhar's burning algorithm."""
+    graph = D.graph
+    q = graph.check_point(q)
+    sub = RefinedUnitSubdivision(graph, list(D.support()) + [q])
+    nbr = sub.neighbors()
+    chips = {v: 0 for v in sub.refinement.graph.vertex_ids}
+    for p, a in D.items():
+        chips[sub.vertex_of(p)] += a
+    qv = sub.vertex_of(q)
+    order = [qv]
+    seen = {qv}
+    for v in order:  # the order grows while it is read
+        for u in sorted(nbr[v]):
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+    if len(order) != len(chips):
+        raise PointError("graph is disconnected; reduce_at needs a connected host")
+    for j in range(len(order) - 1, 0, -1):
+        prefix = set(order[:j])
+        target = order[j]
+        while chips[target] < 0:
+            _refined_fire_set(chips, nbr, prefix)
+    while True:
+        burnt = {qv}
+        hot = [qv]
+        exposure = {v: 0 for v in chips}
+        while hot:
+            v = hot.pop()
+            for u, m in nbr[v].items():
+                if u in burnt:
+                    continue
+                exposure[u] += m
+                if exposure[u] > chips[u]:
+                    burnt.add(u)
+                    hot.append(u)
+        if len(burnt) == len(chips):
+            break
+        _refined_fire_set(chips, nbr, set(chips) - burnt)
+    return sub.to_divisor(chips)
+
+
 def laplacian_columns(graph, D):
-    """(columns of the unit-subdivision Laplacian, chip vector of D)."""
-    sub = UnitSubdivision(graph, list(D.support()))
+    """(columns of the unit-subdivision Laplacian, chip vector of D), read
+    off the refined unit subdivision."""
+    sub = RefinedUnitSubdivision(graph, list(D.support()))
     nbr = sub.neighbors()
     verts = sub.refinement.graph.vertex_ids
     idx = {v: i for i, v in enumerate(verts)}

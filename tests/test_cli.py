@@ -669,6 +669,22 @@ def test_a_rational_with_an_exponent_exits_2(tmp_path):
     assert rat("1.25") == Fraction(5, 4) and rat(" 3/6 ") == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("text", ["1_0", "١", "1/٢", "１"])
+def test_a_rational_with_a_digit_separator_or_non_ascii_digits_exits_2(tmp_path, text):
+    # Fraction reads "1_0" as 10 and the Arabic-Indic one as 1: a length of
+    # "1_0" validated as length 10
+    code, out, err = run("validate", _parallel_edges(tmp_path, [text, "1"]))
+    assert (code, out, err) == (2, "", "error: edge 'e0' has unparseable length\n")
+    bad = tmp_path / "d.json"
+    bad.write_text(json.dumps([{"at": {"edge": "AB", "offset": text}, "coeff": 1}]))
+    code, out, err = run("divisor", "principal", K4, str(bad))
+    assert (code, out) == (2, "") and ("bad rational %r" % text) in err
+    code, out, err = run("divisor", "reduce", K4, ZERO, "--at", "AB@" + text)
+    assert (code, out, err) == (2, "", "error: --at: bad offset %r\n" % text)
+    with pytest.raises(ValueError):
+        rat(text)
+
+
 def test_an_output_past_the_digit_limit_exits_2(tmp_path):
     # every input has fewer than 4,300 digits, but the theta divisors'
     # offsets have more: rat_str crashed (exit 1)

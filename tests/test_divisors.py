@@ -21,9 +21,10 @@ from tropcover import (
     reduce_at,
     theta_characteristic,
 )
-from tropcover.divisors import PLFunction, laplacian_image_contains
+from tropcover import divisors, graphs
+from tropcover.divisors import PLFunction, UnitSubdivision, laplacian_image_contains
 from conftest import random_divisor, random_graph
-from oracles import pl_combine
+from oracles import pl_combine, refined_reduce_at
 
 
 def mid(eid):
@@ -197,3 +198,72 @@ def test_reduce_at_refuses_a_disconnected_host():
     D = Divisor(two_loops, [(Point.at_vertex("a"), 1)])
     with pytest.raises(PointError, match="disconnected"):
         reduce_at(D, Point.at_vertex("a"))
+
+
+def test_unit_subdivision_numbers_the_lattice_points():
+    # scale 4: e has one interior point (2), the loop l three (3, 4, 5), the
+    # loop m of two segments one (6) with b twice as its neighbour, and the
+    # loop n of one segment none
+    g = MetricGraph(
+        ["a", "b"],
+        [
+            ("e", "a", "b", Fraction(1, 2)),
+            ("l", "a", "a", 1),
+            ("m", "b", "b", Fraction(1, 2)),
+            ("n", "a", "a", Fraction(1, 4)),
+        ],
+    )
+    sub = UnitSubdivision(g, [Point.on_edge("e", Fraction(1, 4))])
+    assert sub.scale == 4
+    assert sub.nbr == [
+        ((2, 1), (3, 1), (5, 1)),
+        ((2, 1), (6, 2)),
+        ((0, 1), (1, 1)),
+        ((0, 1), (4, 1)),
+        ((3, 1), (5, 1)),
+        ((4, 1), (0, 1)),
+        ((1, 2),),
+    ]
+    assert [sub.point(i) for i in (1, 2, 5, 6)] == [
+        Point.at_vertex("b"),
+        Point.on_edge("e", Fraction(1, 4)),
+        Point.on_edge("l", Fraction(3, 4)),
+        Point.on_edge("m", Fraction(1, 4)),
+    ]
+    assert [sub.index(sub.point(i)) for i in range(7)] == list(range(7))
+    assert sub.index(Point("edge", "l", Fraction(0))) == 0
+    with pytest.raises(PointError, match="not a lattice point"):
+        sub.index(Point.on_edge("l", Fraction(1, 3)))
+    D = Divisor(g, [(Point.on_edge("l", Fraction(1, 2)), 2), (Point.at_vertex("b"), -1)])
+    assert sub.to_divisor([0, -1, 0, 0, 2, 0, 0]) == D
+
+
+def test_reduction_builds_no_refined_graph(k4, monkeypatch):
+    # the unit subdivision is a numbered integer model: reducing at a point
+    # inside an edge and testing the Laplacian image construct no
+    # MetricGraph and call no refine
+    counts = {"MetricGraph": 0, "refine": 0}
+    init = graphs.MetricGraph.__init__
+
+    def counted_init(self, *args):
+        counts["MetricGraph"] += 1
+        init(self, *args)
+
+    def counted_refine(graph, points):
+        counts["refine"] += 1
+        return graphs.Refinement(graph, points)
+
+    monkeypatch.setattr(graphs.MetricGraph, "__init__", counted_init)
+    monkeypatch.setattr(graphs, "refine", counted_refine)
+    monkeypatch.setattr(divisors, "refine", counted_refine)
+    q = mid("BC")
+    D = Divisor(k4, [(Point.at_vertex("A"), 3), (mid("CD"), -1)])
+    red = reduce_at(D, q)
+    assert laplacian_image_contains(k4, D - red)
+    assert not laplacian_image_contains(k4, D - red + Divisor(k4, [(q, 1), (mid("AB"), -1)]))
+    assert counts == {"MetricGraph": 0, "refine": 0}
+    # the counters are live: the refined oracle builds a graph, and
+    # principal_function refines at the support
+    assert refined_reduce_at(D, q) == red
+    assert principal_function(D - red) is not None
+    assert counts["MetricGraph"] > 0 and counts["refine"] == 1

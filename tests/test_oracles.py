@@ -1,6 +1,7 @@
-"""The table-driven Abel-Jacobi map, the integer lattices and the integer
-Prym membership against the independent implementations in oracles.py, on
-the acceptance instances and on random covers."""
+"""The table-driven Abel-Jacobi map, the integer lattices, the integer
+Prym membership and the chip-firing on the numbered unit subdivision
+against the independent implementations in oracles.py, on the acceptance
+instances and on random graphs and covers."""
 
 import random
 from fractions import Fraction
@@ -31,10 +32,11 @@ from tropcover import (
     pullback,
     pullback_kernel,
     pushforward,
+    reduce_at,
     theta_characteristic,
     torsion_points,
 )
-from tropcover.divisors import laplacian_image_contains
+from tropcover.divisors import UnitSubdivision, laplacian_image_contains
 from tropcover.jacobian import scaled_abel_jacobi
 from tropcover.theta import two_torsion_divisors
 from conftest import build_k4, random_divisor, random_graph
@@ -52,6 +54,7 @@ from oracles import (
     mat_mul,
     mat_vec,
     refined_abel_jacobi,
+    refined_reduce_at,
     solve_canonical,
     tree_abel_jacobi,
 )
@@ -96,6 +99,59 @@ def test_abel_jacobi_and_lattices_on_the_criterion_3_instances():
         principal = linalg.in_lattice(cols, chips)
         assert principal == echelon_in_lattice(cols, chips)
         assert principal == laplacian_image_contains(g, D) == is_principal(D)
+
+
+def _reduce_instance(rng, max_points=16):
+    """A random_graph (fractional lengths, loops, parallel edges) with genus
+    at some vertices, a divisor of degree 0-2 on vertices and on points
+    inside edges, and a q at a vertex or inside an edge.  Phase 1 of the
+    reduction fires one unit step at a time, exponential in the size of
+    the model, so an instance whose unit subdivision has more than
+    max_points vertices is drawn again."""
+    while True:
+        g = random_graph(rng, max_genus=3)
+        g = MetricGraph(
+            [(v, rng.choice((0, 0, 1))) for v in g.vertex_ids],
+            [(e, *g.ends(e), g.length(e)) for e in g.edge_ids],
+        )
+
+        def point():
+            if rng.random() < 0.5:
+                return Point.at_vertex(rng.choice(g.vertex_ids))
+            e = rng.choice(g.edge_ids)
+            d = rng.randint(2, 3)
+            return g.point(e, g.length(e) * Fraction(rng.randint(1, d - 1), d))
+
+        D = Divisor(g, [(point(), rng.randint(-2, 2)) for _ in range(3)])
+        D = D + Divisor(g, [(point(), rng.randint(0, 2) - D.degree())])
+        q = point()
+        if len(UnitSubdivision(g, [*D.support(), q]).nbr) <= max_points:
+            return g, D, q
+
+
+def test_reduce_at_against_the_refined_model():
+    # the numbered integer model gives the q-reduced divisor of the refined
+    # MetricGraph route (it is unique, whatever the firing order), and the
+    # same Laplacian image
+    rng = random.Random(6151)
+    seen = dict.fromkeys(
+        ("loop", "parallel", "genus", "q inside", "D inside", "principal", "not principal"), 0
+    )
+    for _ in range(250):
+        g, D, q = _reduce_instance(rng)
+        assert reduce_at(D, q) == refined_reduce_at(D, q)
+        if D.degree() == 0:
+            cols, chips = laplacian_columns(g, D)
+            principal = laplacian_image_contains(g, D)
+            assert principal == linalg.in_lattice(cols, chips)
+            seen["principal" if principal else "not principal"] += 1
+        ends = [g.ends(e) for e in g.edge_ids]
+        seen["loop"] += any(t == h for t, h in ends)
+        seen["parallel"] += len(set(map(frozenset, ends))) < len(ends)
+        seen["genus"] += g.is_augmented()
+        seen["q inside"] += not q.is_vertex
+        seen["D inside"] += any(not p.is_vertex for p in D.support())
+    assert min(seen.values()) >= 20, seen
 
 
 def test_integer_lattice_against_solve_integrality():
