@@ -491,10 +491,3 @@ def cover_class(cover: DoubleCover):
         swap[te] = label[st] ^ label[sh]
     mono = tuple(sum(swap[e] for e in cyc) % 2 for cyc in interior.cycle_space().basis)
     return (cover.dilation, mono)
-
-
-def covers_isomorphic(c1: DoubleCover, c2: DoubleCover) -> bool:
-    """Isomorphism over a common target, commuting with the covering maps."""
-    if not c1.target.same_model(c2.target):
-        return False
-    return cover_class(c1) == cover_class(c2)

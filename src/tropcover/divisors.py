@@ -3,6 +3,7 @@
 Linear equivalence is decided two ways: through the period lattice (the
 default, see jacobian.py) and through chip-firing on a unit subdivision,
 which also yields q-reduced representatives via Dhar's burning algorithm.
+A PL function holds its values on the graph's numbered cut (refine).
 """
 
 from __future__ import annotations
@@ -123,25 +124,18 @@ def canonical_divisor(graph: MetricGraph) -> Divisor:
 
 def divisor_of(f: PLFunction) -> Divisor:
     """div(f): at each point, the sum of incoming slopes of f."""
-    g = f.refinement.graph
-    ords = {v: Fraction(0) for v in g.vertex_ids}
-    for eid in g.edge_ids:
-        t, h = g.ends(eid)
-        ell = g.length(eid)
-        slope = (f.values[h] - f.values[t]) / ell
+    cut = f.refinement
+    ords = [0] * len(cut.points)
+    for t, h, ell, edge, start in cut.segments:
+        slope = (f.values[h] - f.values[t]) * cut.scale / ell
         if slope.denominator != 1:
-            raise SlopeError("non-integer slope %s on segment %r" % (slope, eid))
+            raise SlopeError(
+                "non-integer slope %s on %r from %s" % (slope, edge, Fraction(start, cut.scale))
+            )
         # incoming slope at h is +slope (f rises toward h), at t -slope
         ords[h] += slope
         ords[t] -= slope
-    div = Divisor(
-        f.graph,
-        [
-            (f.refinement.to_base_point(Point.at_vertex(v)), int(a))
-            for v, a in ords.items()
-            if a
-        ],
-    )
+    div = Divisor(f.graph, [(cut.point(i), int(a)) for i, a in enumerate(ords) if a])
     if div.degree() != 0:
         raise DegreeError("div(f) has degree %d, not 0" % div.degree())
     return div
@@ -310,39 +304,49 @@ def is_principal(D: Divisor) -> bool:
 def principal_function(D: Divisor) -> Optional[PLFunction]:
     """A PL function f with div(f) = D, or None if D is not principal.
 
-    On the model refined at supp(D), the chain c = sum of D(v) times v's
-    root path has boundary D, and Gram^-1 of its pairings with the basis
-    cycles (D's Abel-Jacobi coordinates) is z + r / q.  D is principal
-    exactly when r = 0.  Then the integer flow c - sum of z_j cycle_j pairs
-    to 0 with every cycle, so it is the slope field of f, and f(v) is the
-    length-weighted pairing of v's root path with it: 0 at each
-    component's root, its first vertex.
+    is_principal's one division on the graph's period lattice gives Gram^-1
+    of D's Abel-Jacobi coordinates as z + r / q, and D is principal exactly
+    when r = 0.  Then, on the cut at supp(D), the integer flow c - sum of
+    z_j cycle_j, c the chain sum of D(p) times p's root path, has boundary D
+    and pairs to 0 with every cycle, so it is the slope field of f.  f(v)
+    is the length-weighted pairing of v's root path with the flow: 0 at
+    each component's root, its first base vertex.
     """
     if any(d != 0 for d in D.component_degrees().values()):
         return None
-    ref = refine(D.graph, D.support())
-    lat = period_lattice(ref.graph)
-    root_chain = lat.cycles._root_chain
-    nums = [0] * lat.rank
-    flow = {}
-    for p, a in D.items():
-        v = ref.to_refined_point(p).id
-        for j, x in enumerate(lat.pot[v]):
-            nums[j] += a * x
-        for e, c in root_chain(v).items():
-            flow[e] = flow.get(e, 0) + a * c
-    z, r, _ = lat.divide(nums, lat.scale)
+    graph = D.graph
+    lat = period_lattice(graph)
+    z, r, _ = lat.divide(*scaled_abel_jacobi(lat, D))
     if any(r):
         return None
+    chain = lat.cycles._root_chain
+    flow = dict.fromkeys(graph.edge_ids, 0)  # edge id -> the flow at its tail
     for zj, cyc in zip(z, lat.basis):
         for e, c in cyc.items():
-            flow[e] = flow.get(e, 0) - zj * c
-    scale, width = ref.graph.integer_metric()
-    values = {
-        v: Fraction(sum(c * width[e] * flow.get(e, 0) for e, c in root_chain(v).items()), scale)
-        for v in ref.graph.vertex_ids
-    }
-    return PLFunction(ref, values)
+            flow[e] -= zj * c
+    cut = refine(graph, D.support())
+    chips = [0] * len(cut.points)
+    for p, a in D.items():
+        chips[cut.index(p)] = a
+        if not p.is_vertex:
+            # p's root path runs along its edge from the tail up to p
+            flow[p.id] += a
+        for e, c in chain(p.id if p.is_vertex else graph.ends(p.id)[0]).items():
+            flow[e] += a * c
+    slopes = []
+    rise = dict.fromkeys(graph.edge_ids, 0)  # edge id -> f(head) - f(tail)
+    for s in cut.segments:
+        # past a cut point, the root paths that end there drop out
+        x = flow[s.edge] if s.start == 0 else x - chips[s.tail]
+        slopes.append(x)
+        rise[s.edge] += s.length * x
+    n = len(graph.vertex_ids)
+    values = [sum(c * rise[e] for e, c in chain(v).items()) for v in graph.vertex_ids]
+    values += [0] * (len(cut.points) - n)
+    for (t, h, ell, _, _), x in zip(cut.segments, slopes):
+        if h >= n:  # a cut point, reached from its segment's tail
+            values[h] = values[t] + ell * x
+    return PLFunction(cut, [Fraction(x, cut.scale) for x in values])
 
 
 def equivalent(D1: Divisor, D2: Divisor) -> bool:

@@ -4,13 +4,15 @@ A graph is a finite model: vertices carrying a nonnegative genus, edges
 carrying a positive rational length.  Loops and parallel edges are allowed.
 Everything downstream (divisors, Jacobians, covers) works with points of the
 underlying metric space, which are either vertices or interior edge positions
-at a rational offset from the tail.
+at a rational offset from the tail.  refine cuts the graph at points into a
+numbered integer model, on which distances and PL functions are computed.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter, namedtuple
+import weakref
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, Union
@@ -96,7 +98,7 @@ class MetricGraph:
         self.edge_ids = tuple(sorted(edict))
         # the package's one cache for this immutable graph, each entry built
         # on first read: the incidence, the integer metric, the cycle space,
-        # the period lattice
+        # the uncut model, the period lattice
         self._memo = {}
 
     # -- basic accessors -------------------------------------------------
@@ -345,7 +347,259 @@ def require_unaugmented(graph: MetricGraph):
         )
 
 
-# -- refinement ----------------------------------------------------------
+# -- cuts ----------------------------------------------------------------
+
+
+# a piece of a base edge between two vertices of a cut: its ends as vertex
+# numbers, its length and its start on the edge as integers at the cut's
+# scale, and the edge
+Segment = namedtuple("Segment", "tail head length edge start")
+
+
+class Refinement:
+    """A graph cut at prescribed points, as a numbered integer model.
+
+    Vertices are numbered as UnitSubdivision numbers them: the base
+    vertices in vertex_ids order, then each edge's cut points in offset
+    order, edges in edge_ids order; points[i] is vertex i's point of the
+    base graph.  scale is the lcm of the graph's scale and of the
+    denominators of the cut offsets, and `segments` lists each edge's
+    pieces from tail to head, edges in edge_ids order.  No graph, id or
+    Fraction is built per segment.
+
+    The graph is held through a weak reference: its memo holds its uncut
+    model, and a strong reference back would leave both to the cyclic
+    garbage collector.
+    """
+
+    def __init__(self, graph: MetricGraph, points: Iterable[Point]):
+        cuts = {}  # edge id -> {offset: point}
+        for p in points:
+            p = graph.check_point(p)
+            if not p.is_vertex:
+                cuts.setdefault(p.id, {})[p.offset] = p
+        graph_scale, length = graph.integer_metric()
+        scale = lcm(graph_scale, *(t.denominator for at in cuts.values() for t in at))
+        up = scale // graph_scale
+        number = {v: i for i, v in enumerate(graph.vertex_ids)}
+        pts = [Point.at_vertex(v) for v in graph.vertex_ids]
+        segments = []
+        self._first = {}  # edge id -> the index of its first segment
+        for eid in graph.edge_ids:
+            self._first[eid] = len(segments)
+            tail, head = graph.ends(eid)
+            t, a = number[tail], 0
+            at = cuts.get(eid, ())
+            for offset in sorted(at):
+                x = offset.numerator * (scale // offset.denominator)
+                segments.append(Segment(t, len(pts), x - a, eid, a))
+                t, a = len(pts), x
+                pts.append(at[offset])
+            segments.append(Segment(t, number[head], length[eid] * up - a, eid, a))
+        self._graph = weakref.ref(graph)
+        self.scale = scale
+        self.points = tuple(pts)
+        self.segments = tuple(segments)
+        self._number = {p: i for i, p in enumerate(pts)}
+        # adjacency[i] lists vertex i's (neighbour, segment length) pairs; a
+        # loop segment lists its vertex twice
+        self.adjacency = [[] for _ in pts]
+        for t, h, ell, _, _ in segments:
+            self.adjacency[t].append((h, ell))
+            self.adjacency[h].append((t, ell))
+
+    @property
+    def base(self) -> MetricGraph:
+        graph = self._graph()
+        if graph is None:
+            raise ReferenceError(
+                "the cut's graph no longer exists: keep the graph while using its cut"
+            )
+        return graph
+
+    def index(self, p: Point) -> int:
+        """The number of the vertex at p, a point of the base graph in
+        normal form."""
+        i = self._number.get(p)
+        if i is None:
+            raise PointError("point %r is not a vertex of the cut" % (p,))
+        return i
+
+    def point(self, i: int) -> Point:
+        """The base graph's point at vertex i."""
+        return self.points[i]
+
+
+def refine(graph: MetricGraph, points: Iterable[Point]) -> Refinement:
+    """The cut of graph at points.  The uncut model, for points that cut no
+    edge, is built once and memoized in the graph's memo."""
+    points = [graph.check_point(p) for p in points]
+    if any(not p.is_vertex for p in points):
+        return Refinement(graph, points)
+    cut = graph._memo.get("refinement")
+    if cut is None:
+        cut = graph._memo["refinement"] = Refinement(graph, ())
+    return cut
+
+
+# -- piecewise linear functions ------------------------------------------
+
+
+class PLFunction:
+    """Continuous piecewise linear function: values[i] at vertex i of a
+    Refinement, linear along each segment."""
+
+    def __init__(self, refinement: Refinement, values):
+        self.refinement = refinement
+        self.graph = refinement.base
+        self.values = [rat(x) for x in values]
+        if len(self.values) != len(refinement.points):
+            raise PointError("%d values for %d vertices" % (len(self.values), len(refinement.points)))
+
+    def value(self, p: Point) -> Fraction:
+        """f(p), interpolated on the first segment of p's edge that reaches p."""
+        p = self.graph.check_point(p)
+        cut = self.refinement
+        if p.is_vertex:
+            return self.values[cut.index(p)]
+        x = p.offset * cut.scale
+        k = cut._first[p.id]
+        while cut.segments[k].start + cut.segments[k].length < x:
+            k += 1
+        t, h, ell, _, start = cut.segments[k]
+        return self.values[t] + (self.values[h] - self.values[t]) * (x - start) / ell
+
+
+# -- distance fields -----------------------------------------------------
+
+
+class ShortestPaths:
+    """Distances to a point or to a nonempty even subgraph from one
+    certified Dijkstra run, and the orientation away from the source.
+
+    The run is on `refinement`: the cut at the source for a point inside an
+    edge, else the graph's memoized uncut model.  dist[i] is vertex i's
+    distance in the cut's integer metric; `cycle` holds the source's edges
+    (empty for a point).  indeg[i] counts the segments descending to vertex
+    i plus half of its source ends (the source is oriented totally
+    cyclically); `ridges` maps the index of every other segment off the
+    source, where the descent directions meet, to the meeting point as a
+    point of the base graph.
+    """
+
+    def __init__(self, graph: MetricGraph, source: Union[Point, frozenset]):
+        if isinstance(source, Point):
+            source = graph.check_point(source)
+            self.cycle = frozenset()
+            cut = refine(graph, [source])
+            self.seeds = (cut.index(source),)
+        else:
+            self.cycle = check_even_subgraph(graph, source)
+            if not self.cycle:
+                raise PointError("empty source cycle")
+            cut = refine(graph, ())
+            seeds = {v for s in cut.segments if s.edge in self.cycle for v in (s.tail, s.head)}
+            self.seeds = tuple(sorted(seeds))
+        self.refinement = cut
+        adj = cut.adjacency
+        dist = self.dist = [None] * len(adj)
+        heap = [(0, v) for v in self.seeds]  # sorted: a heap
+        while heap:
+            d, v = heapq.heappop(heap)
+            if dist[v] is not None:
+                continue
+            dist[v] = d
+            for w, ell in adj[v]:
+                if dist[w] is None:
+                    heapq.heappush(heap, (d + ell, w))
+        # a cut point is reached with the ends of its edge
+        for v, d in zip(graph.vertex_ids, dist):
+            if d is None:
+                raise PointError("graph is disconnected: %r is not reachable from the source" % v)
+        self._check()
+
+    def base_point(self, i: int) -> Point:
+        """The base graph's point at vertex i."""
+        return self.refinement.point(i)
+
+    def _check(self):
+        """Certify dist, orient the model and find the ridges: 0 at the
+        seeds, a rise of at most the length on every segment off the
+        source, and a segment descending by its full length to every other
+        vertex.  A ridge lies on each segment off the source that descends
+        to neither end."""
+        cut, dist, cycle = self.refinement, self.dist, self.cycle
+        if any(dist[v] for v in self.seeds):
+            raise SlopeError("nonzero distance at a source vertex")
+        # an even subgraph gives each vertex an even number of source ends
+        ends = [0] * len(dist)
+        for s in cut.segments:
+            if s.edge in cycle:
+                ends[s.tail] += 1
+                ends[s.head] += 1
+        indeg = self.indeg = [n // 2 for n in ends]
+        self.ridges = {}
+        for k, (t, h, ell, edge, start) in enumerate(cut.segments):
+            if edge in cycle:
+                continue
+            rise = dist[h] - dist[t]
+            if rise == ell:
+                indeg[h] += 1
+            elif rise == -ell:
+                indeg[t] += 1
+            elif abs(rise) > ell:
+                raise SlopeError("distances rise by more than the length of a segment of %r" % edge)
+            else:
+                # the descent directions meet at (ell + rise) / 2 into the
+                # segment, strictly inside it and so inside its edge
+                self.ridges[k] = Point("edge", edge, Fraction(2 * start + ell + rise, 2 * cut.scale))
+        for v, n in enumerate(indeg):
+            if not n and v not in self.seeds:
+                raise SlopeError("no segment descends from %r toward the source" % (cut.point(v),))
+
+
+class DistanceField(PLFunction):
+    """Exact shortest-path distance to a point or to an even subgraph.
+
+    Values are stored at the vertices of the cut at the source and every
+    ridge point, so each segment has slope +-1 (or 0 exactly on the
+    source).  They come from one ShortestPaths pass: a vertex of its cut
+    keeps its distance, and a ridge on a segment of length l between
+    distances d_t and d_h lies at (l + d_t + d_h) / 2.
+    """
+
+    def __init__(self, graph: MetricGraph, source: Union[Point, frozenset]):
+        paths = ShortestPaths(graph, source)
+        self.source_cycle = paths.cycle
+        first, dist = paths.refinement, paths.dist
+        at = {p: Fraction(d, first.scale) for p, d in zip(first.points, dist)}
+        for k, p in paths.ridges.items():
+            t, h, ell, _, _ = first.segments[k]
+            at[p] = Fraction(ell + dist[t] + dist[h], 2 * first.scale)
+        self.ridge_base_points = tuple(sorted(paths.ridges.values()))
+        cut = refine(graph, [*first.points, *self.ridge_base_points])
+        super().__init__(cut, [at[p] for p in cut.points])
+        self._check_slopes()
+
+    def _check_slopes(self):
+        """Slope +-1 off the source and 0 on it.  No ridge lies on the
+        source, so a segment lies on it exactly when its edge does."""
+        cut, values = self.refinement, self.values
+        for t, h, ell, edge, _ in cut.segments:
+            slope = (values[h] - values[t]) * cut.scale / ell
+            on_source = edge in self.source_cycle
+            if abs(slope) != (0 if on_source else 1):
+                want = "0 on the source" if on_source else "+-1"
+                raise SlopeError("distance field has slope %s on %r, not %s" % (slope, edge, want))
+
+
+def distance_field(graph: MetricGraph, source) -> DistanceField:
+    if not isinstance(source, Point):
+        source = frozenset(source)
+    return DistanceField(graph, source)
+
+
+# -- virtualization of vertex genus --------------------------------------
 
 
 def _fresh(name: str, taken) -> str:
@@ -357,253 +611,6 @@ def _fresh(name: str, taken) -> str:
     while name in taken:
         name += "'"
     return name
-
-
-class Refinement:
-    """A model refinement: new vertices at prescribed edge-interior points.
-
-    Each refined edge covers an interval [a, b] of a base edge, oriented the
-    same way.  Vertices of the base survive with their ids and genus.  A new
-    vertex is named "e@t" and the k-th piece of a cut edge "e#k", primed
-    when the base already uses the name; `origin` maps each new vertex to
-    its base point and `seg` each refined edge to its interval, so ids are
-    never parsed.
-    """
-
-    def __init__(self, base: MetricGraph, points: Iterable[Point]):
-        by_edge = {}
-        for p in points:
-            p = base.check_point(p)
-            if not p.is_vertex:
-                by_edge.setdefault(p.id, {})[p.offset] = p
-        vertices = [(v, base.genus_of(v)) for v in base.vertex_ids]
-        edges = []
-        origin = {}  # new vertex id -> base point
-        seg = {}  # refined eid -> (base eid, a, b)
-        pieces = {}  # base eid -> list of refined eids in offset order
-        for eid in base.edge_ids:
-            tail, head, ell = base._edges[eid]
-            cuts = by_edge.get(eid)
-            if not cuts:
-                edges.append((eid, tail, head, ell))
-                seg[eid] = (eid, ZERO, ell)
-                pieces[eid] = [eid]
-                continue
-            stops = [ZERO]
-            names = [tail]
-            for t in sorted(cuts):
-                vid = _fresh("%s@%s" % (eid, t), base._genus)
-                vertices.append((vid, 0))
-                origin[vid] = cuts[t]
-                stops.append(t)
-                names.append(vid)
-            stops.append(ell)
-            names.append(head)
-            ids = []
-            for k in range(len(stops) - 1):
-                reid = _fresh("%s#%d" % (eid, k), base._edges)
-                edges.append((reid, names[k], names[k + 1], stops[k + 1] - stops[k]))
-                seg[reid] = (eid, stops[k], stops[k + 1])
-                ids.append(reid)
-            pieces[eid] = ids
-        self.base = base
-        self.graph = MetricGraph(vertices, edges)
-        self.origin = origin
-        self.seg = seg
-        self.pieces = pieces
-
-    def to_base_point(self, p: Point) -> Point:
-        """Map a point of the refined model back to the base model."""
-        if p.is_vertex:
-            if p.id in self.origin:
-                return self.origin[p.id]
-            if p.id not in self.base._genus:
-                raise PointError("unknown vertex %r" % p.id)
-            return p
-        beid, a, _ = self.seg[p.id]
-        return self.base.point(beid, a + p.offset)
-
-    def to_refined_point(self, p: Point) -> Point:
-        """Map a base point into the refined model."""
-        p = self.base.check_point(p)
-        if p.is_vertex:
-            return p
-        for reid in self.pieces[p.id]:
-            _, a, b = self.seg[reid]
-            if a <= p.offset <= b:
-                return self.graph.point(reid, p.offset - a)
-        raise PointError("point %r not covered by refinement" % (p,))
-
-
-def refine(graph: MetricGraph, points: Iterable[Point]) -> Refinement:
-    return Refinement(graph, points)
-
-
-# -- piecewise linear functions ------------------------------------------
-
-
-class PLFunction:
-    """Continuous piecewise linear function with values on a refinement."""
-
-    def __init__(self, refinement: Refinement, values: Dict[str, Fraction]):
-        self.refinement = refinement
-        self.graph = refinement.base
-        self.values = {v: rat(x) for v, x in values.items()}
-        for v in refinement.graph.vertex_ids:
-            if v not in self.values:
-                raise PointError("missing value at refinement vertex %r" % v)
-
-    def value(self, p: Point) -> Fraction:
-        rp = self.refinement.to_refined_point(p)
-        if rp.is_vertex:
-            return self.values[rp.id]
-        t, h = self.refinement.graph.ends(rp.id)
-        ell = self.refinement.graph.length(rp.id)
-        vt, vh = self.values[t], self.values[h]
-        return vt + (vh - vt) * rp.offset / ell
-
-
-# -- distance fields -----------------------------------------------------
-
-
-class ShortestPaths:
-    """Distances to a point or to a nonempty even subgraph from one
-    certified Dijkstra run, and the orientation away from the source.
-
-    The run is on `graph`: the given graph, or for a point inside an edge
-    the model refined there, whose new vertex `origin` maps to the point.
-    dist[v] is each model vertex's distance in the model's integer metric;
-    `cycle` holds the source's edges (empty for a point).  indeg[v] counts
-    the segments descending to v plus half of v's source ends (the source
-    is oriented totally cyclically); `ridges` maps every other segment off
-    the source, where the descent directions meet, to the meeting point
-    as a point of the base graph.
-    """
-
-    def __init__(self, graph: MetricGraph, source: Union[Point, frozenset]):
-        self.origin, self._seg = {}, {}  # model -> base, for a cut edge only
-        if isinstance(source, Point):
-            source = graph.check_point(source)
-            self.cycle = frozenset()
-            if source.is_vertex:
-                self.seeds = (source.id,)
-            else:
-                ref = refine(graph, [source])
-                graph, self.origin, self._seg = ref.graph, ref.origin, ref.seg
-                self.seeds = tuple(ref.origin)  # the new vertex
-        else:
-            self.cycle = check_even_subgraph(graph, source)
-            if not self.cycle:
-                raise PointError("empty source cycle")
-            self.seeds = tuple(sorted({v for e in self.cycle for v in graph.ends(e)}))
-        self.graph = g = graph
-        _, length = g.integer_metric()
-        adj = g.incidence()
-        dist = self.dist = {}
-        heap = [(0, v) for v in self.seeds]  # sorted: a heap
-        while heap:
-            d, v = heapq.heappop(heap)
-            if v in dist:
-                continue
-            dist[v] = d
-            for eid, end in adj[v]:
-                w = g.other_end(eid, end)
-                if w not in dist:
-                    heapq.heappush(heap, (d + length[eid], w))
-        for v in g.vertex_ids:
-            if v not in dist:
-                raise PointError("graph is disconnected: %r is not reachable from the source" % v)
-        self._check()
-
-    def base_point(self, v: str) -> Point:
-        """The base graph's point at model vertex v."""
-        return self.origin[v] if v in self.origin else Point.at_vertex(v)
-
-    def _check(self):
-        """Certify dist, orient the model and find the ridges: 0 at the
-        seeds, a rise of at most the length on every segment off the
-        source, and a segment descending by its full length to every other
-        vertex.  A ridge lies on each segment off the source that descends
-        to neither end."""
-        g, dist = self.graph, self.dist
-        scale, length = g.integer_metric()
-        if any(dist[v] for v in self.seeds):
-            raise SlopeError("nonzero distance at a source vertex")
-        # an even subgraph gives each vertex an even number of source ends
-        ends = Counter(v for e in self.cycle for v in g.ends(e))
-        indeg = self.indeg = {v: ends[v] // 2 for v in g.vertex_ids}
-        self.ridges = {}
-        for reid in g.edge_ids:
-            if reid in self.cycle:
-                continue
-            t, h = g.ends(reid)
-            ell = length[reid]
-            rise = dist[h] - dist[t]
-            if rise == ell:
-                indeg[h] += 1
-            elif rise == -ell:
-                indeg[t] += 1
-            elif abs(rise) > ell:
-                raise SlopeError("distances rise by more than the length of %r" % reid)
-            else:
-                # the descent directions meet at offset (ell + rise) / 2,
-                # strictly inside the segment and so inside its base edge
-                beid, a, _ = self._seg.get(reid, (reid, ZERO, None))
-                self.ridges[reid] = Point.on_edge(beid, a + Fraction(ell + rise, 2 * scale))
-        for v in g.vertex_ids:
-            if not indeg[v] and v not in self.seeds:
-                raise SlopeError("no segment descends from %r toward the source" % v)
-
-
-class DistanceField(PLFunction):
-    """Exact shortest-path distance to a point or to an even subgraph.
-
-    Values are stored at the vertices of a refinement that includes the
-    source and every interior ridge point, so each refined segment has slope
-    +-1 (or 0 exactly on the source).  They come from one ShortestPaths
-    pass: a vertex of its refinement keeps its distance, and a ridge on a
-    segment of length l between distances d_t and d_h lies at (l + d_t +
-    d_h) / 2.
-    """
-
-    def __init__(self, graph: MetricGraph, source: Union[Point, frozenset]):
-        paths = ShortestPaths(graph, source)
-        self.source_cycle = paths.cycle
-        scale, length = paths.graph.integer_metric()
-        at = {paths.base_point(v): Fraction(d, scale) for v, d in paths.dist.items()}
-        for reid, p in paths.ridges.items():
-            t, h = paths.graph.ends(reid)
-            at[p] = Fraction(length[reid] + paths.dist[t] + paths.dist[h], 2 * scale)
-        self.ridge_base_points = tuple(sorted(paths.ridges.values()))
-        # the pass's new vertex, if any, is the source
-        ref = refine(graph, [*paths.origin.values(), *self.ridge_base_points])
-        super().__init__(
-            ref, {v: at[ref.to_base_point(Point.at_vertex(v))] for v in ref.graph.vertex_ids}
-        )
-        self._check_slopes()
-
-    def _check_slopes(self):
-        """Slope +-1 off the source and 0 on it.  No ridge lies on the
-        source, so its edges keep their ids in the refinement."""
-        g = self.refinement.graph
-        for reid in g.edge_ids:
-            t, h = g.ends(reid)
-            slope = (self.values[h] - self.values[t]) / g.length(reid)
-            on_source = reid in self.source_cycle
-            if abs(slope) != (0 if on_source else 1):
-                raise SlopeError(
-                    "distance field has slope %s on %r, not %s"
-                    % (slope, reid, "0 on the source" if on_source else "+-1")
-                )
-
-
-def distance_field(graph: MetricGraph, source) -> DistanceField:
-    if not isinstance(source, Point):
-        source = frozenset(source)
-    return DistanceField(graph, source)
-
-
-# -- virtualization of vertex genus --------------------------------------
 
 
 def virtual_loops(graph: MetricGraph):

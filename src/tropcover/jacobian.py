@@ -8,7 +8,8 @@ the segment up to the point.  The map takes no basepoint: on a divisor of
 degree 0 on every component, a basepoint's own path cancels.  The class is
 taken modulo the lattice spanned by the Gram matrix columns.  Everything is
 exact: membership, reduction and principal_function's certificate all read
-one integer division by the Gram matrix (PeriodLattice.divide).
+one integer division by the Gram matrix (PeriodLattice.divide) on the
+graph's own lattice.
 """
 
 from __future__ import annotations
@@ -75,12 +76,6 @@ class PeriodLattice:
                 "the lattice's graph no longer exists: keep the graph while using its lattice"
             )
         return graph
-
-    @property
-    def gram(self) -> List[List[Fraction]]:
-        """The Gram matrix in Fractions, derived on access: the library
-        reads scaled_gram."""
-        return [[Fraction(x, self.scale) for x in row] for row in self.scaled_gram]
 
     def inverse(self) -> Tuple[List[List[int]], int]:
         """scaled_gram^-1 as (integer matrix, denominator), built on first use."""

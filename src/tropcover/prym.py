@@ -83,10 +83,6 @@ class HomologyAction:
         # pull . target coords = source coords of the pullback
         self.pull = pullback_matrix(cover, lat)
 
-    def fixed_complement_rank(self) -> int:
-        """rank(Id - involution), the dimension of the Prym."""
-        return len(self.matrix) - len(self.null)
-
     def norm_vanishes(self, nums, den: int) -> bool:
         """Whether the class with source coordinates nums / den pushes
         forward to a principal class: P nums / den in the target lattice."""

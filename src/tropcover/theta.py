@@ -6,8 +6,8 @@ from the source, and give the source itself a totally cyclic orientation.
 The divisor sum((indeg - 1) x), plus one chip at each ridge where descent
 directions meet, is a theta characteristic: twice it is equivalent to the
 canonical class.  The empty cycle yields the unique non-effective one.
-One ShortestPaths pass certifies the distances and counts the in-degrees;
-it refines the graph only at a basepoint inside an edge.
+One ShortestPaths pass certifies the distances and counts the in-degrees
+on the graph's numbered cut, which is cut only at a basepoint inside an edge.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def theta_characteristic(
     # both ends of a ridge's segment are outgoing and both halves come in
     # at the ridge, so the ridge carries one chip
     coeffs = [(x, 1) for x in paths.ridges.values()]
-    coeffs += [(paths.base_point(v), n - 1) for v, n in paths.indeg.items() if n != 1]
+    coeffs += [(paths.base_point(v), n - 1) for v, n in enumerate(paths.indeg) if n != 1]
     div = Divisor(graph, coeffs)
     if div.degree() != graph.genus() - 1:
         raise DegreeError(

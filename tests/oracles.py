@@ -11,7 +11,7 @@ slope field off the same integer division), the homology action and Prym
 membership in Fractions on the pulled-back and pushed-forward Divisors (the
 library works in integers through the pullback matrix), distance fields and
 theta characteristics by Dijkstra and slope tests in Fractions on the edge
-lengths (the library works in the refined graph's integer metric), the
+lengths (the library works in its numbered cut's integer metric), the
 Gram determinant by Kirchhoff's weighted matrix-tree theorem, double
 covers assembled one at a time from the target's Fraction lengths (the
 library shares one frame per dilation cycle and derives each source's
@@ -19,11 +19,13 @@ integer metric from the target's), and the pullback kernel by testing
 every one of the 2^g pulled-back torsion classes (the library decides the
 g basis cycles and adds their labels), and the unit subdivision and
 q-reduction on a refined MetricGraph with string ids (the library numbers
-the lattice points and fires chips on integer lists).  The incidence is
-rebuilt from the edge list by scanning it once per vertex, and the
-arithmetic that no library caller needs lives here: the sum of two PL
-functions on the refinement at both sets of breakpoints, and Jacobian
-addition.
+the lattice points and fires chips on integer lists).  The oracles refine
+through StringIdRefinement, a MetricGraph with generated string ids (the
+library's cut numbers its vertices).  The incidence is rebuilt from the
+edge list by scanning it once per vertex, and what no library caller needs
+lives here: the sum of two PL functions on the cut at both sets of
+breakpoints, Jacobian addition, the Gram matrix in Fractions, the
+isomorphism test of two covers and the dimension of the Prym.
 """
 
 import heapq
@@ -45,7 +47,6 @@ from tropcover import (
     SlopeError,
     abel_jacobi,
     canonical,
-    divisor_of,
     is_principal,
     linalg,
     period_lattice,
@@ -53,9 +54,92 @@ from tropcover import (
     pushforward,
     refine,
 )
-from tropcover.covers import cover_frame
+from tropcover.covers import cover_class, cover_frame
+from tropcover.graphs import _fresh
 from tropcover.jacobian import scaled_abel_jacobi
 from tropcover.theta import two_torsion_divisors
+
+
+class StringIdRefinement:
+    """A model refinement as a MetricGraph with string ids, the route the
+    library took before it numbered its cuts: new vertices at prescribed
+    edge-interior points.
+
+    Each refined edge covers an interval [a, b] of a base edge, oriented the
+    same way.  Vertices of the base survive with their ids and genus.  A new
+    vertex is named "e@t" and the k-th piece of a cut edge "e#k", primed
+    when the base already uses the name; `origin` maps each new vertex to
+    its base point and `seg` each refined edge to its interval, so ids are
+    never parsed.
+    """
+
+    def __init__(self, base, points):
+        by_edge = {}
+        for p in points:
+            p = base.check_point(p)
+            if not p.is_vertex:
+                by_edge.setdefault(p.id, {})[p.offset] = p
+        vertex_ids, edge_ids = set(base.vertex_ids), set(base.edge_ids)
+        vertices = [(v, base.genus_of(v)) for v in base.vertex_ids]
+        edges = []
+        origin = {}  # new vertex id -> base point
+        seg = {}  # refined eid -> (base eid, a, b)
+        pieces = {}  # base eid -> list of refined eids in offset order
+        for eid in base.edge_ids:
+            tail, head = base.ends(eid)
+            ell = base.length(eid)
+            cuts = by_edge.get(eid)
+            if not cuts:
+                edges.append((eid, tail, head, ell))
+                seg[eid] = (eid, Fraction(0), ell)
+                pieces[eid] = [eid]
+                continue
+            stops = [Fraction(0)]
+            names = [tail]
+            for t in sorted(cuts):
+                vid = _fresh("%s@%s" % (eid, t), vertex_ids)
+                vertices.append((vid, 0))
+                origin[vid] = cuts[t]
+                stops.append(t)
+                names.append(vid)
+            stops.append(ell)
+            names.append(head)
+            ids = []
+            for k in range(len(stops) - 1):
+                reid = _fresh("%s#%d" % (eid, k), edge_ids)
+                edges.append((reid, names[k], names[k + 1], stops[k + 1] - stops[k]))
+                seg[reid] = (eid, stops[k], stops[k + 1])
+                ids.append(reid)
+            pieces[eid] = ids
+        self.base = base
+        self.graph = MetricGraph(vertices, edges)
+        self.origin = origin
+        self.seg = seg
+        self.pieces = pieces
+
+    def to_base_point(self, p):
+        """Map a point of the refined model back to the base model."""
+        if p.is_vertex:
+            if p.id in self.origin:
+                return self.origin[p.id]
+            return self.base.vertex_point(p.id)
+        beid, a, _ = self.seg[p.id]
+        return self.base.point(beid, a + p.offset)
+
+    def to_refined_point(self, p):
+        """Map a base point into the refined model."""
+        p = self.base.check_point(p)
+        if p.is_vertex:
+            return p
+        for reid in self.pieces[p.id]:
+            _, a, b = self.seg[reid]
+            if a <= p.offset <= b:
+                return self.graph.point(reid, p.offset - a)
+        raise PointError("point %r not covered by refinement" % (p,))
+
+    def base_values(self, values):
+        """{base point: value} of {refined vertex id: value}."""
+        return {self.to_base_point(Point.at_vertex(v)): x for v, x in values.items()}
 
 
 def refined_abel_jacobi(lat, D):
@@ -67,7 +151,7 @@ def refined_abel_jacobi(lat, D):
     edges.  The result agrees with abel_jacobi modulo the lattice, not
     necessarily as vectors.
     """
-    ref = refine(lat.graph, D.support())
+    ref = StringIdRefinement(lat.graph, D.support())
     root_chain = _root_chains(ref.graph, CycleSpace(ref.graph).forest)
     chain = {}  # refined edge id -> coefficient
     for p, a in D.items():
@@ -160,7 +244,7 @@ class RefinedUnitSubdivision:
         for eid in graph.edge_ids:
             for k in range(1, length[eid] * up):
                 cuts.append(graph.point(eid, k * step))
-        self.refinement = refine(graph, cuts)
+        self.refinement = StringIdRefinement(graph, cuts)
         self.graph = graph
 
     def vertex_of(self, p):
@@ -319,19 +403,21 @@ def _xgcd(a, b):
 
 
 def laplacian_principal_function(D):
-    """A PL function f with div(f) = D, or None: the length-weighted
-    Laplacian solved in Fractions on the model refined at supp(D), each
-    component's first vertex pinned to 0, and accepted when its slopes are
-    integers and its divisor is D."""
+    """{point: value} of a PL function f with div(f) = D at the vertices of
+    the model refined at supp(D), or None: the length-weighted Laplacian
+    solved in Fractions there, each component's first base vertex pinned to
+    0, and accepted when its slopes are integers and its divisor is D."""
     if any(d != 0 for d in D.component_degrees().values()):
         return None
-    ref = refine(D.graph, list(D.support()))
+    ref = StringIdRefinement(D.graph, list(D.support()))
     g = ref.graph
     want = {v: 0 for v in g.vertex_ids}
     for p, a in D.items():
         want[ref.to_refined_point(p).id] = a
     values = {}
     for comp in g.components():
+        root = min(v for v in comp if v in D.graph.vertex_ids)
+        comp = [root] + [v for v in comp if v != root]
         idx = {v: i for i, v in enumerate(comp)}
         n = len(comp)
         lap = [[Fraction(0)] * n for _ in range(n)]
@@ -345,17 +431,21 @@ def laplacian_principal_function(D):
             lap[idx[t]][idx[h]] -= w
             lap[idx[h]][idx[t]] -= w
         # ord_v(f) = (L f)(v) under the incoming-slope convention
-        values[comp[0]] = Fraction(0)
+        values[root] = Fraction(0)
         if n > 1:
             sol = linalg.solve([row[1:] for row in lap[1:]], [Fraction(want[v]) for v in comp[1:]])
             for v in comp[1:]:
                 values[v] = sol[idx[v] - 1]
-    f = PLFunction(ref, values)
-    try:
-        got = divisor_of(f)
-    except SlopeError:
-        return None
-    return f if got == D else None
+    ords = {v: 0 for v in g.vertex_ids}
+    for eid in g.edge_ids:
+        t, h = g.ends(eid)
+        slope = (values[h] - values[t]) / g.length(eid)
+        if slope.denominator != 1:
+            return None
+        ords[h] += slope
+        ords[t] -= slope
+    got = Divisor(D.graph, [(ref.to_base_point(Point.at_vertex(v)), int(a)) for v, a in ords.items()])
+    return ref.base_values(values) if got == D else None
 
 
 def fraction_det(M):
@@ -413,9 +503,9 @@ def solve_canonical(lat, v):
     matrix: the representative with Gram^-1 v in [0,1)^g."""
     if lat.rank == 0:
         return ()
-    x = linalg.solve(lat.gram, list(v))
+    x = linalg.solve(gram(lat), list(v))
     frac = [xi - (xi.numerator // xi.denominator) for xi in x]
-    return tuple(mat_vec(lat.gram, frac))
+    return tuple(mat_vec(gram(lat), frac))
 
 
 def mat_vec(M, v):
@@ -492,7 +582,7 @@ class FractionHomologyAction:
             for i, row in enumerate(self.matrix)
         ]
         self.null = [integer_row(y) for y in fraction_left_nullspace(diff)]
-        proj = [mat_vec(lat.gram, row) for row in self.null]
+        proj = [mat_vec(gram(lat), row) for row in self.null]
         self.gens = [[row[j] for row in proj] for j in range(g)]
         self.prym_lattice = linalg.IntegerLattice(self.gens, len(self.null))
 
@@ -552,7 +642,7 @@ def fraction_distance_field(graph, source):
                     heapq.heappush(heap, (d + g.length(eid), w))
         return dist
 
-    first = refine(graph, seed_points)
+    first = StringIdRefinement(graph, seed_points)
     dist = dijkstra(first)
     zero = zero_edges(first)
     ridges = []
@@ -565,7 +655,7 @@ def fraction_distance_field(graph, source):
         if 0 < tt < ell:
             beid, a, _ = first.seg[reid]
             ridges.append(graph.point(beid, a + tt))
-    ref = refine(graph, seed_points + ridges)
+    ref = StringIdRefinement(graph, seed_points + ridges)
     values = dijkstra(ref)
     zero = zero_edges(ref)
     for reid in ref.graph.edge_ids:
@@ -677,22 +767,30 @@ def incidence(graph):
 
 
 def pl_combine(f, g, sign=1):
-    """f + sign * g on the refinement at the breakpoints of both."""
+    """f + sign * g on the cut at the breakpoints of both."""
     if not f.graph.same_model(g.graph):
         raise PointError("functions live on different graphs")
-    breaks = [
-        h.refinement.to_base_point(Point.at_vertex(v))
-        for h in (f, g)
-        for v in h.refinement.graph.vertex_ids
-    ]
-    ref = refine(f.graph, breaks)
-    values = {}
-    for v in ref.graph.vertex_ids:
-        p = ref.to_base_point(Point.at_vertex(v))
-        values[v] = f.value(p) + sign * g.value(p)
-    return PLFunction(ref, values)
+    cut = refine(f.graph, f.refinement.points + g.refinement.points)
+    return PLFunction(cut, [f.value(p) + sign * g.value(p) for p in cut.points])
 
 
 def add_points(lat, v, w):
     """The canonical representative of v + w in the Jacobian."""
     return canonical(lat, [a + b for a, b in zip(v, w)])
+
+
+def gram(lat):
+    """The Gram matrix in Fractions: the library reads scaled_gram."""
+    return [[Fraction(x, lat.scale) for x in row] for row in lat.scaled_gram]
+
+
+def covers_isomorphic(c1, c2):
+    """Isomorphism over a common target, commuting with the covering maps."""
+    if not c1.target.same_model(c2.target):
+        return False
+    return cover_class(c1) == cover_class(c2)
+
+
+def fixed_complement_rank(act):
+    """rank(Id - involution) of a HomologyAction, the dimension of the Prym."""
+    return len(act.matrix) - len(act.null)

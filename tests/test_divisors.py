@@ -69,7 +69,7 @@ def test_divisor_of_constant_is_zero(k4):
     from tropcover import refine
 
     ref = refine(k4, [])
-    f = PLFunction(ref, {v: Fraction(3) for v in ref.graph.vertex_ids})
+    f = PLFunction(ref, [Fraction(3)] * len(ref.points))
     assert divisor_of(f).is_zero()
 
 

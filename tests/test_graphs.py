@@ -1,4 +1,4 @@
-"""Metric graph model, refinement, cycle space, and distance fields."""
+"""Metric graph model, cuts, cycle space, and distance fields."""
 
 import random
 from fractions import Fraction
@@ -24,7 +24,7 @@ from tropcover import (
 )
 from tropcover.graphs import ShortestPaths, virtual_loops
 from conftest import random_divisor, random_graph
-from oracles import incidence
+from oracles import StringIdRefinement, incidence
 
 
 def floyd_warshall(graph):
@@ -217,36 +217,34 @@ def test_refine_preserves_genus_and_length():
         for e in g.edge_ids[:2]:
             pts.append(Point.on_edge(e, g.length(e) / 3))
         ref = refine(g, pts)
-        assert ref.graph.genus() == g.genus()
-        total = sum((g.length(e) for e in g.edge_ids), Fraction(0))
-        rtotal = sum((ref.graph.length(e) for e in ref.graph.edge_ids), Fraction(0))
-        assert total == rtotal
+        # each cut point adds a vertex and a segment, so V - E is kept
+        cuts = len(ref.points) - len(g.vertex_ids)
+        assert cuts == len(pts) and len(ref.segments) == len(g.edge_ids) + cuts
+        assert ref.scale == lcm(g.integer_metric()[0], *(p.offset.denominator for p in pts))
+        for e in g.edge_ids:
+            pieces = [s for s in ref.segments if s.edge == e]
+            assert sum(s.length for s in pieces) == g.length(e) * ref.scale
+            # the pieces chain from the edge's tail to its head
+            tail, head = (ref.index(Point.at_vertex(v)) for v in g.ends(e))
+            assert pieces[0].tail == tail and pieces[-1].head == head
+            assert pieces[0].start == 0
+            for a, b in zip(pieces, pieces[1:]):
+                assert a.head == b.tail and a.start + a.length == b.start
 
 
 def test_refined_points_round_trip(k4):
     mid = Point.on_edge("AB", Fraction(1, 3))
     ref = refine(k4, [mid])
-    rp = ref.to_refined_point(mid)
-    assert rp.is_vertex
-    assert ref.to_base_point(rp) == mid
-
-
-def test_refine_avoids_user_ids_shaped_like_generated_ones():
-    g = MetricGraph(
-        ["A", "B", "f@3"],
-        [("f", "A", "B", 4), ("e", "A", "B", 2), ("e#0", "A", "B", 3),
-         ("x", "B", "f@3", 1)],
-    )
-    cuts = [Point.on_edge("f", 3), Point.on_edge("e", 1)]
-    ref = refine(g, cuts)
-    assert ref.graph.genus() == g.genus()
-    assert ref.graph.ends("e#0") == ("A", "B") and ref.graph.length("e#0") == 3
-    assert ref.graph.ends("x") == ("B", "f@3")
-    for p in cuts:
-        rp = ref.to_refined_point(p)
-        assert rp.is_vertex and rp.id not in g.vertex_ids
-        assert ref.to_base_point(rp) == p
-    assert ref.to_base_point(Point.at_vertex("f@3")) == Point.at_vertex("f@3")
+    # base vertices first, in vertex_ids order, then the cut points
+    assert ref.points == tuple(Point.at_vertex(v) for v in k4.vertex_ids) + (mid,)
+    assert ref.index(mid) == 4 and ref.point(4) == mid
+    assert [ref.index(p) for p in ref.points] == list(range(5))
+    with pytest.raises(PointError, match="not a vertex of the cut"):
+        ref.index(Point.on_edge("AB", Fraction(1, 2)))
+    # a cut at vertices only is the graph's one memoized uncut model
+    uncut = refine(k4, [])
+    assert refine(k4, [Point.at_vertex("C")]) is uncut and k4._memo["refinement"] is uncut
+    assert len(uncut.segments) == 6 and uncut.scale == 1
 
 
 def test_even_subgraph_count_and_closure():
@@ -368,7 +366,7 @@ def test_integer_metric_is_the_lengths_over_the_lcm():
         g = random_graph(rng, max_genus=5)
         # cuts at thirds and sevenths bring denominators the graph lacks
         cuts = [g.point(e, g.length(e) * Fraction(k, 21)) for e, k in zip(g.edge_ids, (7, 3))]
-        for h in (g, refine(g, cuts).graph):
+        for h in (g, StringIdRefinement(g, cuts).graph):
             scale, length = h.integer_metric()
             assert scale == lcm(*(h.length(e).denominator for e in h.edge_ids))
             assert set(length) == set(h.edge_ids)

@@ -1,6 +1,8 @@
 """Library invariants raise typed errors, so they still hold under python -O."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,10 +10,11 @@ from fractions import Fraction
 
 import pytest
 
-from tropcover import Point, SlopeError, distance_field
+from tropcover import Point, SlopeError, distance_field, divisors, graphs, jacobian
 from tropcover.graphs import ShortestPaths
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tropcover")
+TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
 
 
 def test_no_assert_in_the_library():
@@ -64,9 +67,12 @@ def test_cold_start_imports_neither_dataclasses_nor_inspect():
 
 def test_corrupted_distance_field_fails_the_slope_check(k4):
     field = distance_field(k4, Point.at_vertex("A"))
-    field.values["B"] += 1
+    field.values[field.refinement.index(Point.at_vertex("B"))] += 1
     with pytest.raises(SlopeError):
         field._check_slopes()
+
+
+MID_AB = Point.on_edge("AB", Fraction(1, 2))
 
 
 @pytest.mark.parametrize(
@@ -78,9 +84,9 @@ def test_corrupted_distance_field_fails_the_slope_check(k4):
         (frozenset(["BC", "BD", "CD"]), "A", -1, "no segment descends"),
         (frozenset(["BC", "BD", "CD"]), "B", 1, "at a source vertex"),
         # AB@1/2 is cut into halves: distances in half units, A at 1, C at 3
-        (Point.on_edge("AB", Fraction(1, 2)), "A", 1, "rise by"),
-        (Point.on_edge("AB", Fraction(1, 2)), "C", -1, "no segment descends"),
-        (Point.on_edge("AB", Fraction(1, 2)), "AB@1/2", 1, "at a source vertex"),
+        (MID_AB, "A", 1, "rise by"),
+        (MID_AB, "C", -1, "no segment descends"),
+        (MID_AB, MID_AB, 1, "at a source vertex"),
     ],
     ids=[
         "longer",
@@ -96,7 +102,26 @@ def test_corrupted_distance_field_fails_the_slope_check(k4):
 def test_corrupted_pass_distance_fails_the_certificate(k4, source, vertex, delta, message):
     if isinstance(source, str):
         source = Point.at_vertex(source)
+    if isinstance(vertex, str):
+        vertex = Point.at_vertex(vertex)
     paths = ShortestPaths(k4, source)
-    paths.dist[vertex] += delta
+    paths.dist[paths.refinement.index(vertex)] += delta
     with pytest.raises(SlopeError, match=message):
         paths._check()
+
+
+def test_every_name_the_benchmark_traces_is_bound():
+    # the benchmark's tracer wraps each name of its LAYERS in its tropcover
+    # module, and refine in every module that binds it: a dropped name fails
+    # here, not only in a traced benchmark run
+    spec = importlib.util.spec_from_file_location("tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        "%s.%s" % (mod, name)
+        for mod, names in tracer.LAYERS.items()
+        for name in names
+        if not hasattr(importlib.import_module("tropcover." + mod), name)
+    ]
+    assert not missing
+    assert jacobian.refine is graphs.refine and divisors.refine is graphs.refine

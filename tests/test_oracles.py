@@ -35,6 +35,7 @@ from tropcover import (
     reduce_at,
     theta_characteristic,
     torsion_points,
+    virtualize,
 )
 from tropcover.divisors import UnitSubdivision, laplacian_image_contains
 from tropcover.jacobian import scaled_abel_jacobi
@@ -48,6 +49,7 @@ from oracles import (
     fraction_det,
     fraction_distance_field,
     fraction_theta_divisor,
+    gram,
     kirchhoff_tree_sum,
     laplacian_columns,
     laplacian_principal_function,
@@ -161,26 +163,26 @@ def test_integer_lattice_against_solve_integrality():
     for _ in range(60):
         g = random_graph(rng, max_genus=4, min_genus=1)
         lat = period_lattice(g)
-        gram = lat.gram
+        G = gram(lat)
         for kind in kinds:
             for _ in range(4):
                 z = [rng.randint(-3, 3) for _ in range(lat.rank)]
-                v = mat_vec(gram, z)
+                v = mat_vec(G, z)
                 if kind == "half":
                     v = [x / 2 for x in v]
                 elif kind == "fraction":
                     v = [x + Fraction(rng.randint(-6, 6), rng.randint(2, 7)) for x in v]
-                want = all(x.denominator == 1 for x in linalg.solve(gram, v))
+                want = all(x.denominator == 1 for x in linalg.solve(G, v))
                 assert lattice_contains(lat, v) == want
                 assert canonical(lat, v) == solve_canonical(lat, v)
-                assert linalg.in_lattice([list(col) for col in zip(*gram)], v) == want
+                assert linalg.in_lattice([list(col) for col in zip(*G)], v) == want
                 kinds[kind] += 1
                 inside += want
         # the two-torsion classes Gram z / 2, in torsion_points' order
         halves = [
             [Fraction(mask >> j & 1, 2) for j in range(lat.rank)] for mask in range(2**lat.rank)
         ]
-        want = [solve_canonical(lat, mat_vec(gram, z)) for z in halves]
+        want = [solve_canonical(lat, mat_vec(G, z)) for z in halves]
         assert torsion_points(lat, 2) == want
     assert 0 < inside < sum(kinds.values())
 
@@ -424,8 +426,8 @@ def test_distance_fields_and_theta_against_the_fraction_route():
             field = distance_field(g, source)
             ridges, ref, values = fraction_distance_field(g, source)
             assert field.ridge_base_points == ridges
-            assert field.refinement.graph.edge_ids == ref.graph.edge_ids
-            assert field.values == values
+            # the same cut, and the same value at each of its vertices
+            assert dict(zip(field.refinement.points, field.values)) == ref.base_values(values)
             ridges_seen += len(ridges)
             rescaled += ref.graph.integer_metric()[0] != g.integer_metric()[0]
         for t in enumerate_theta(g):
@@ -486,12 +488,73 @@ def test_principal_function_against_the_laplacian_route():
         want = laplacian_principal_function(D)
         assert (f is None) == (want is None)
         if f is not None:
-            assert f.refinement.graph.vertex_ids == want.refinement.graph.vertex_ids
-            assert f.values == want.values
+            # both pin each component's first base vertex to 0
+            assert dict(zip(f.refinement.points, f.values)) == want
             assert divisor_of(f) == D
             interior += any(not p.is_vertex for p in D.support())
         found[f is not None] += 1
     assert found[True] > 500 and found[False] > 500 and interior > 300
+
+
+def test_the_numbered_cut_against_the_string_id_refinement():
+    # seeded graphs with fractional lengths, loops and vertex genus, then
+    # one whose user ids look like those the string-id refinement makes:
+    # its cuts at f@3, e@1 and l@1/2 take primed names there
+    rng = random.Random(2113)
+    cases = []
+    for _ in range(12):
+        g = random_graph(rng, max_genus=4, min_genus=2)
+        g = MetricGraph(
+            [(v, rng.choice((0, 0, 1))) for v in g.vertex_ids],
+            [(e, *g.ends(e), g.length(e)) for e in g.edge_ids],
+        )
+        interior = [
+            g.point(e, g.length(e) * Fraction(rng.randint(1, 4), 5))
+            for e in rng.sample(g.edge_ids, min(3, len(g.edge_ids)))
+        ]
+        cases.append((g, interior))
+    g = MetricGraph(
+        ["A", "B", "f@3", "l@1/2"],
+        [
+            ("e", "A", "B", 2),
+            ("e#0", "A", "B", 3),
+            ("f", "A", "B", 4),
+            ("l", "f@3", "f@3", 1),
+            ("x", "B", "f@3", 1),
+            ("y", "f@3", "l@1/2", Fraction(1, 2)),
+        ],
+    )
+    cases.append((g, [Point.on_edge("f", 3), Point.on_edge("e", 1), Point.on_edge("l", Fraction(1, 2))]))
+    seen = {"augmented": 0, "looped": 0, "ridges": 0, True: 0, False: 0}
+    for g, interior in cases:
+        seen["augmented"] += g.is_augmented()
+        seen["looped"] += any(len(set(g.ends(e))) == 1 for e in g.edge_ids)
+        for p in interior:
+            field = distance_field(g, p)
+            ridges, ref, values = fraction_distance_field(g, p)
+            assert field.ridge_base_points == ridges
+            assert dict(zip(field.refinement.points, field.values)) == ref.base_values(values)
+            seen["ridges"] += len(ridges)
+        # theta needs no vertex genus: it runs on the virtualization
+        sharp = virtualize(g)
+        chars = []
+        for p in interior:
+            t = theta_characteristic(sharp, frozenset(), p)
+            assert t.divisor == fraction_theta_divisor(sharp, frozenset(), p)
+            chars.append(t.divisor)
+        p, q = interior[:2]
+        divisors = [2 * (chars[0] - chars[1]), chars[0] - chars[1]]
+        divisors += [Divisor(g, [(p, k), (q, -k)]) for k in (1, 2, 3)]
+        for D in divisors:
+            f = principal_function(D)
+            want = laplacian_principal_function(D)
+            assert (f is None) == (want is None)
+            if f is not None:
+                assert divisor_of(f) == D
+                # both pin each component's first base vertex to 0
+                assert dict(zip(f.refinement.points, f.values)) == want
+            seen[f is not None] += 1
+    assert all(seen.values()), seen
 
 
 def test_gram_determinant_is_the_kirchhoff_tree_sum():

@@ -31,7 +31,7 @@ from tropcover import (
 from tropcover import covers, divisors, graphs, jacobian, prym, theta
 from conftest import build_k4, random_graph
 import oracles
-from oracles import identity, mat_mul
+from oracles import fixed_complement_rank, identity, mat_mul
 
 TRIANGLE = frozenset(["BC", "BD", "CD"])
 SQUARE = frozenset(["AC", "AD", "BC", "BD"])
@@ -53,7 +53,7 @@ def test_homology_action_cube(cube_cover):
     assert len(J) == 5
     assert mat_mul(J, J) == identity(5)
     assert sum(J[i][i] for i in range(5)) == 1  # eigenvalues: +1 x3, -1 x2
-    assert act.fixed_complement_rank() == 2  # source genus 5 - target genus 3
+    assert fixed_complement_rank(act) == 2  # source genus 5 - target genus 3
 
 
 def test_homology_action_respects_involution(cube_cover):

@@ -25,6 +25,7 @@ from tropcover import (
     theta_characteristic,
     torsion_points,
     two_torsion_divisor,
+    virtualize,
 )
 from conftest import random_graph
 
@@ -192,24 +193,37 @@ def test_one_shortest_path_pass_per_characteristic_and_no_field(k4, monkeypatch)
         assert built == {"passes": n, "fields": 0}, call.__name__
 
 
-def test_a_pass_builds_a_graph_only_at_a_point_inside_an_edge(k4, monkeypatch):
-    # an even subgraph or a vertex cuts no edge, so the pass runs on k4
-    # itself; only a basepoint inside an edge is refined into a new graph
-    from tropcover import graphs
+def test_no_graph_or_lattice_is_built_at_a_point_inside_an_edge(k4, monkeypatch):
+    # a cut is a numbered model of k4: theta at a basepoint inside an edge,
+    # a distance field from one and a principal function through one build
+    # no MetricGraph, and no PeriodLattice but k4's own
+    from tropcover import graphs, jacobian, principal_function
 
-    built = []
-    build_graph = graphs.MetricGraph.__init__
+    built = {"MetricGraph": 0, "PeriodLattice": 0}
+    build_graph, build_lattice = graphs.MetricGraph.__init__, jacobian.PeriodLattice.__init__
 
     def counted_graph(self, *args):
-        built.append(args)
+        built["MetricGraph"] += 1
         build_graph(self, *args)
 
+    def counted_lattice(self, graph):
+        built["PeriodLattice"] += graph is not k4
+        build_lattice(self, graph)
+
     monkeypatch.setattr(graphs.MetricGraph, "__init__", counted_graph)
+    monkeypatch.setattr(jacobian.PeriodLattice, "__init__", counted_lattice)
     assert len(enumerate_theta(k4)) == 8
-    assert built == []
     t = theta_characteristic(k4, frozenset(), mid("AB"))
-    assert len(built) == 1
     assert t.basepoint == mid("AB") and t.divisor.coeff(mid("AB")) == -1
+    field = distance_field(k4, mid("CD"))
+    assert field.value(mid("CD")) == 0 and field.value(Point.at_vertex("A")) == Fraction(3, 2)
+    D = 2 * (t.divisor - theta_characteristic(k4).divisor)
+    assert principal_function(D) is not None
+    assert built == {"MetricGraph": 0, "PeriodLattice": 0}
+    # the counters are live
+    MetricGraph(["a"], [])
+    jacobian.PeriodLattice(virtualize(MetricGraph([("a", 1)], [])))
+    assert built == {"MetricGraph": 3, "PeriodLattice": 1}
 
 
 def test_an_empty_graph_has_no_default_basepoint():
@@ -239,4 +253,4 @@ def test_a_disconnected_graph_gives_a_typed_error():
             call()
     # a source that meets every component reaches every vertex
     field = distance_field(g, frozenset(["e", "f"]))
-    assert set(field.values.values()) == {0}
+    assert set(field.values) == {0}
