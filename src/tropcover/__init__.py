@@ -41,7 +41,7 @@ from .graphs import (
     CycleSpace,
     MetricGraph,
     Point,
-    Refinement,
+    cut_at,
     distance_field,
     is_even_subgraph,
     refine,

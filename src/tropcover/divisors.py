@@ -3,7 +3,7 @@
 Linear equivalence is decided two ways: through the period lattice (the
 default, see jacobian.py) and through chip-firing on a unit subdivision,
 which also yields q-reduced representatives via Dhar's burning algorithm.
-A PL function holds its values on the graph's numbered cut (refine).
+A PL function holds its values on the graph's numbered cut (cut_at).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Dict, Iterable, Optional
 
 from . import linalg
 from .errors import DegreeError, PointError, SlopeError
-from .graphs import MetricGraph, PLFunction, Point, refine
+from .graphs import MetricGraph, PLFunction, Point, cut_at, refine  # noqa: F401 (see jacobian)
 from .jacobian import period_lattice, scaled_abel_jacobi
 
 
@@ -324,7 +324,7 @@ def principal_function(D: Divisor) -> Optional[PLFunction]:
     for zj, cyc in zip(z, lat.basis):
         for e, c in cyc.items():
             flow[e] -= zj * c
-    cut = refine(graph, D.support())
+    cut = cut_at(graph, D.support())
     chips = [0] * len(cut.points)
     for p, a in D.items():
         chips[cut.index(p)] = a

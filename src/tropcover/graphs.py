@@ -4,7 +4,7 @@ A graph is a finite model: vertices carrying a nonnegative genus, edges
 carrying a positive rational length.  Loops and parallel edges are allowed.
 Everything downstream (divisors, Jacobians, covers) works with points of the
 underlying metric space, which are either vertices or interior edge positions
-at a rational offset from the tail.  refine cuts the graph at points into a
+at a rational offset from the tail.  cut_at cuts the graph at points into a
 numbered integer model, on which distances and PL functions are computed.
 """
 
@@ -350,32 +350,26 @@ def require_unaugmented(graph: MetricGraph):
 # -- cuts ----------------------------------------------------------------
 
 
-# a piece of a base edge between two vertices of a cut: its ends as vertex
-# numbers, its length and its start on the edge as integers at the cut's
-# scale, and the edge
+# a piece of a base edge: its ends as vertex numbers, its length and its
+# start on the edge as integers at the cut's scale, and the edge
 Segment = namedtuple("Segment", "tail head length edge start")
 
 
 class Refinement:
-    """A graph cut at prescribed points, as a numbered integer model.
+    """A graph cut at points as a numbered integer model, built by cut_at.
 
     Vertices are numbered as UnitSubdivision numbers them: the base
     vertices in vertex_ids order, then each edge's cut points in offset
-    order, edges in edge_ids order; points[i] is vertex i's point of the
-    base graph.  scale is the lcm of the graph's scale and of the
-    denominators of the cut offsets, and `segments` lists each edge's
-    pieces from tail to head, edges in edge_ids order.  No graph, id or
-    Fraction is built per segment.
-
-    The graph is held through a weak reference: its memo holds its uncut
-    model, and a strong reference back would leave both to the cyclic
-    garbage collector.
+    order, edges in edge_ids order; points[i] is vertex i's base point.
+    scale is the lcm of the graph's scale and the cut offsets'
+    denominators, and `segments` lists each edge's pieces from tail to
+    head.  No graph, id or Fraction is built per segment.
     """
 
     def __init__(self, graph: MetricGraph, points: Iterable[Point]):
+        """points: points of graph in normal form, as cut_at checks them."""
         cuts = {}  # edge id -> {offset: point}
         for p in points:
-            p = graph.check_point(p)
             if not p.is_vertex:
                 cuts.setdefault(p.id, {})[p.offset] = p
         graph_scale, length = graph.integer_metric()
@@ -396,7 +390,7 @@ class Refinement:
                 t, a = len(pts), x
                 pts.append(at[offset])
             segments.append(Segment(t, number[head], length[eid] * up - a, eid, a))
-        self._graph = weakref.ref(graph)
+        self._graph = lambda: graph  # cut_at swaps in a weak reference for the memo
         self.scale = scale
         self.points = tuple(pts)
         self.segments = tuple(segments)
@@ -412,14 +406,11 @@ class Refinement:
     def base(self) -> MetricGraph:
         graph = self._graph()
         if graph is None:
-            raise ReferenceError(
-                "the cut's graph no longer exists: keep the graph while using its cut"
-            )
+            raise ReferenceError("the graph of this uncut model no longer exists")
         return graph
 
     def index(self, p: Point) -> int:
-        """The number of the vertex at p, a point of the base graph in
-        normal form."""
+        """The number of the vertex at p, a base point in normal form."""
         i = self._number.get(p)
         if i is None:
             raise PointError("point %r is not a vertex of the cut" % (p,))
@@ -430,16 +421,32 @@ class Refinement:
         return self.points[i]
 
 
-def refine(graph: MetricGraph, points: Iterable[Point]) -> Refinement:
+def cut_at(graph: MetricGraph, points: Iterable[Point]) -> Refinement:
     """The cut of graph at points.  The uncut model, for points that cut no
-    edge, is built once and memoized in the graph's memo."""
+    edge, is memoized in the graph's memo and holds the graph through a
+    weak reference; a cut inside an edge holds its graph."""
     points = [graph.check_point(p) for p in points]
     if any(not p.is_vertex for p in points):
         return Refinement(graph, points)
-    cut = graph._memo.get("refinement")
-    if cut is None:
-        cut = graph._memo["refinement"] = Refinement(graph, ())
-    return cut
+    model = graph._memo.get("refinement")
+    if model is None:
+        model = graph._memo["refinement"] = Refinement(graph, ())
+        model._graph = weakref.ref(graph)
+    return model
+
+
+def refine(graph: MetricGraph, points: Iterable[Point]) -> MetricGraph:
+    """The graph subdivided at points: vertex str(i) and edge str(k) are
+    vertex i and segment k of cut_at(graph, points), base vertices keep
+    their genus, and no generated id can collide with the graph's.  The
+    library computes on the cut and never calls this."""
+    model = cut_at(graph, points)
+    genus = [graph.genus_of(v) for v in graph.vertex_ids] + [0] * len(model.points)
+    edges = [
+        (str(k), str(t), str(h), Fraction(ell, model.scale))
+        for k, (t, h, ell, _, _) in enumerate(model.segments)
+    ]
+    return MetricGraph([(str(i), genus[i]) for i in range(len(model.points))], edges)
 
 
 # -- piecewise linear functions ------------------------------------------
@@ -482,22 +489,21 @@ class ShortestPaths:
     distance in the cut's integer metric; `cycle` holds the source's edges
     (empty for a point).  indeg[i] counts the segments descending to vertex
     i plus half of its source ends (the source is oriented totally
-    cyclically); `ridges` maps the index of every other segment off the
-    source, where the descent directions meet, to the meeting point as a
-    point of the base graph.
+    cyclically); `ridges` maps the index of each other segment off the
+    source to the base point where its descent directions meet.
     """
 
     def __init__(self, graph: MetricGraph, source: Union[Point, frozenset]):
         if isinstance(source, Point):
             source = graph.check_point(source)
             self.cycle = frozenset()
-            cut = refine(graph, [source])
+            cut = cut_at(graph, [source])
             self.seeds = (cut.index(source),)
         else:
             self.cycle = check_even_subgraph(graph, source)
             if not self.cycle:
                 raise PointError("empty source cycle")
-            cut = refine(graph, ())
+            cut = cut_at(graph, ())
             seeds = {v for s in cut.segments if s.edge in self.cycle for v in (s.tail, s.head)}
             self.seeds = tuple(sorted(seeds))
         self.refinement = cut
@@ -577,7 +583,7 @@ class DistanceField(PLFunction):
             t, h, ell, _, _ = first.segments[k]
             at[p] = Fraction(ell + dist[t] + dist[h], 2 * first.scale)
         self.ridge_base_points = tuple(sorted(paths.ridges.values()))
-        cut = refine(graph, [*first.points, *self.ridge_base_points])
+        cut = cut_at(graph, [*first.points, *self.ridge_base_points])
         super().__init__(cut, [at[p] for p in cut.points])
         self._check_slopes()
 

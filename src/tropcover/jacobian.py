@@ -23,8 +23,7 @@ from typing import List, Tuple
 from . import linalg
 from .errors import DegreeError, PointError
 
-# refine is bound here as well as in graphs and divisors: the benchmark's
-# tracer patches every module binding of it and checks this one
+# refine is unused here and in divisors; the benchmark's tracer patches both
 from .graphs import MetricGraph, refine  # noqa: F401
 
 

@@ -47,12 +47,12 @@ from tropcover import (
     SlopeError,
     abel_jacobi,
     canonical,
+    cut_at,
     is_principal,
     linalg,
     period_lattice,
     pullback,
     pushforward,
-    refine,
 )
 from tropcover.covers import cover_class, cover_frame
 from tropcover.graphs import _fresh
@@ -770,7 +770,7 @@ def pl_combine(f, g, sign=1):
     """f + sign * g on the cut at the breakpoints of both."""
     if not f.graph.same_model(g.graph):
         raise PointError("functions live on different graphs")
-    cut = refine(f.graph, f.refinement.points + g.refinement.points)
+    cut = cut_at(f.graph, f.refinement.points + g.refinement.points)
     return PLFunction(cut, [f.value(p) + sign * g.value(p) for p in cut.points])
 
 

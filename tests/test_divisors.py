@@ -66,9 +66,9 @@ def test_canonical_divisor(k4, unit_loop, dumbbell):
 
 
 def test_divisor_of_constant_is_zero(k4):
-    from tropcover import refine
+    from tropcover import cut_at
 
-    ref = refine(k4, [])
+    ref = cut_at(k4, [])
     f = PLFunction(ref, [Fraction(3)] * len(ref.points))
     assert divisor_of(f).is_zero()
 
@@ -241,29 +241,31 @@ def test_unit_subdivision_numbers_the_lattice_points():
 def test_reduction_builds_no_refined_graph(k4, monkeypatch):
     # the unit subdivision is a numbered integer model: reducing at a point
     # inside an edge and testing the Laplacian image construct no
-    # MetricGraph and call no refine
-    counts = {"MetricGraph": 0, "refine": 0}
+    # MetricGraph and call no cut_at
+    counts = {"MetricGraph": 0, "cut_at": 0}
     init = graphs.MetricGraph.__init__
 
     def counted_init(self, *args):
         counts["MetricGraph"] += 1
         init(self, *args)
 
-    def counted_refine(graph, points):
-        counts["refine"] += 1
-        return graphs.Refinement(graph, points)
+    cut_at = graphs.cut_at
+
+    def counted_cut_at(graph, points):
+        counts["cut_at"] += 1
+        return cut_at(graph, points)
 
     monkeypatch.setattr(graphs.MetricGraph, "__init__", counted_init)
-    monkeypatch.setattr(graphs, "refine", counted_refine)
-    monkeypatch.setattr(divisors, "refine", counted_refine)
+    monkeypatch.setattr(graphs, "cut_at", counted_cut_at)
+    monkeypatch.setattr(divisors, "cut_at", counted_cut_at)
     q = mid("BC")
     D = Divisor(k4, [(Point.at_vertex("A"), 3), (mid("CD"), -1)])
     red = reduce_at(D, q)
     assert laplacian_image_contains(k4, D - red)
     assert not laplacian_image_contains(k4, D - red + Divisor(k4, [(q, 1), (mid("AB"), -1)]))
-    assert counts == {"MetricGraph": 0, "refine": 0}
+    assert counts == {"MetricGraph": 0, "cut_at": 0}
     # the counters are live: the refined oracle builds a graph, and
-    # principal_function refines at the support
+    # principal_function cuts at the support
     assert refined_reduce_at(D, q) == red
     assert principal_function(D - red) is not None
-    assert counts["MetricGraph"] > 0 and counts["refine"] == 1
+    assert counts["MetricGraph"] > 0 and counts["cut_at"] == 1

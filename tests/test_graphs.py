@@ -1,5 +1,6 @@
 """Metric graph model, cuts, cycle space, and distance fields."""
 
+import gc
 import random
 from fractions import Fraction
 from math import lcm
@@ -10,8 +11,10 @@ from tropcover import (
     CycleSpace,
     MalformedGraphError,
     MetricGraph,
+    PLFunction,
     Point,
     PointError,
+    cut_at,
     distance_field,
     effective_representative,
     enumerate_theta,
@@ -216,7 +219,11 @@ def test_refine_preserves_genus_and_length():
         pts = []
         for e in g.edge_ids[:2]:
             pts.append(Point.on_edge(e, g.length(e) / 3))
-        ref = refine(g, pts)
+        h = refine(g, pts)
+        assert h.genus() == g.genus()
+        total = sum((g.length(e) for e in g.edge_ids), Fraction(0))
+        assert sum((h.length(e) for e in h.edge_ids), Fraction(0)) == total
+        ref = cut_at(g, pts)
         # each cut point adds a vertex and a segment, so V - E is kept
         cuts = len(ref.points) - len(g.vertex_ids)
         assert cuts == len(pts) and len(ref.segments) == len(g.edge_ids) + cuts
@@ -234,7 +241,7 @@ def test_refine_preserves_genus_and_length():
 
 def test_refined_points_round_trip(k4):
     mid = Point.on_edge("AB", Fraction(1, 3))
-    ref = refine(k4, [mid])
+    ref = cut_at(k4, [mid])
     # base vertices first, in vertex_ids order, then the cut points
     assert ref.points == tuple(Point.at_vertex(v) for v in k4.vertex_ids) + (mid,)
     assert ref.index(mid) == 4 and ref.point(4) == mid
@@ -242,9 +249,45 @@ def test_refined_points_round_trip(k4):
     with pytest.raises(PointError, match="not a vertex of the cut"):
         ref.index(Point.on_edge("AB", Fraction(1, 2)))
     # a cut at vertices only is the graph's one memoized uncut model
-    uncut = refine(k4, [])
-    assert refine(k4, [Point.at_vertex("C")]) is uncut and k4._memo["refinement"] is uncut
+    uncut = cut_at(k4, [])
+    assert cut_at(k4, [Point.at_vertex("C")]) is uncut and k4._memo["refinement"] is uncut
     assert len(uncut.segments) == 6 and uncut.scale == 1
+
+
+def test_a_cut_inside_an_edge_holds_its_graph():
+    # the memoized uncut model reaches its graph through a weak reference,
+    # as the graph's memo holds the model; a cut inside an edge is not
+    # memoized and keeps its graph alive
+    ref = cut_at(MetricGraph(["a"], [("l", "a", "a", 2)]), [Point.on_edge("l", 1)])
+    gc.collect()
+    f = PLFunction(ref, [0, 1])
+    assert ref.base is f.graph and f.value(Point.on_edge("l", Fraction(1, 2))) == Fraction(1, 2)
+    uncut = cut_at(MetricGraph(["a"], [("l", "a", "a", 2)]), [])
+    gc.collect()
+    with pytest.raises(ReferenceError):
+        uncut.base
+
+
+def test_refine_avoids_user_ids_shaped_like_generated_ones():
+    # refine names each vertex and edge of the subdivided graph by its
+    # number in the cut, so no user id can collide with a generated one
+    g = MetricGraph(
+        [("A", 1), "B", "0", "f@3"],
+        [("f", "A", "B", 4), ("e", "A", "B", 2), ("1", "A", "B", 3),
+         ("e#0", "B", "f@3", 1), ("0", "0", "A", 1)],
+    )
+    cuts = [Point.on_edge("f", 3), Point.on_edge("e", 1)]
+    ref, h = cut_at(g, cuts), refine(g, cuts)
+    assert h.genus() == g.genus()
+    assert h.vertex_ids == tuple(sorted(str(i) for i in range(len(ref.points))))
+    for i, p in enumerate(ref.points):
+        assert h.genus_of(str(i)) == (g.genus_of(p.id) if p.is_vertex else 0)
+    for k, s in enumerate(ref.segments):
+        assert h.ends(str(k)) == (str(s.tail), str(s.head))
+        assert h.length(str(k)) == Fraction(s.length, ref.scale)
+    for p in cuts:
+        i = ref.index(p)
+        assert i >= len(g.vertex_ids) and ref.point(i) == p
 
 
 def test_even_subgraph_count_and_closure():
