@@ -390,7 +390,7 @@ class Refinement:
                 t, a = len(pts), x
                 pts.append(at[offset])
             segments.append(Segment(t, number[head], length[eid] * up - a, eid, a))
-        self._graph = lambda: graph  # cut_at swaps in a weak reference for the memo
+        self._graph = lambda: graph  # weak in the memoized model (cut_at): no cycle
         self.scale = scale
         self.points = tuple(pts)
         self.segments = tuple(segments)

@@ -125,3 +125,13 @@ def test_every_name_the_benchmark_traces_is_bound():
     ]
     assert not missing
     assert jacobian.refine is graphs.refine and divisors.refine is graphs.refine
+    # the tracer's own test nests a MetricGraph span under refine's
+    g = graphs.MetricGraph(["a"], [("l", "a", "a", 1)])
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        graphs.refine(g, [])
+    finally:
+        tr.uninstall()
+    names = [s[3] for s in tr.spans]
+    assert names[0] == "graphs.refine" and tr.spans[names.index("graphs.MetricGraph")][2] == 0
