@@ -45,7 +45,6 @@ from .graphs import (
     distance_field,
     is_even_subgraph,
     refine,
-    validate,
     virtualize,
 )
 from .jacobian import (

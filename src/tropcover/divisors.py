@@ -346,7 +346,7 @@ def principal_function(D: Divisor) -> Optional[PLFunction]:
     for (t, h, ell, _, _), x in zip(cut.segments, slopes):
         if h >= n:  # a cut point, reached from its segment's tail
             values[h] = values[t] + ell * x
-    return PLFunction(cut, [Fraction(x, cut.scale) for x in values])
+    return PLFunction(graph, cut, [Fraction(x, cut.scale) for x in values])
 
 
 def equivalent(D1: Divisor, D2: Divisor) -> bool:

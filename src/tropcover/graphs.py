@@ -11,7 +11,6 @@ numbered integer model, on which distances and PL functions are computed.
 from __future__ import annotations
 
 import heapq
-import weakref
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
@@ -220,32 +219,18 @@ class MetricGraph:
 
     # -- equality (used by divisors to assert a common host) -------------
 
-    def same_model(self, other: "MetricGraph") -> bool:
-        return self is other or (
-            self._genus == other._genus and self._edges == other._edges
-        )
+    def same_model(self, other) -> bool:
+        """Whether other, a graph or a model derived from one that keeps its
+        genus and edge tables (a cut, a PeriodLattice), has this graph's tables."""
+        # tuple equality tests each item for identity first: a model of this
+        # very graph compares in constant time
+        return (self._genus, self._edges) == (other._genus, other._edges)
 
 
 def _inside(t: Fraction, ell: Fraction) -> bool:
     """0 < t < ell, decided on integer cross products."""
     n = t.numerator
     return 0 < n and n * ell.denominator < ell.numerator * t.denominator
-
-
-def validate(vertices, edges=None):
-    """Diagnostics for graph data; empty list iff the data is a valid graph.
-
-    Accepts either raw (vertices, edges) lists as MetricGraph takes them, or
-    a MetricGraph instance.  Reports the first problem MetricGraph finds,
-    else "disconnected" for a graph that is not connected.
-    """
-    graph = vertices
-    if not isinstance(graph, MetricGraph):
-        try:
-            graph = MetricGraph(vertices, edges)
-        except MalformedGraphError as exc:
-            return [str(exc)]
-    return [] if graph.is_connected() else ["disconnected"]
 
 
 # -- cycle space ---------------------------------------------------------
@@ -310,16 +295,18 @@ class CycleSpace:
 
     def even_subgraphs(self):
         """All 2^g even subgraphs, as frozensets of edge ids, in span order."""
-        out = []
-        g = len(self.nontree)
-        supports = [frozenset(c) for c in self.basis]
-        for mask in range(1 << g):
-            acc = frozenset()
-            for i in range(g):
-                if mask >> i & 1:
-                    acc = acc ^ supports[i]
-            out.append(acc)
-        return out
+        return span([frozenset(c) for c in self.basis], frozenset())
+
+
+def span(generators, zero):
+    """Every XOR sum of generators in span order: entry mask sums
+    generators[i] over the bits i of mask, one XOR from the entry without
+    its lowest bit."""
+    out = [zero]
+    for mask in range(1, 1 << len(generators)):
+        low = mask & -mask
+        out.append(out[mask ^ low] ^ generators[low.bit_length() - 1])
+    return out
 
 
 def is_even_subgraph(graph: MetricGraph, edge_set) -> bool:
@@ -363,7 +350,10 @@ class Refinement:
     order, edges in edge_ids order; points[i] is vertex i's base point.
     scale is the lcm of the graph's scale and the cut offsets'
     denominators, and `segments` lists each edge's pieces from tail to
-    head.  No graph, id or Fraction is built per segment.
+    head.  No graph, id or Fraction is built per segment, and no
+    reference to the graph is kept: a caller that needs it passes it.  The
+    cut keeps the graph's genus and edge tables, so that
+    MetricGraph.same_model tells the graphs it is a cut of.
     """
 
     def __init__(self, graph: MetricGraph, points: Iterable[Point]):
@@ -390,7 +380,7 @@ class Refinement:
                 t, a = len(pts), x
                 pts.append(at[offset])
             segments.append(Segment(t, number[head], length[eid] * up - a, eid, a))
-        self._graph = lambda: graph  # weak in the memoized model (cut_at): no cycle
+        self._genus, self._edges = graph._genus, graph._edges
         self.scale = scale
         self.points = tuple(pts)
         self.segments = tuple(segments)
@@ -401,13 +391,6 @@ class Refinement:
         for t, h, ell, _, _ in segments:
             self.adjacency[t].append((h, ell))
             self.adjacency[h].append((t, ell))
-
-    @property
-    def base(self) -> MetricGraph:
-        graph = self._graph()
-        if graph is None:
-            raise ReferenceError("the graph of this uncut model no longer exists")
-        return graph
 
     def index(self, p: Point) -> int:
         """The number of the vertex at p, a base point in normal form."""
@@ -423,15 +406,13 @@ class Refinement:
 
 def cut_at(graph: MetricGraph, points: Iterable[Point]) -> Refinement:
     """The cut of graph at points.  The uncut model, for points that cut no
-    edge, is memoized in the graph's memo and holds the graph through a
-    weak reference; a cut inside an edge holds its graph."""
+    edge, is memoized in the graph's memo; no cut refers back to its graph."""
     points = [graph.check_point(p) for p in points]
     if any(not p.is_vertex for p in points):
         return Refinement(graph, points)
     model = graph._memo.get("refinement")
     if model is None:
         model = graph._memo["refinement"] = Refinement(graph, ())
-        model._graph = weakref.ref(graph)
     return model
 
 
@@ -453,12 +434,14 @@ def refine(graph: MetricGraph, points: Iterable[Point]) -> MetricGraph:
 
 
 class PLFunction:
-    """Continuous piecewise linear function: values[i] at vertex i of a
-    Refinement, linear along each segment."""
+    """Continuous piecewise linear function on graph: values[i] at vertex i
+    of refinement, a cut of graph, linear along each segment."""
 
-    def __init__(self, refinement: Refinement, values):
+    def __init__(self, graph: MetricGraph, refinement: Refinement, values):
+        if not graph.same_model(refinement):
+            raise PointError("the refinement is not a cut of the function's graph")
+        self.graph = graph
         self.refinement = refinement
-        self.graph = refinement.base
         self.values = [rat(x) for x in values]
         if len(self.values) != len(refinement.points):
             raise PointError("%d values for %d vertices" % (len(self.values), len(refinement.points)))
@@ -584,7 +567,7 @@ class DistanceField(PLFunction):
             at[p] = Fraction(ell + dist[t] + dist[h], 2 * first.scale)
         self.ridge_base_points = tuple(sorted(paths.ridges.values()))
         cut = cut_at(graph, [*first.points, *self.ridge_base_points])
-        super().__init__(cut, [at[p] for p in cut.points])
+        super().__init__(graph, cut, [at[p] for p in cut.points])
         self._check_slopes()
 
     def _check_slopes(self):

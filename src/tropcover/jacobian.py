@@ -14,7 +14,6 @@ graph's own lattice.
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -39,13 +38,14 @@ class PeriodLattice:
     held as the integer inverse of scaled_gram, from which divide() reads
     every Jacobian question.
 
-    The graph is held through a weak reference: its memo holds the
-    lattice, and a strong reference back would leave both to the cyclic
-    garbage collector.
+    No reference to the graph is kept: its memo holds the lattice, and a
+    caller that needs the graph passes it.  The lattice keeps the graph's
+    genus and edge tables, so that MetricGraph.same_model tells the
+    divisors it accepts.
     """
 
     def __init__(self, graph: MetricGraph):
-        self._graph = weakref.ref(graph)
+        self._genus, self._edges = graph._genus, graph._edges
         self.cycles = cs = graph.cycle_space()
         self.basis = cs.basis
         g = self.rank = len(self.basis)
@@ -66,15 +66,6 @@ class PeriodLattice:
                     acc[j] += c * width[e] * x
             self.pot[v] = acc
         self._inverse = None  # inverse(), built on first use
-
-    @property
-    def graph(self) -> MetricGraph:
-        graph = self._graph()
-        if graph is None:
-            raise ReferenceError(
-                "the lattice's graph no longer exists: keep the graph while using its lattice"
-            )
-        return graph
 
     def inverse(self) -> Tuple[List[List[int]], int]:
         """scaled_gram^-1 as (integer matrix, denominator), built on first use."""
@@ -123,8 +114,8 @@ def scaled_abel_jacobi(lat: PeriodLattice, D) -> Tuple[List[int], int]:
     The sum of a * pot[v] over vertex points v, plus a * (pot[tail(e)] +
     t * col[e]) over points at offset t on an edge e.
     """
-    graph = lat.graph
-    if not D.graph.same_model(graph):
+    graph = D.graph
+    if not graph.same_model(lat):
         raise PointError("the divisor does not live on the lattice's graph")
     if any(d != 0 for d in D.component_degrees().values()):
         raise DegreeError("abel_jacobi needs degree 0 on every component")

@@ -16,7 +16,7 @@ from . import linalg
 from .covers import DoubleCover, free_covers, pushforward
 from .divisors import Divisor, is_principal
 from .errors import CoverError, DegreeError, PrymError
-from .graphs import Point
+from .graphs import Point, span
 from .jacobian import period_lattice, scaled_abel_jacobi
 from .rationals import rat
 from .theta import theta_characteristic, two_torsion_divisor, two_torsion_divisors
@@ -174,32 +174,26 @@ def pullback_kernel(cover: DoubleCover, eps=1):
     """Even subgraphs c with phi^* D_c principal, in even_subgraphs order.
 
     2 D_c is principal, so Gram^-1 of the coordinates of phi^* D_c in the
-    source's period lattice (pullback_matrix times those of D_c) is z + r / q
+    source's period lattice (the action's pull times those of D_c) is z + r / q
     with r / q in {0, 1/2}^rank.  The label 2r / q mod 2 is additive in c
     and vanishes exactly when phi^* D_c is principal, so the labels of the
     g basis cycles decide every c: g + 1 theta characteristics and g
     divisions instead of 2^g of each.
     """
+    act = homology_action(cover, eps)
     target = cover.target
-    lat = period_lattice(cover.source_sharp(eps))
-    pull = pullback_matrix(cover, lat)
-    target_lat = period_lattice(target)
     cs = target.cycle_space()
     evens = cs.even_subgraphs()
     base = theta_characteristic(target).divisor
     basis_labels = []
     for i in range(len(cs.basis)):
         D = theta_characteristic(target, evens[1 << i]).divisor - base
-        nums, den = scaled_abel_jacobi(target_lat, D)
-        _, r, q = lat.divide([sum(map(mul, row, nums)) for row in pull], den)
+        nums, den = scaled_abel_jacobi(act.target_lattice, D)
+        _, r, q = act.lattice.divide([sum(map(mul, row, nums)) for row in act.pull], den)
         if any(2 * x != q for x in r if x):
             raise CoverError("the pullback of a 2-torsion class is not 2-torsion")
         basis_labels.append(sum(1 << j for j, x in enumerate(r) if x))
-    labels = [0]  # per mask: its lowest basis cycle's label XOR the rest's
-    for mask in range(1, len(evens)):
-        low = mask & -mask
-        labels.append(labels[mask ^ low] ^ basis_labels[low.bit_length() - 1])
-    return [c for c, label in zip(evens, labels) if not label]
+    return [c for c, label in zip(evens, span(basis_labels, 0)) if not label]
 
 
 def weil_pairing(cover: DoubleCover, cycle) -> int:

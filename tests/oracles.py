@@ -151,7 +151,7 @@ def refined_abel_jacobi(lat, D):
     edges.  The result agrees with abel_jacobi modulo the lattice, not
     necessarily as vectors.
     """
-    ref = StringIdRefinement(lat.graph, D.support())
+    ref = StringIdRefinement(D.graph, D.support())
     root_chain = _root_chains(ref.graph, CycleSpace(ref.graph).forest)
     chain = {}  # refined edge id -> coefficient
     for p, a in D.items():
@@ -771,7 +771,7 @@ def pl_combine(f, g, sign=1):
     if not f.graph.same_model(g.graph):
         raise PointError("functions live on different graphs")
     cut = cut_at(f.graph, f.refinement.points + g.refinement.points)
-    return PLFunction(cut, [f.value(p) + sign * g.value(p) for p in cut.points])
+    return PLFunction(f.graph, cut, [f.value(p) + sign * g.value(p) for p in cut.points])
 
 
 def add_points(lat, v, w):

@@ -44,6 +44,8 @@ def test_validate(tmp_path):
     bad.write_text('{"vertices":[{"id":"a"},{"id":"a"}],"edges":[]}')
     code, _, err = run("validate", str(bad))
     assert code == 2 and err
+    bad.write_text('{"vertices":[{"id":"a"},{"id":"b"}],"edges":[]}')
+    assert run("validate", str(bad)) == (2, "", "error: disconnected\n")
 
 
 def test_validate_reports_what_the_graph_model_rejects(tmp_path):

@@ -69,7 +69,7 @@ def test_divisor_of_constant_is_zero(k4):
     from tropcover import cut_at
 
     ref = cut_at(k4, [])
-    f = PLFunction(ref, [Fraction(3)] * len(ref.points))
+    f = PLFunction(k4, ref, [Fraction(3)] * len(ref.points))
     assert divisor_of(f).is_zero()
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import weakref
 from fractions import Fraction
 from math import lcm
 
@@ -9,19 +10,21 @@ import pytest
 
 from tropcover import (
     CycleSpace,
+    Divisor,
     MalformedGraphError,
     MetricGraph,
     PLFunction,
     Point,
     PointError,
+    abel_jacobi,
     cut_at,
     distance_field,
     effective_representative,
     enumerate_theta,
     is_even_subgraph,
+    period_lattice,
     refine,
     serialize,
-    validate,
     verify_cover,
     virtualize,
 )
@@ -69,11 +72,10 @@ def test_loops_and_parallel_edges(dumbbell, theta_graph):
 
 
 def test_validate_rejects_bad_data():
-    assert validate([("a", 0)], []) == []
-    problems = validate(
-        [("a", 0), ("a", 0)], [("e", "a", "missing", Fraction(-1))]
-    )
-    assert problems
+    assert MetricGraph([("a", 0)], []).is_connected()
+    # the first problem is the one reported
+    with pytest.raises(MalformedGraphError, match="^duplicate vertex id 'a'$"):
+        MetricGraph([("a", 0), ("a", 0)], [("e", "a", "missing", Fraction(-1))])
     with pytest.raises(MalformedGraphError):
         MetricGraph(["a", "a"], [])
     with pytest.raises(MalformedGraphError):
@@ -81,22 +83,22 @@ def test_validate_rejects_bad_data():
 
 
 @pytest.mark.parametrize(
-    "vertices, edges",
+    "vertices, edges, message",
     [
-        (["a", "a"], []),
-        (["a", "b"], [("e", "a", "b", 1), ("e", "b", "a", 1)]),
-        (["a"], [("e", "a", "zz", 1)]),
-        (["a"], [("e", "a", "a", 0)]),
-        (["a"], [("e", "a", "a", Fraction(-1, 2))]),
-        (["a"], [("e", "a", "a", 1.5)]),
-        (["a"], [("e", "a", "a", "x")]),
-        (["a"], [("e", "a", "a", None)]),
-        (["a"], [("e", "a", "a", "1/0")]),
-        (["a"], [("e", "a", "a", True)]),
-        ([("a", 0), ("b", -1)], []),
-        ([("a", 0), ("b", 1.5)], []),
-        ([("a", 0), ("b", "2")], []),
-        ([("a", 0), ("b", True)], []),
+        (["a", "a"], [], "duplicate vertex id 'a'"),
+        (["a", "b"], [("e", "a", "b", 1), ("e", "b", "a", 1)], "duplicate edge id 'e'"),
+        (["a"], [("e", "a", "zz", 1)], "edge 'e' has unknown endpoint"),
+        (["a"], [("e", "a", "a", 0)], "edge 'e' has nonpositive length"),
+        (["a"], [("e", "a", "a", Fraction(-1, 2))], "edge 'e' has nonpositive length"),
+        (["a"], [("e", "a", "a", 1.5)], "edge 'e' has unparseable length"),
+        (["a"], [("e", "a", "a", "x")], "edge 'e' has unparseable length"),
+        (["a"], [("e", "a", "a", None)], "edge 'e' has unparseable length"),
+        (["a"], [("e", "a", "a", "1/0")], "edge 'e' has unparseable length"),
+        (["a"], [("e", "a", "a", True)], "edge 'e' has unparseable length"),
+        ([("a", 0), ("b", -1)], [], "genus at 'b' is not a nonnegative integer"),
+        ([("a", 0), ("b", 1.5)], [], "genus at 'b' is not a nonnegative integer"),
+        ([("a", 0), ("b", "2")], [], "genus at 'b' is not a nonnegative integer"),
+        ([("a", 0), ("b", True)], [], "genus at 'b' is not a nonnegative integer"),
     ],
     ids=[
         "duplicate-vertex",
@@ -115,17 +117,18 @@ def test_validate_rejects_bad_data():
         "genus-bool",
     ],
 )
-def test_malformed_graph_data(vertices, edges):
-    # MetricGraph alone decides validity; validate reports its message
+def test_malformed_graph_data(vertices, edges, message):
+    # MetricGraph alone decides validity, and its message names the problem
     with pytest.raises(MalformedGraphError) as info:
         MetricGraph(vertices, edges)
-    assert validate(vertices, edges) == [str(info.value)]
+    assert str(info.value) == message
 
 
 def test_validate_reports_a_disconnected_graph():
-    assert validate(["a", "b"], []) == ["disconnected"]
-    assert validate(MetricGraph(["a", "b"], [])) == ["disconnected"]
-    assert validate(MetricGraph(["a", "b"], [("e", "a", "b", "1/2")])) == []
+    # a valid graph that is not connected is what `tropcover validate`
+    # reports as "disconnected"
+    assert not MetricGraph(["a", "b"], []).is_connected()
+    assert MetricGraph(["a", "b"], [("e", "a", "b", "1/2")]).is_connected()
 
 
 def test_point_normalization(k4):
@@ -254,18 +257,38 @@ def test_refined_points_round_trip(k4):
     assert len(uncut.segments) == 6 and uncut.scale == 1
 
 
-def test_a_cut_inside_an_edge_holds_its_graph():
-    # the memoized uncut model reaches its graph through a weak reference,
-    # as the graph's memo holds the model; a cut inside an edge is not
-    # memoized and keeps its graph alive
-    ref = cut_at(MetricGraph(["a"], [("l", "a", "a", 2)]), [Point.on_edge("l", 1)])
+def test_a_pl_function_interpolates_on_a_cut_inside_an_edge():
+    g = MetricGraph(["a"], [("l", "a", "a", 2)])
+    f = PLFunction(g, cut_at(g, [Point.on_edge("l", 1)]), [0, 1])
+    assert f.graph is g and f.value(Point.on_edge("l", Fraction(1, 2))) == Fraction(1, 2)
+    # the graph a function names is one its cut was made from
+    other = MetricGraph(["a"], [("l", "a", "a", 4)])
+    with pytest.raises(PointError, match="not a cut of the function's graph"):
+        PLFunction(other, f.refinement, [0, 1])
+
+
+def test_no_model_derived_from_a_graph_keeps_it_alive():
+    # the graph's memo owns its uncut model, period lattice and cycle space,
+    # and a cut inside an edge is the caller's: none refers back, so
+    # reference counting frees the graph while every one of them lives on
     gc.collect()
-    f = PLFunction(ref, [0, 1])
-    assert ref.base is f.graph and f.value(Point.on_edge("l", Fraction(1, 2))) == Fraction(1, 2)
-    uncut = cut_at(MetricGraph(["a"], [("l", "a", "a", 2)]), [])
-    gc.collect()
-    with pytest.raises(ReferenceError):
-        uncut.base
+    gc.disable()
+    try:
+        g = MetricGraph(["a", "b"], [("e", "a", "b", 1), ("f", "a", "b", 2), ("l", "a", "a", 1)])
+        uncut, cut = cut_at(g, []), cut_at(g, [Point.on_edge("f", 1)])
+        lat, cs = period_lattice(g), g.cycle_space()
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+        # a caller passes a graph with the same tables
+        again = MetricGraph(["a", "b"], [("e", "a", "b", 1), ("f", "a", "b", 2), ("l", "a", "a", 1)])
+        D = Divisor(again, [(Point.on_edge("f", 1), 1), (Point.at_vertex("a"), -1)])
+        assert abel_jacobi(lat, D) == [Fraction(1), Fraction(0)]
+        f = PLFunction(again, cut, range(len(cut.points)))
+        assert f.value(Point.on_edge("f", Fraction(3, 2))) == Fraction(3, 2)
+        assert len(uncut.segments) == 3 and len(cs.basis) == 2
+    finally:
+        gc.enable()
 
 
 def test_refine_avoids_user_ids_shaped_like_generated_ones():

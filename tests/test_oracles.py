@@ -63,7 +63,7 @@ from oracles import (
 
 
 def fundamental_tree(lat):
-    return {e for e in lat.graph.edge_ids if e not in lat.cycles.nontree}
+    return lat.cycles.forest
 
 
 def test_abel_jacobi_on_the_criterion_2_graphs():
