@@ -39,6 +39,7 @@ from .graphs import (
     Point,
     check_even_subgraph,
     is_even_subgraph,
+    memoized,
     require_unaugmented,
     virtual_loops,
     virtualize,
@@ -62,6 +63,7 @@ class CoverFrame(
     degree)], target edge -> [(source edge, dilation degree)], each sorted
     by source id).  Build one with cover_frame."""
 
+    # not memoized: a _replace copy would share a memo dict held in a field
     @cached_property
     def interior(self) -> MetricGraph:
         """The interior graph off the dilation set, whose spanning forest
@@ -109,7 +111,7 @@ class DoubleCover:
         self.frame = frame
         self.source = source
         self.bits = bits
-        # the package's one cache for this cover: per eps, the virtualized
+        # this cover's memo, read through memoized: per eps, the virtualized
         # source and the homology action
         self._memo = {}
 
@@ -126,10 +128,7 @@ class DoubleCover:
     def source_sharp(self, eps=1) -> MetricGraph:
         """The source with its vertex genus virtualized by loops of length
         eps: the source itself when it has no genus, as a free cover's."""
-        key = ("sharp", rat(eps))
-        if key not in self._memo:
-            self._memo[key] = virtualize(self.source, eps)
-        return self._memo[key]
+        return memoized(self._memo, ("sharp", rat(eps)), virtualize, self.source, eps)
 
     def loop_vertex(self, eid: str) -> str:
         """The source vertex carrying a virtual loop of source_sharp()."""

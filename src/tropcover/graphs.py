@@ -28,6 +28,17 @@ from .rationals import rat
 ZERO = Fraction(0)
 
 
+def memoized(cache: dict, key, build, *args):
+    """cache[key], built as build(*args) on the first read (no build returns
+    None): the package's one way to cache.  Each owner's memo owns its
+    entries, and no entry refers back to its owner.  A caller passes the
+    class or the module global to call, so the name is read at call time."""
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = build(*args)
+    return value
+
+
 class Point(namedtuple("Point", "kind id offset", defaults=(ZERO,))):
     """A point of the metric space: a vertex, or an edge interior position.
 
@@ -95,9 +106,9 @@ class MetricGraph:
         self._edges = edict
         self.vertex_ids = tuple(sorted(genus))
         self.edge_ids = tuple(sorted(edict))
-        # the package's one cache for this immutable graph, each entry built
-        # on first read: the incidence, the integer metric, the cycle space,
-        # the uncut model, the period lattice
+        # this immutable graph's memo, read through memoized: the integer
+        # metric, the incidence, the cycle space, the uncut model and the
+        # period lattice, each built on first read
         self._memo = {}
 
     # -- basic accessors -------------------------------------------------
@@ -116,31 +127,13 @@ class MetricGraph:
     def integer_metric(self):
         """(scale, {edge id: length * scale}), scale the lcm of the length
         denominators: the lengths as integer multiples of 1/scale."""
-        metric = self._memo.get("integer_metric")
-        if metric is None:
-            scale = lcm(*(ell.denominator for _, _, ell in self._edges.values()))
-            metric = self._memo["integer_metric"] = (
-                scale,
-                {
-                    eid: ell.numerator * (scale // ell.denominator)
-                    for eid, (_, _, ell) in self._edges.items()
-                },
-            )
-        return metric
+        return memoized(self._memo, "integer_metric", _integer_metric, self._edges)
 
     def incidence(self):
         """{vertex id: its (edge id, end) pairs}, end 0=tail, 1=head, sorted by
         edge id; a loop contributes both of its ends.  Built on first read;
         a traversal reads the mapping once, not once per step."""
-        adj = self._memo.get("incidence")
-        if adj is None:
-            ends = {v: [] for v in self._genus}
-            for eid in self.edge_ids:
-                tail, head, _ = self._edges[eid]
-                ends[tail].append((eid, 0))
-                ends[head].append((eid, 1))
-            adj = self._memo["incidence"] = {v: tuple(es) for v, es in ends.items()}
-        return adj
+        return memoized(self._memo, "incidence", _incidence, self)
 
     def valence(self, vid: str) -> int:
         return len(self.incidence()[vid])
@@ -158,10 +151,7 @@ class MetricGraph:
         """The graph's one spanning forest with its cycle basis, memoized:
         components, genus, even subgraphs, free-cover bits and the period
         lattice all read it, so they agree on the tree."""
-        cs = self._memo.get("cycle_space")
-        if cs is None:
-            cs = self._memo["cycle_space"] = CycleSpace(self)
-        return cs
+        return memoized(self._memo, "cycle_space", CycleSpace, self)
 
     def components(self):
         """Vertex sets of connected components, each sorted, listed by min id."""
@@ -225,6 +215,22 @@ class MetricGraph:
         # tuple equality tests each item for identity first: a model of this
         # very graph compares in constant time
         return (self._genus, self._edges) == (other._genus, other._edges)
+
+
+def _integer_metric(edges):
+    scale = lcm(*(ell.denominator for _, _, ell in edges.values()))
+    return scale, {
+        eid: ell.numerator * (scale // ell.denominator) for eid, (_, _, ell) in edges.items()
+    }
+
+
+def _incidence(graph: MetricGraph):
+    ends = {v: [] for v in graph._genus}
+    for eid in graph.edge_ids:
+        tail, head, _ = graph._edges[eid]
+        ends[tail].append((eid, 0))
+        ends[head].append((eid, 1))
+    return {v: tuple(es) for v, es in ends.items()}
 
 
 def _inside(t: Fraction, ell: Fraction) -> bool:
@@ -410,10 +416,7 @@ def cut_at(graph: MetricGraph, points: Iterable[Point]) -> Refinement:
     points = [graph.check_point(p) for p in points]
     if any(not p.is_vertex for p in points):
         return Refinement(graph, points)
-    model = graph._memo.get("refinement")
-    if model is None:
-        model = graph._memo["refinement"] = Refinement(graph, ())
-    return model
+    return memoized(graph._memo, "refinement", Refinement, graph, ())
 
 
 def refine(graph: MetricGraph, points: Iterable[Point]) -> MetricGraph:

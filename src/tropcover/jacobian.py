@@ -23,7 +23,7 @@ from . import linalg
 from .errors import DegreeError, PointError
 
 # refine is unused here and in divisors; the benchmark's tracer patches both
-from .graphs import MetricGraph, refine  # noqa: F401
+from .graphs import MetricGraph, memoized, refine  # noqa: F401
 
 
 class PeriodLattice:
@@ -41,7 +41,8 @@ class PeriodLattice:
     No reference to the graph is kept: its memo holds the lattice, and a
     caller that needs the graph passes it.  The lattice keeps the graph's
     genus and edge tables, so that MetricGraph.same_model tells the
-    divisors it accepts.
+    divisors it accepts.  Its own memo holds the inverse, built on first
+    use through memoized.
     """
 
     def __init__(self, graph: MetricGraph):
@@ -65,13 +66,11 @@ class PeriodLattice:
                 for j, x in enumerate(self.col[e]):
                     acc[j] += c * width[e] * x
             self.pot[v] = acc
-        self._inverse = None  # inverse(), built on first use
+        self._memo = {}
 
     def inverse(self) -> Tuple[List[List[int]], int]:
         """scaled_gram^-1 as (integer matrix, denominator), built on first use."""
-        if self._inverse is None:
-            self._inverse = linalg.integer_inverse(self.scaled_gram)
-        return self._inverse
+        return memoized(self._memo, "inverse", linalg.integer_inverse, self.scaled_gram)
 
     def divide(self, nums, den: int) -> Tuple[List[int], List[int], int]:
         """(z, r, q) with Gram^-1 (nums / den) = z + r / q, z and r integer
@@ -91,10 +90,7 @@ class PeriodLattice:
 
 def period_lattice(graph: MetricGraph) -> PeriodLattice:
     """Memoized on the (immutable) graph instance."""
-    lat = graph._memo.get("period_lattice")
-    if lat is None:
-        lat = graph._memo["period_lattice"] = PeriodLattice(graph)
-    return lat
+    return memoized(graph._memo, "period_lattice", PeriodLattice, graph)
 
 
 def abel_jacobi(lat: PeriodLattice, D) -> List[Fraction]:

@@ -16,7 +16,7 @@ from . import linalg
 from .covers import DoubleCover, free_covers, pushforward
 from .divisors import Divisor, is_principal
 from .errors import CoverError, DegreeError, PrymError
-from .graphs import Point, span
+from .graphs import Point, memoized, span
 from .jacobian import period_lattice, scaled_abel_jacobi
 from .rationals import rat
 from .theta import theta_characteristic, two_torsion_divisor, two_torsion_divisors
@@ -118,11 +118,7 @@ def pullback_matrix(cover: DoubleCover, lat) -> List[List[int]]:
 
 def homology_action(cover: DoubleCover, eps=1) -> HomologyAction:
     """Memoized per cover and virtual-loop length."""
-    key = ("action", rat(eps))
-    act = cover._memo.get(key)
-    if act is None:
-        act = cover._memo[key] = HomologyAction(cover, eps)
-    return act
+    return memoized(cover._memo, ("action", rat(eps)), HomologyAction, cover, eps)
 
 
 def prym_contains(cover: DoubleCover, D: Divisor, eps=1) -> bool:

@@ -116,6 +116,7 @@ def divisor_from_obj(graph: MetricGraph, obj) -> Divisor:
         at = rec["at"]
         _expect(isinstance(at, dict), "%s: 'at' must be an object" % where)
         if "vertex" in at:
+            _expect("edge" not in at, "%s: 'at' names both a vertex and an edge" % where)
             p = Point.at_vertex(_id(at, "vertex", where))
         elif "edge" in at:
             _expect("offset" in at, "%s: edge point needs 'offset'" % where)
@@ -173,7 +174,9 @@ def cover_from_obj(obj) -> DoubleCover:
             type(rec["degree"]) is int and rec["degree"] in (1, 2),
             "%s: degree must be 1 or 2" % where,
         )
-        emap[_id(rec, "src", where)] = (_id(rec, "tgt", where), rec["degree"])
+        src = _id(rec, "src", where)
+        _expect(src not in emap, "%s: duplicate src %r" % (where, src))
+        emap[src] = (_id(rec, "tgt", where), rec["degree"])
     for key in ("vertex_map", "involution"):
         # the keys of a JSON object are strings already
         bad = next((k for k, v in obj[key].items() if type(v) is not str), None)

@@ -605,6 +605,26 @@ def test_verbs_that_use_a_cover_refuse_one_that_fails_verification(tmp_path, kin
             "cover: source: duplicate vertex id 'A^0'",
             id="cover-source-duplicate",
         ),
+        # an edge map names each source edge once: a first record sending
+        # AB^0 to CD was silently replaced by the real AB^0 -> AB
+        pytest.param(
+            _cube_with(
+                [{"src": "AB^0", "tgt": "CD", "degree": 1}]
+                + json.loads(golden("k4_cube.json"))["edge_map"],
+                "edge_map",
+            ),
+            ("cover", "verify"),
+            "edge_map[1]: duplicate src 'AB^0'",
+            id="edge_map-duplicate-src",
+        ),
+        # an 'at' names a vertex or an edge, not both: vertex A was read
+        pytest.param(
+            '[{"at":{"vertex":"A","edge":"AB","offset":"1/2"},"coeff":1},'
+            '{"at":{"vertex":"B"},"coeff":-1}]',
+            ("jac", K4),
+            "divisor[0]: 'at' names both a vertex and an edge",
+            id="at-vertex-and-edge",
+        ),
     ],
 )
 def test_malformed_json_shapes_exit_2_naming_the_field(tmp_path, text, argv, message):

@@ -17,10 +17,12 @@ from tropcover import (
     Point,
     PointError,
     abel_jacobi,
+    covers_with_dilation,
     cut_at,
     distance_field,
     effective_representative,
     enumerate_theta,
+    homology_action,
     is_even_subgraph,
     period_lattice,
     refine,
@@ -270,13 +272,15 @@ def test_a_pl_function_interpolates_on_a_cut_inside_an_edge():
 def test_no_model_derived_from_a_graph_keeps_it_alive():
     # the graph's memo owns its uncut model, period lattice and cycle space,
     # and a cut inside an edge is the caller's: none refers back, so
-    # reference counting frees the graph while every one of them lives on
+    # reference counting frees the graph while every one of them lives on;
+    # the lattice's memo and a cover's hold nothing that refers back either
     gc.collect()
     gc.disable()
     try:
         g = MetricGraph(["a", "b"], [("e", "a", "b", 1), ("f", "a", "b", 2), ("l", "a", "a", 1)])
         uncut, cut = cut_at(g, []), cut_at(g, [Point.on_edge("f", 1)])
         lat, cs = period_lattice(g), g.cycle_space()
+        assert lat.inverse() is lat.inverse()
         ref = weakref.ref(g)
         del g
         assert ref() is None
@@ -287,6 +291,14 @@ def test_no_model_derived_from_a_graph_keeps_it_alive():
         f = PLFunction(again, cut, range(len(cut.points)))
         assert f.value(Point.on_edge("f", Fraction(3, 2))) == Fraction(3, 2)
         assert len(uncut.segments) == 3 and len(cs.basis) == 2
+        # a lattice whose inverse is built, and a cover whose virtualized
+        # source and homology action are built
+        cover = covers_with_dilation(again, frozenset(["e", "f"]))[0]
+        act = homology_action(cover)
+        assert act.lattice is period_lattice(cover.source_sharp())
+        refs = [weakref.ref(x) for x in (lat, cover, act, cover.source_sharp())]
+        del lat, cover, act
+        assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
 

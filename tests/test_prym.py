@@ -28,7 +28,7 @@ from tropcover import (
     pullback_kernel,
     weil_pairing,
 )
-from tropcover import covers, divisors, graphs, jacobian, prym, theta
+from tropcover import covers, divisors, graphs, jacobian, linalg, prym, theta
 from conftest import build_k4, random_graph
 import oracles
 from oracles import fixed_complement_rank, identity, mat_mul
@@ -365,6 +365,67 @@ def test_memos_return_the_same_object(cube_cover):
     with pytest.raises(TypeError) as action_err:
         homology_action(cube_cover, 0.5)
     assert str(action_err.value) == str(sharp_err.value)
+
+
+def count_calls(monkeypatch, owner, name):
+    """The list of argument tuples of each call to owner.name in this test."""
+    calls, orig = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_each_memo_entry_is_built_once(monkeypatch):
+    # the eight lazy entries of a graph, its lattice and a cover all go
+    # through graphs.memoized: every read returns one object, and each
+    # builder runs on the first read alone
+    builds = {
+        name: count_calls(monkeypatch, owner, attr)
+        for name, owner, attr in (
+            ("integer_metric", graphs, "_integer_metric"),
+            ("incidence", graphs, "_incidence"),
+            ("cycle_space", graphs.CycleSpace, "__init__"),
+            ("refinement", graphs.Refinement, "__init__"),
+            ("period_lattice", jacobian.PeriodLattice, "__init__"),
+            ("inverse", linalg, "integer_inverse"),
+            ("source_sharp", covers, "virtualize"),
+            ("homology_action", prym.HomologyAction, "__init__"),
+        )
+    }
+    g = build_k4()
+    reads = {
+        "integer_metric": g.integer_metric,
+        "incidence": g.incidence,
+        "cycle_space": g.cycle_space,
+        "refinement": lambda: graphs.cut_at(g, [Point.at_vertex("A"), Point.at_vertex("B")]),
+        "period_lattice": lambda: period_lattice(g),
+    }
+    for name, read in reads.items():
+        first = read()
+        assert all(read() is first for _ in range(3)), name
+    lat = period_lattice(g)
+    assert graphs.cut_at(g, []) is reads["refinement"]()
+    for k in range(10):
+        lat.divide([k, 1, 2 * k], 3)
+    assert lat.inverse() is lat.inverse()
+    counts = {name: len(calls) for name, calls in builds.items()}
+    assert counts == dict.fromkeys(reads, 1) | {"inverse": 1, "source_sharp": 0, "homology_action": 0}
+    cover = covers_with_dilation(g, TRIANGLE)[0]
+    for calls in builds.values():
+        calls.clear()
+    sharp, act = cover.source_sharp(), homology_action(cover)
+    for _ in range(3):
+        assert cover.source_sharp() is sharp and cover.source_sharp(Fraction(1)) is sharp
+        assert homology_action(cover) is act and homology_action(cover, 1) is act
+    assert len(builds["source_sharp"]) == len(builds["homology_action"]) == 1
+    # a second eps is a second entry, built once
+    half = homology_action(cover, Fraction(1, 2))
+    assert homology_action(cover, Fraction(1, 2)) is half is not act
+    assert len(builds["source_sharp"]) == len(builds["homology_action"]) == 2
 
 
 @pytest.mark.parametrize(
