@@ -52,7 +52,7 @@ def _parse_point(graph: MetricGraph, spec: str) -> Point:
     """
     try:
         if spec in graph.vertex_ids or "@" not in spec:
-            return graph.vertex_point(spec)
+            return graph.check_point(Point.at_vertex(spec))
         eid, off = spec.rsplit("@", 1)
         try:
             offset = rat(off)
@@ -319,6 +319,14 @@ def main(argv=None) -> int:
             parser.error("cover dilated needs --cycle")
     if args.verb == "prym" and args.action == "contains" and not args.divisor:
         parser.error("prym contains needs a divisor file")
+    # an action reads at most one optional argument; any other given is refused
+    action = getattr(args, "action", None)
+    reads = {"reduce": "at", "free": "bits", "dilated": "cycle", "contains": "divisor",
+             "pullback": "divisor", "pushforward": "divisor"}.get(action)
+    for name, label in (("at", "--at"), ("bits", "--bits"), ("cycle", "--cycle"),
+                        ("divisor", "a divisor file")):
+        if action and getattr(args, name, None) is not None and name != reads:
+            parser.error("%s %s does not take %s" % (args.verb, action, label))
     try:
         _emit(args, args.handler(args))
     except MalformedGraphError as exc:

@@ -135,10 +135,8 @@ def divisor_of(f: PLFunction) -> Divisor:
         # incoming slope at h is +slope (f rises toward h), at t -slope
         ords[h] += slope
         ords[t] -= slope
-    div = Divisor(f.graph, [(cut.point(i), int(a)) for i, a in enumerate(ords) if a])
-    if div.degree() != 0:
-        raise DegreeError("div(f) has degree %d, not 0" % div.degree())
-    return div
+    # each segment adds +slope and -slope, so div(f) has degree 0
+    return Divisor(f.graph, [(cut.point(i), int(a)) for i, a in enumerate(ords) if a])
 
 
 # -- unit subdivision and chip-firing ------------------------------------

@@ -190,11 +190,6 @@ class MetricGraph:
             raise PointError("the graph has no vertices")
         return Point.at_vertex(self.vertex_ids[0])
 
-    def vertex_point(self, vid: str) -> Point:
-        if vid not in self._genus:
-            raise PointError("unknown vertex %r" % vid)
-        return Point.at_vertex(vid)
-
     def check_point(self, p: Point) -> Point:
         """p itself when it is a point of this graph in normal form, else
         its normal form (an edge end becomes the vertex)."""
@@ -509,10 +504,6 @@ class ShortestPaths:
             if d is None:
                 raise PointError("graph is disconnected: %r is not reachable from the source" % v)
         self._check()
-
-    def base_point(self, i: int) -> Point:
-        """The base graph's point at vertex i."""
-        return self.refinement.point(i)
 
     def _check(self):
         """Certify dist, orient the model and find the ridges: 0 at the

@@ -121,22 +121,28 @@ def homology_action(cover: DoubleCover, eps=1) -> HomologyAction:
     return memoized(cover._memo, ("action", rat(eps)), HomologyAction, cover, eps)
 
 
+def _require_connected_target(cover: DoubleCover):
+    if not cover.target.is_connected():
+        raise CoverError("prym questions need a connected target graph")
+
+
 def prym_contains(cover: DoubleCover, D: Divisor, eps=1) -> bool:
     """Whether the class of D lies in the Prym variety of the cover.
 
-    D must be a degree-0 divisor on the virtualized source.  The class is
-    in the Prym iff it is the image of a degree-0 class under
-    (1 - involution); in particular its pushforward must be principal.
+    The target must be connected and D a degree-0 divisor on the
+    virtualized source.  The class is in the Prym iff it is the image of a
+    degree-0 class under (1 - involution), so its pushforward is principal.
     """
+    _require_connected_target(cover)
     sharp = cover.source_sharp(eps)
     if not D.graph.same_model(sharp):
         raise CoverError("divisor does not live on the virtualized source")
     if D.degree() != 0:
         raise DegreeError("prym membership needs a degree-0 divisor")
     if not sharp.is_connected():
-        # the source splits into two copies of the target; the image of
-        # (1 - involution) on total-degree-0 classes is exactly the part
-        # with even degree on each copy
+        # two copies of the connected target; the image of (1 - involution)
+        # on total-degree-0 classes is exactly the part with even degree on
+        # each copy
         if not is_principal(pushforward(cover, D, eps)):
             raise PrymError("the pushforward is not principal")
         return all(d % 2 == 0 for d in D.component_degrees().values())
@@ -152,7 +158,8 @@ def _pullback_in_prym(act: HomologyAction, nums, den: int) -> bool:
 
 
 def kernel_component_count(cover: DoubleCover, eps=1) -> int:
-    """Components of the norm-map kernel: 1 (dilated) or 2 (free)."""
+    """Components of the norm-map kernel over a connected target: 1 (dilated) or 2 (free)."""
+    _require_connected_target(cover)
     sharp = cover.source_sharp(eps)
     moved = next(
         (v for v in sharp.vertex_ids if cover.involution_v.get(v, v) != v), None

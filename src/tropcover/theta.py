@@ -44,7 +44,7 @@ def theta_characteristic(
     # both ends of a ridge's segment are outgoing and both halves come in
     # at the ridge, so the ridge carries one chip
     coeffs = [(x, 1) for x in paths.ridges.values()]
-    coeffs += [(paths.base_point(v), n - 1) for v, n in enumerate(paths.indeg) if n != 1]
+    coeffs += [(p, n - 1) for p, n in zip(paths.refinement.points, paths.indeg) if n != 1]
     div = Divisor(graph, coeffs)
     if div.degree() != graph.genus() - 1:
         raise DegreeError(
@@ -59,15 +59,10 @@ def theta_characteristic(
     )
 
 
-def two_torsion_divisor(
-    graph: MetricGraph, cycle, p: Optional[Point] = None
-) -> Divisor:
-    """D_c = L_c - L_0, a representative of a 2-torsion class."""
-    cycle = frozenset(cycle)
-    base = theta_characteristic(graph, frozenset(), p)
-    if not cycle:
-        return Divisor.zero(graph)
-    return theta_characteristic(graph, cycle).divisor - base.divisor
+def two_torsion_divisor(graph: MetricGraph, cycle) -> Divisor:
+    """D_c = L_c - L_0, a representative of a 2-torsion class, with L_0 at
+    the default basepoint: the zero divisor for the empty cycle."""
+    return theta_characteristic(graph, cycle).divisor - theta_characteristic(graph).divisor
 
 
 def two_torsion_divisors(graph: MetricGraph):
@@ -79,6 +74,6 @@ def two_torsion_divisors(graph: MetricGraph):
 
 
 def enumerate_theta(graph: MetricGraph, p: Optional[Point] = None):
-    """All 2^g theta characteristics, in cycle-span order (empty one first)."""
-    require_unaugmented(graph)
+    """All 2^g theta characteristics, in cycle-span order (empty one first,
+    so an augmented graph raises from its first theta_characteristic)."""
     return [theta_characteristic(graph, c, p) for c in graph.cycle_space().even_subgraphs()]

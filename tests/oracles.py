@@ -117,12 +117,12 @@ class StringIdRefinement:
         self.seg = seg
         self.pieces = pieces
 
-    def to_base_point(self, p):
+    def to_base(self, p):
         """Map a point of the refined model back to the base model."""
         if p.is_vertex:
             if p.id in self.origin:
                 return self.origin[p.id]
-            return self.base.vertex_point(p.id)
+            return self.base.check_point(Point.at_vertex(p.id))
         beid, a, _ = self.seg[p.id]
         return self.base.point(beid, a + p.offset)
 
@@ -139,7 +139,7 @@ class StringIdRefinement:
 
     def base_values(self, values):
         """{base point: value} of {refined vertex id: value}."""
-        return {self.to_base_point(Point.at_vertex(v)): x for v, x in values.items()}
+        return {self.to_base(Point.at_vertex(v)): x for v, x in values.items()}
 
 
 def refined_abel_jacobi(lat, D):
@@ -257,7 +257,7 @@ class RefinedUnitSubdivision:
         return Divisor(
             self.graph,
             [
-                (self.refinement.to_base_point(Point.at_vertex(v)), a)
+                (self.refinement.to_base(Point.at_vertex(v)), a)
                 for v, a in chips.items()
                 if a
             ],
@@ -444,7 +444,7 @@ def laplacian_principal_function(D):
             return None
         ords[h] += slope
         ords[t] -= slope
-    got = Divisor(D.graph, [(ref.to_base_point(Point.at_vertex(v)), int(a)) for v, a in ords.items()])
+    got = Divisor(D.graph, [(ref.to_base(Point.at_vertex(v)), int(a)) for v, a in ords.items()])
     return ref.base_values(values) if got == D else None
 
 
@@ -690,7 +690,7 @@ def fraction_theta_divisor(graph, cycle=frozenset(), p=None):
                 indeg += 1
         indeg += cyclic // 2
         if indeg != 1:
-            coeffs.append((ref.to_base_point(Point.at_vertex(v)), indeg - 1))
+            coeffs.append((ref.to_base(Point.at_vertex(v)), indeg - 1))
     return Divisor(graph, coeffs)
 
 

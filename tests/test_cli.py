@@ -240,6 +240,18 @@ CUBE = os.path.join(GOLDEN, "k4_cube.json")
         (["cover", "dilated", K4], "cover dilated needs --cycle"),
         (["cover", "dilated", K4, "--cycle", ""], "cover dilated needs --cycle"),
         (["prym", "contains", CUBE], "prym contains needs a divisor file"),
+        (["divisor", "principal", K4, ZERO, ZERO], "divisor principal needs one divisor file"),
+        (["divisor", "equiv", K4, ZERO, ZERO, "--at", "A"], "divisor equiv does not take --at"),
+        (["divisor", "principal", K4, ZERO, "--at", "A"], "divisor principal does not take --at"),
+        (["cover", "free", K4, "--cycle", "BC,BD,CD"], "cover free does not take --cycle"),
+        (["cover", "free", K4, ZERO], "cover free does not take a divisor file"),
+        (["cover", "dilated", K4, "--cycle", "BC,BD,CD", "--bits", "111"],
+         "cover dilated does not take --bits"),
+        (["cover", "verify", CUBE, ZERO], "cover verify does not take a divisor file"),
+        (["cover", "pullback", CUBE, ZERO, "--bits", "111"], "cover pullback does not take --bits"),
+        (["cover", "pushforward", CUBE, ZERO, "--cycle", "BC"],
+         "cover pushforward does not take --cycle"),
+        (["prym", "components", CUBE, ZERO], "prym components does not take a divisor file"),
     ],
     ids=[
         "equiv-one-file",
@@ -248,6 +260,16 @@ CUBE = os.path.join(GOLDEN, "k4_cube.json")
         "dilated-without-cycle",
         "dilated-with-empty-cycle",
         "contains-without-divisor",
+        "principal-two-files",
+        "equiv-with-at",
+        "principal-with-at",
+        "free-with-cycle",
+        "free-with-divisor",
+        "dilated-with-bits",
+        "verify-with-divisor",
+        "pullback-with-bits",
+        "pushforward-with-cycle",
+        "components-with-divisor",
     ],
 )
 def test_usage_errors_exit_2(argv, message, capsys):
@@ -727,3 +749,30 @@ def test_theta_pretty_names_a_vertex_whose_id_is_empty(tmp_path):
     code, out, err = run("theta", "--pretty", graph)
     assert (code, err) == (0, "")
     assert out.splitlines()[0] == "cycle {}: -1 at  + 2 at b  [non-effective]"
+
+
+def test_a_divisor_point_needs_a_vertex_or_an_edge(tmp_path):
+    div = tmp_path / "d.json"
+    div.write_text('[{"at":{"offset":"1/2"},"coeff":1}]')
+    assert run("divisor", "principal", K4, str(div)) == (
+        2, "", "error: divisor[0]: 'at' needs 'vertex' or 'edge'\n"
+    )
+
+
+def test_prym_questions_on_a_disconnected_target_exit_3(tmp_path):
+    # the theta graph a-b and a loop at c: a free cover verifies, but the
+    # Prym questions need a connected target
+    graph = tmp_path / "g.json"
+    edges = [{"id": e, "tail": "a", "head": "b", "length": "1"} for e in ("e1", "e2", "e3")]
+    edges.append({"id": "l", "tail": "c", "head": "c", "length": "1"})
+    graph.write_text(json.dumps({"vertices": [{"id": v} for v in "abc"], "edges": edges}))
+    code, text, _ = run("cover", "free", str(graph), "--bits", "100")
+    assert code == 0
+    cover = tmp_path / "cover.json"
+    cover.write_text(text)
+    assert run("cover", "verify", str(cover))[1] == '{"dilation":[],"ok":true,"problems":[]}\n'
+    div = tmp_path / "d.json"
+    div.write_text('[{"at":{"vertex":"a^0"},"coeff":1},{"at":{"vertex":"a^1"},"coeff":-1}]')
+    message = "error: prym questions need a connected target graph\n"
+    assert run("prym", "components", str(cover)) == (3, "", message)
+    assert run("prym", "contains", str(cover), str(div)) == (3, "", message)

@@ -406,8 +406,9 @@ def test_verify_reports_an_involution_pairing_unequal_lengths():
         ("edge_map", "AB^0", ("CD", 1), "edge 'AB^0' does not map ends to ends"),
         ("involution_v", "A^0", "B^1", "involution is not involutive at 'A^0'"),
         ("involution_e", "AB^0", "CD^0", "edge involution breaks incidence at 'AB^0'"),
+        ("involution_v", "A^0", "A^0", "involution fixes the undilated vertex 'A^0'"),
     ],
-    ids=["unmapped", "bad-image", "ends", "involutive", "incidence"],
+    ids=["unmapped", "bad-image", "ends", "involutive", "incidence", "fixes"],
 )
 def test_verify_names_a_tampered_map_entry(cube_cover, name, key, value, problem):
     frame = tampered(cube_cover.frame, name, key, value)
@@ -602,3 +603,18 @@ def test_divisor_transport_refuses_a_divisor_of_another_graph(cube_cover, k4):
         pushforward(cube_cover, on_target)
     with pytest.raises(CoverError, match="virtualized source"):
         involution_divisor(cube_cover, on_target)
+
+
+def test_verify_reports_an_involution_that_swaps_fibers(cube_cover):
+    # A^0 <-> B^1 is involutive but swaps points over different vertices
+    frame = tampered(cube_cover.frame, "involution_v", "A^0", "B^1")
+    frame = tampered(frame, "involution_v", "B^1", "A^0")
+    report = verify_cover(DoubleCover(frame, cube_cover.source))
+    assert "involution does not commute with the cover at 'A^0'" in report.problems
+
+
+def test_cover_class_refuses_a_vertex_without_two_lifts(cube_cover):
+    obj = cover_to_obj(cube_cover)
+    obj["vertex_map"]["A^1"] = "B"
+    with pytest.raises(CoverError, match="^vertex 'A' has 1 lifts$"):
+        cover_class(cover_from_obj(obj))

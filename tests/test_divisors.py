@@ -11,6 +11,7 @@ from tropcover import (
     MetricGraph,
     Point,
     PointError,
+    SlopeError,
     canonical_divisor,
     distance_field,
     divisor_of,
@@ -269,3 +270,27 @@ def test_reduction_builds_no_refined_graph(k4, monkeypatch):
     assert refined_reduce_at(D, q) == red
     assert principal_function(D - red) is not None
     assert counts["MetricGraph"] > 0 and counts["cut_at"] == 1
+
+
+def test_divisors_of_different_graphs_do_not_add(k4, unit_loop):
+    with pytest.raises(PointError, match="^divisors live on different graphs$"):
+        Divisor.zero(k4) + Divisor.zero(unit_loop)
+
+
+def test_pl_functions_need_one_value_per_vertex_and_integer_slopes(k4):
+    cut = graphs.cut_at(k4, [])
+    with pytest.raises(PointError, match="^3 values for 4 vertices$"):
+        PLFunction(k4, cut, [0, 0, 0])
+    f = PLFunction(k4, cut, [0, Fraction(1, 2), 0, 0])
+    with pytest.raises(SlopeError, match="^non-integer slope 1/2 on 'AB' from 0$"):
+        divisor_of(f)
+
+
+def test_decisions_on_divisors_whose_degrees_differ(k4):
+    two_loops = MetricGraph(["a", "b"], [("e", "a", "a", 1), ("f", "b", "b", 1)])
+    # total degree 0, but degree 1 and -1 on the two components
+    D = Divisor(two_loops, [(Point.at_vertex("a"), 1), (Point.at_vertex("b"), -1)])
+    assert not is_principal(D)
+    A = Point.at_vertex("A")
+    assert not equivalent(Divisor.zero(k4), Divisor(k4, [(A, 1)]))
+    assert effective_representative(Divisor(k4, [(A, -1)])) is None

@@ -9,6 +9,7 @@ from tropcover import (
     DegreeError,
     Divisor,
     Point,
+    PointError,
     abel_jacobi,
     canonical,
     enumerate_theta,
@@ -21,6 +22,7 @@ from tropcover import (
     two_torsion_divisor,
 )
 
+from tropcover.jacobian import scaled_abel_jacobi
 from conftest import build_k4, random_divisor, random_graph
 from oracles import add_points, gram
 
@@ -164,3 +166,19 @@ def test_jacobian_questions_read_the_gram_inverse_only(monkeypatch):
         assert principal_function(D) is None
         assert principal_function(2 * D) is not None
     assert calls == []
+
+
+def test_lattice_dimension_and_singularity_checks(k4):
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        period_lattice(k4).divide([0], 1)
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        linalg.IntegerLattice([[1, 2]], 3)
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        linalg.IntegerLattice([[1]], 1).contains([1, 2])
+    with pytest.raises(ValueError, match="^singular matrix$"):
+        linalg.integer_inverse([[1, 2], [2, 4]])
+
+
+def test_abel_jacobi_refuses_a_divisor_of_another_graph(k4, unit_loop):
+    with pytest.raises(PointError, match="^the divisor does not live on the lattice's graph$"):
+        scaled_abel_jacobi(period_lattice(k4), Divisor.zero(unit_loop))

@@ -11,6 +11,7 @@ import pytest
 from tropcover import (
     CoverError,
     CycleSpace,
+    DegreeError,
     Divisor,
     Point,
     PointError,
@@ -26,6 +27,7 @@ from tropcover import (
     period_lattice,
     prym_contains,
     pullback_kernel,
+    verify_cover,
     weil_pairing,
 )
 from tropcover import covers, divisors, graphs, jacobian, linalg, prym, theta
@@ -466,3 +468,43 @@ def test_the_homology_action_refuses_a_source_edge_off_the_edge_map(cube_cover):
     cover = covers.DoubleCover(cube_cover.frame, extra)
     with pytest.raises(PointError, match="'X' is neither a source edge nor a virtual loop"):
         prym.HomologyAction(cover)
+
+
+def test_prym_contains_refuses_a_divisor_off_the_source_or_of_nonzero_degree(cube_cover, k4):
+    with pytest.raises(CoverError, match="^divisor does not live on the virtualized source$"):
+        prym_contains(cube_cover, Divisor.zero(k4))
+    D = Divisor(cube_cover.source, [(Point.at_vertex("A^0"), 1)])
+    with pytest.raises(DegreeError, match="^prym membership needs a degree-0 divisor$"):
+        prym_contains(cube_cover, D)
+
+
+def theta_graph_plus_a_loop(loop):
+    edges = [("e1", "a", "b", 1), ("e2", "a", "b", 1), ("e3", "a", "b", 1)]
+    if loop:
+        return graphs.MetricGraph(["a", "b", "c"], edges + [("l", "c", "c", 1)])
+    return graphs.MetricGraph(["a", "b"], edges)
+
+
+def test_prym_questions_refuse_a_disconnected_target():
+    # over the theta graph, the free cover with one sheet swap has a
+    # connected source, two kernel components and a^0 - a^1 off the Prym;
+    # with a loop at a third vertex c the source is disconnected and the
+    # parity count answered 1 and true, so both questions refuse it
+    a = [(Point.at_vertex("a^0"), 1), (Point.at_vertex("a^1"), -1)]
+    theta = theta_graph_plus_a_loop(False)
+    cover = free_cover(theta, {theta.cycle_space().nontree[0]: 1})
+    assert kernel_component_count(cover) == 2
+    assert not prym_contains(cover, Divisor(cover.source, a))
+    g = theta_graph_plus_a_loop(True)
+    cover = free_cover(g, {g.cycle_space().nontree[0]: 1})
+    assert verify_cover(cover).ok and not cover.source.is_connected()
+    message = "^prym questions need a connected target graph$"
+    with pytest.raises(CoverError, match=message):
+        kernel_component_count(cover)
+    with pytest.raises(CoverError, match=message):
+        prym_contains(cover, Divisor(cover.source, a))
+    # a cover dilated along every edge moves no vertex, and still refuses
+    two_loops = graphs.MetricGraph(["a", "b"], [("e", "a", "a", 1), ("f", "b", "b", 1)])
+    (dilated,) = covers_with_dilation(two_loops, {"e", "f"})
+    with pytest.raises(CoverError, match=message):
+        kernel_component_count(dilated)
