@@ -58,9 +58,6 @@ class Divisor:
     def is_effective(self) -> bool:
         return all(a >= 0 for a in self._coeffs.values())
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def _require_same_host(self, other: "Divisor"):
         if not self.graph.same_model(other.graph):
             raise PointError("divisors live on different graphs")

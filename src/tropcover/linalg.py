@@ -8,10 +8,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def transpose(M):
-    return [list(col) for col in zip(*M)] if M else []
-
-
 def solve(M, b):
     """Solve the square nonsingular system M x = b exactly: the last column
     of rref([M | b])."""
@@ -82,31 +78,6 @@ def integer_rref(M):
     return A, pivots
 
 
-def left_nullspace(M):
-    """Basis rows y with y M = 0 for an integer matrix M.
-
-    The basis is the one rref of the transpose gives (a 1 at one free
-    coordinate, minus the rref column at the pivots), each row scaled to the
-    primitive integer vector with a positive free coordinate.
-    """
-    if not M:
-        return []
-    n = len(M)  # ambient dimension of y
-    R, pivots = integer_rref(transpose(M))
-    den = lcm(*(abs(R[r][pc]) for r, pc in enumerate(pivots)))
-    basis = []
-    for j in range(n):
-        if j in pivots:
-            continue
-        y = [0] * n
-        y[j] = den
-        for r, pc in enumerate(pivots):
-            y[pc] = -R[r][j] * (den // R[r][pc])
-        k = gcd(*y)
-        basis.append([x // k for x in y])
-    return basis
-
-
 def integer_inverse(M):
     """(N, d) with M^-1 = N / d and d > 0, for a nonsingular integer matrix."""
     n = len(M)
@@ -131,20 +102,13 @@ class IntegerLattice:
     back-substitution.
     """
 
-    def __init__(self, gens, dim: int, den: int = 1):
-        """The span of the vectors g / den for g in gens (ints or Fractions)."""
+    def __init__(self, gens, dim: int):
+        """The span of the vectors in gens (ints or Fractions)."""
         gens = [list(g) for g in gens]
         if any(len(g) != dim for g in gens):
             raise ValueError("dimension mismatch")
-        lift = lcm(*(x.denominator for g in gens for x in g))
-        active = [[x.numerator * (lift // x.denominator) for x in g] for g in gens]
-        # cancel what the generators share with lift * den, so that the
-        # scaled generators depend on the vectors alone, not on how they
-        # were written
-        k = gcd(lift * den, *(x for g in active for x in g))
-        den = lift * den // k
-        if k > 1:
-            active = [[x // k for x in g] for g in active]
+        den = lcm(*(x.denominator for g in gens for x in g))
+        active = [[x.numerator * (den // x.denominator) for x in g] for g in gens]
         pivots = []  # (row, column) in row order
         for i in range(dim):
             live = [c for c in active if c[i]]
@@ -173,15 +137,15 @@ class IntegerLattice:
         self.den = den
         self.pivots = pivots
 
-    def contains(self, v, den: int = 1) -> bool:
-        """Whether v / den (v ints or Fractions) is an integer combination of
-        the generators."""
+    def contains(self, v) -> bool:
+        """Whether v (ints or Fractions) is an integer combination of the
+        generators."""
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
         scale = self.den
         b = []
         for x in v:
-            q, r = divmod(x.numerator * scale, x.denominator * den)
+            q, r = divmod(x.numerator * scale, x.denominator)
             if r:
                 return False
             b.append(q)

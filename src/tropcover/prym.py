@@ -1,14 +1,32 @@
 """Jacobians of double covers: Prym varieties, pullback kernels, the pairing.
 
-The involution of a cover acts on the cycle space of its (virtualized)
-source; the Prym variety is the image of (1 - involution) inside the
-tropical Jacobian.  Membership is an exact lattice question, and the
-mod-2 pairing of a free cover against an even subgraph reads off whether
-the pulled-back two-torsion divisor lands in the Prym.
+The Prym variety of a cover is the connected component of the identity in
+the kernel of the norm map, the pushforward on Jacobians.  Membership is an
+exact lattice question that the pushforward alone decides.
+
+Notation: P is the push matrix (source coordinates to the target
+coordinates of the pushforward), Q the pullback matrix (target coordinates
+to the source coordinates of the pullback) and L the source period
+lattice.  On source cycles pi^* pi_* = 1 + iota: the pullback counts a lift
+with its degree, and a virtual loop pushes forward to 0.  pi^* is
+injective on coordinates: P Q = 2 Id.
+
+The Prym is the image of 1 - iota, and over the reals that image is the
+kernel of 1 + iota, iota being an involution.  So x lies in im(1 - iota) + L
+iff (1 + iota) x lies in (1 + iota) L, iff P x lies in P L.  By the
+projection formula P L = Gram_T pi_* H_1(source), and the rows of Q span
+pi_* H_1(source) in the target's cycle coordinates.  Hence x is in the Prym
+iff Gram_T^-1 P x is an integer vector (the norm vanishes) in the row span
+of Q, and over a connected source the kernel of the norm has [Z^g : row
+span of Q] components.
+
+The mod-2 pairing of a free cover against an even subgraph reads off
+whether the pulled-back two-torsion divisor lands in the Prym.
 """
 
 from __future__ import annotations
 
+from math import prod
 from operator import mul
 from typing import List
 
@@ -16,7 +34,7 @@ from . import linalg
 from .covers import DoubleCover, free_covers, pushforward
 from .divisors import Divisor, is_principal
 from .errors import CoverError, DegreeError, PrymError
-from .graphs import Point, memoized, span
+from .graphs import memoized, span
 from .jacobian import period_lattice, scaled_abel_jacobi
 from .rationals import rat
 from .theta import theta_characteristic, two_torsion_divisor, two_torsion_divisors
@@ -24,8 +42,8 @@ from .theta import theta_characteristic, two_torsion_divisor, two_torsion_diviso
 
 def _cycle_matrix(cycles, image, nontree) -> List[List[int]]:
     """Row j: cycle j mapped edge by edge, image(e) giving [(edge,
-    multiplicity)], read on the non-tree edges nontree.  A cover's
-    involution, push and pullback matrices are all of this form."""
+    multiplicity)], read on the non-tree edges nontree.  A cover's push
+    and pullback matrices are both of this form."""
     rows = []
     for cyc in cycles:
         mapped = {}
@@ -37,69 +55,41 @@ def _cycle_matrix(cycles, image, nontree) -> List[List[int]]:
 
 
 class HomologyAction:
-    """Involution action on the cycle space of the virtualized source, and
-    the integer data that decides Prym membership from source coordinates.
+    """The integer data that decides Prym membership from source
+    coordinates: both period lattices, the push matrix P, the pullback
+    matrix Q (`pull`) and the lattice its rows span (`prym_lattice`).
 
+    P and Q are the cover's action on homology; the names HomologyAction
+    and homology_action stay because the benchmark's tracer binds them.
     Every matrix here holds ints.  Keeps no reference to the cover, whose
     memo holds the action.
     """
 
     def __init__(self, cover: DoubleCover, eps=1):
         self.lattice = lat = period_lattice(cover.source_sharp(eps))
-        nontree = lat.cycles.nontree
-        inv_e = cover.involution_e
-
-        def involute(e):  # a lift to its partner, a dilated lift to itself
-            if e in inv_e:
-                return ((inv_e[e], 1),)
-            cover.loop_vertex(e)  # PointError unless e is a virtual loop,
-            return ((e, -1),)  # which is reversed in place
-
-        # row j = coordinates of the image of basis cycle j
-        self.matrix = _cycle_matrix(lat.basis, involute, nontree)
         self.target_lattice = period_lattice(cover.target)
-        # pushforward matrix: row i expresses the target cycle i pulled
-        # back along the cover (degree-weighted) in the source basis, so
-        # that P . source coords = target coords of the pushforward
+        # row i expresses the target cycle i pulled back along the cover
+        # (degree-weighted) in the source basis, so that P . source coords
+        # = target coords of the pushforward
         over_e = cover.frame.fibers[1]
         self.push_matrix = _cycle_matrix(
-            self.target_lattice.basis, lambda te: over_e.get(te, ()), nontree
+            self.target_lattice.basis, lambda te: over_e.get(te, ()), lat.cycles.nontree
         )
-        # membership data: integer rows of the left null space of Id - J
-        # (scaling a row moves the projected class and lattice alike), and
-        # the lattice generators projected onto them, over lat.scale
-        g = len(self.matrix)
-        diff = [
-            [int(i == j) - x for j, x in enumerate(row)]
-            for i, row in enumerate(self.matrix)
-        ]
-        self.null = linalg.left_nullspace(diff)
-        proj = [
-            [sum(map(mul, row, col)) for col in lat.scaled_gram]  # Gram is symmetric
-            for row in self.null
-        ]
-        gens = [[row[j] for row in proj] for j in range(g)]
-        self.prym_lattice = linalg.IntegerLattice(gens, len(self.null), lat.scale)
         # pull . target coords = source coords of the pullback
         self.pull = pullback_matrix(cover, lat)
-
-    def norm_vanishes(self, nums, den: int) -> bool:
-        """Whether the class with source coordinates nums / den pushes
-        forward to a principal class: P nums / den in the target lattice."""
-        push = [sum(map(mul, row, nums)) for row in self.push_matrix]
-        return self.target_lattice.contains(push, den)
+        # pi_* H_1(source) in the target's cycle coordinates
+        self.prym_lattice = linalg.IntegerLattice(self.pull, self.target_lattice.rank)
 
     def contains(self, nums, den: int) -> bool:
         """Prym membership of the class with source coordinates nums / den
-        (of degree 0 on every component of the source): the projection onto
-        the left null space of Id - J lies in the projected lattice.  Raises
-        PrymError when the pushforward is not principal."""
-        if not self.norm_vanishes(nums, den):
+        (of degree 0 on every component of the source): Gram_T^-1 P nums /
+        den is an integer vector in the span of Q's rows.  Raises PrymError
+        when the pushforward is not principal."""
+        push = [sum(map(mul, row, nums)) for row in self.push_matrix]
+        z, r, _ = self.target_lattice.divide(push, den)
+        if any(r):
             raise PrymError("the pushforward is not principal")
-        if not self.null:
-            return True
-        proj = [sum(map(mul, row, nums)) for row in self.null]
-        return self.prym_lattice.contains(proj, den)
+        return self.prym_lattice.contains(z)
 
 
 def pullback_matrix(cover: DoubleCover, lat) -> List[List[int]]:
@@ -107,13 +97,17 @@ def pullback_matrix(cover: DoubleCover, lat) -> List[List[int]]:
     lattice, of the pullback of a target class with coordinates x, up to a
     lattice vector.  A lift of length l/d counts d times, so <phi^* c,
     gamma> = <c, phi_* gamma>: row j is basis cycle j pushed forward (a
-    virtual loop to 0), read on the target's non-tree edges."""
+    virtual loop to 0), read on the target's non-tree edges.  Raises
+    PointError for any other source edge off the edge map."""
     edge_map = cover.edge_map
-    return _cycle_matrix(
-        lat.basis,
-        lambda se: ((edge_map[se][0], 1),) if se in edge_map else (),
-        cover.target.cycle_space().nontree,
-    )
+
+    def push(se):
+        if se in edge_map:
+            return ((edge_map[se][0], 1),)
+        cover.loop_vertex(se)  # PointError unless se is a virtual loop
+        return ()
+
+    return _cycle_matrix(lat.basis, push, cover.target.cycle_space().nontree)
 
 
 def homology_action(cover: DoubleCover, eps=1) -> HomologyAction:
@@ -158,19 +152,14 @@ def _pullback_in_prym(act: HomologyAction, nums, den: int) -> bool:
 
 
 def kernel_component_count(cover: DoubleCover, eps=1) -> int:
-    """Components of the norm-map kernel over a connected target: 1 (dilated) or 2 (free)."""
+    """Components of the norm-map kernel over a connected target: over a
+    connected source the index of the span of Q's rows in Z^g, the product
+    of its Hermite pivots (1 for a dilated cover, 2 for a free one); 2 over
+    a disconnected source, where v^0 - v^1 has odd degree on each sheet."""
     _require_connected_target(cover)
-    sharp = cover.source_sharp(eps)
-    moved = next(
-        (v for v in sharp.vertex_ids if cover.involution_v.get(v, v) != v), None
-    )
-    if moved is None:
-        return 1
-    other = cover.involution_v[moved]
-    D = Divisor(
-        sharp, [(Point.at_vertex(moved), 1), (Point.at_vertex(other), -1)]
-    )
-    return 1 if prym_contains(cover, D, eps) else 2
+    if not cover.source_sharp(eps).is_connected():
+        return 2
+    return prod(c[i] for i, c in homology_action(cover, eps).prym_lattice.pivots)
 
 
 def pullback_kernel(cover: DoubleCover, eps=1):

@@ -7,9 +7,11 @@ lattice membership by column echelon reduction redone on every call
 (the library divides by the integer Gram inverse), canonical
 representatives by a Fraction solve (the library solves in integers),
 principal functions by a Fraction Laplacian solve (the library reads the
-slope field off the same integer division), the homology action and Prym
-membership in Fractions on the pulled-back and pushed-forward Divisors (the
-library works in integers through the pullback matrix), distance fields and
+slope field off the same integer division), the involution matrix J and
+Prym membership by the null space of Id - J in Fractions, on the
+pulled-back and pushed-forward Divisors (the library reads membership and
+the component count off the pushforward, in integers through the push and
+pullback matrices), distance fields and
 theta characteristics by Dijkstra and slope tests in Fractions on the edge
 lengths (the library works in its numbered cut's integer metric), the
 Gram determinant by Kirchhoff's weighted matrix-tree theorem, double
@@ -536,7 +538,7 @@ def fraction_left_nullspace(M):
     if not M:
         return []
     n = len(M)
-    R, pivots = linalg.rref(linalg.transpose(M))
+    R, pivots = linalg.rref(list(zip(*M)))
     basis = []
     for j in range(n):
         if j in pivots:
@@ -601,11 +603,28 @@ def divisor_prym_contains(cover, D, eps=1):
     if not sharp.is_connected():
         return all(d % 2 == 0 for d in D.component_degrees().values())
     act = FractionHomologyAction(cover, eps)
+    return null_space_contains(act, abel_jacobi(act.lattice, D))
+
+
+def null_space_contains(act, v):
+    """Prym membership of Fraction source coordinates v whose pushforward
+    is principal, for a FractionHomologyAction act: the projection of v onto
+    the null space of Id - J lies in the projected lattice."""
     if not act.null:
         return True
-    v = abel_jacobi(act.lattice, D)
     proj = [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in act.null]
     return act.prym_lattice.contains(proj)
+
+
+def divisor_component_count(cover, eps=1):
+    """Components of the norm kernel the Divisor way: 1 if v - iota(v) lies
+    in the Prym for a vertex v moved by the involution (any vertex when
+    none is), else 2."""
+    sharp = cover.source_sharp(eps)
+    inv = cover.involution_v
+    v = next((v for v in sharp.vertex_ids if inv.get(v, v) != v), sharp.vertex_ids[0])
+    D = Divisor(sharp, [(Point.at_vertex(v), 1), (Point.at_vertex(inv.get(v, v)), -1)])
+    return 1 if divisor_prym_contains(cover, D, eps) else 2
 
 
 def fraction_distance_field(graph, source):
@@ -792,5 +811,6 @@ def covers_isomorphic(c1, c2):
 
 
 def fixed_complement_rank(act):
-    """rank(Id - involution) of a HomologyAction, the dimension of the Prym."""
+    """rank(Id - involution) of a FractionHomologyAction, the dimension of
+    the Prym."""
     return len(act.matrix) - len(act.null)

@@ -35,7 +35,7 @@ def mid(eid):
 def test_divisor_arithmetic(k4):
     a = Divisor(k4, [(Point.at_vertex("A"), 2), (mid("BC"), -1)])
     b = Divisor(k4, [(Point.at_vertex("A"), -2), (mid("BC"), 1)])
-    assert (a + b).is_zero()
+    assert a + b == Divisor.zero(k4)
     assert a.degree() == 1
     assert (-a) == b
     assert (2 * a).degree() == 2
@@ -47,7 +47,7 @@ def test_divisor_sums_repeated_points_and_drops_zeros(k4):
     # an edge end is its vertex, so it adds to the vertex's coefficient
     D = Divisor(k4, [(a, 1), (Point("edge", "AB", Fraction(0)), 2), (b, 3), (mid("BC"), 0), (b, -3)])
     assert D.items() == ((a, 3),) and D.degree() == 3
-    assert Divisor(k4, {a: 0, mid("CD"): 0}).is_zero()
+    assert Divisor(k4, {a: 0, mid("CD"): 0}) == Divisor.zero(k4)
     assert Divisor(k4, [(a, 2), (b, -1)]).items() == ((a, 2), (b, -1))
 
 
@@ -71,7 +71,7 @@ def test_divisor_of_constant_is_zero(k4):
 
     ref = cut_at(k4, [])
     f = PLFunction(k4, ref, [Fraction(3)] * len(ref.points))
-    assert divisor_of(f).is_zero()
+    assert divisor_of(f) == Divisor.zero(k4)
 
 
 def test_divisor_of_loop_tent(unit_loop):
@@ -98,7 +98,7 @@ def test_theta_field_identity(k4):
 def test_reduce_zero_and_idempotence(k4):
     z = Divisor.zero(k4)
     q = Point.at_vertex("B")
-    assert reduce_at(z, q).is_zero()
+    assert reduce_at(z, q) == z
     rng = random.Random(3)
     for _ in range(10):
         g = random_graph(rng, max_genus=3, unit_lengths=True)

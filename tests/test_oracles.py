@@ -24,6 +24,7 @@ from tropcover import (
     homology_action,
     involution_divisor,
     is_principal,
+    kernel_component_count,
     lattice_contains,
     linalg,
     period_lattice,
@@ -43,6 +44,7 @@ from tropcover.theta import two_torsion_divisors
 from conftest import build_k4, random_divisor, random_graph
 from oracles import (
     FractionHomologyAction,
+    divisor_component_count,
     divisor_prym_contains,
     echelon_in_lattice,
     exhaustive_pullback_kernel,
@@ -55,6 +57,7 @@ from oracles import (
     laplacian_principal_function,
     mat_mul,
     mat_vec,
+    null_space_contains,
     refined_abel_jacobi,
     refined_reduce_at,
     solve_canonical,
@@ -252,7 +255,13 @@ def test_pullback_matrix_and_the_integer_norm_check():
                 want_nums, want_den = scaled_abel_jacobi(act.lattice, up)
                 diff = [a * want_den - b * den for a, b in zip(nums, want_nums)]
                 assert act.lattice.contains(diff, den * want_den)
-                norm = act.norm_vanishes(nums, den)
+                # contains raises PrymError exactly when the norm is not 0
+                try:
+                    act.contains(nums, den)
+                except PrymError:
+                    norm = False
+                else:
+                    norm = True
                 assert norm == is_principal(pushforward(cover, up))
                 principal += norm
                 entries += 1
@@ -291,16 +300,73 @@ def test_prym_contains_against_the_divisor_route(cube_cover):
     assert {True, False, None} <= set(outcomes)
 
 
+def component_wise_degree_zero(rng, graph):
+    """A random divisor with edge-interior points and degree 0 on every
+    component of graph."""
+    D = random_edge_divisor(rng, graph)
+    for comp, d in D.component_degrees().items():
+        D += Divisor(graph, [(Point.at_vertex(comp[0]), -d)])
+    return D
+
+
 def test_homology_action_matches_the_fraction_construction(k4):
+    # the push matrix, and the membership of E, E - iota(E) and, over a
+    # connected source, E - iota(E) + v - iota(v), against the Fraction
+    # null space of Id - J after the pushed-forward Divisor's principality
     rng = random.Random(8081)
     graphs = [k4] + [random_graph(rng, max_genus=4, min_genus=1) for _ in range(6)]
+    outcomes = []
     for g in graphs:
         for cover in covers_of(rng, g):
             act, old = homology_action(cover), FractionHomologyAction(cover)
-            assert act.matrix == old.matrix and act.push_matrix == old.push_matrix
-            assert act.null == old.null
-            assert act.prym_lattice.den == old.prym_lattice.den
-            assert act.prym_lattice.pivots == old.prym_lattice.pivots
+            assert act.push_matrix == old.push_matrix
+            sharp = old.sharp
+            inv = cover.involution_v
+            v = next((v for v in sharp.vertex_ids if inv.get(v, v) != v), sharp.vertex_ids[0])
+            v_iv = Divisor(sharp, [(Point.at_vertex(v), 1), (Point.at_vertex(inv.get(v, v)), -1)])
+            for _ in range(2):
+                E = component_wise_degree_zero(rng, sharp)
+                classes = [E, E - involution_divisor(cover, E)]
+                if sharp.is_connected():
+                    classes.append(classes[1] + v_iv)
+                for D in classes:
+                    want = None
+                    if is_principal(pushforward(cover, D)):
+                        want = null_space_contains(old, abel_jacobi(old.lattice, D))
+                    try:
+                        got = act.contains(*scaled_abel_jacobi(act.lattice, D))
+                    except PrymError:
+                        got = None
+                    assert got == want
+                    outcomes.append(got)
+    assert {True, False, None} <= set(outcomes)
+
+
+def test_kernel_component_count_against_the_divisor_route():
+    # free (the trivial one included), dilated and all-dilated covers, at
+    # two virtual-loop lengths: the count is 1 exactly when v - iota(v) lies
+    # in the Prym
+    rng = random.Random(9011)
+    graphs = [random_graph(rng, max_genus=3, min_genus=1) for _ in range(5)]
+    # every vertex even: dilated along every edge, each vertex is fixed
+    graphs.append(MetricGraph(["a", "b"], [("e%d" % i, "a", "b", Fraction(i + 1, 2)) for i in range(4)]))
+    graphs.append(MetricGraph(["a"], [("l", "a", "a", Fraction(5, 3))]))
+    kinds = set()
+    for g in graphs:
+        cs = CycleSpace(g)
+        covers = free_covers(g) + [
+            c for cyc in cs.even_subgraphs() if cyc for c in covers_with_dilation(g, cyc)
+        ]
+        for cover in covers:
+            for eps in (1, Fraction(1, 3)):
+                assert kernel_component_count(cover, eps) == divisor_component_count(cover, eps)
+            if cover.dilation == frozenset(g.edge_ids):
+                kinds.add("all-dilated")
+            elif cover.dilation:
+                kinds.add("dilated")
+            else:
+                kinds.add("free" if cover.source.is_connected() else "trivial")
+    assert kinds == {"free", "trivial", "dilated", "all-dilated"}
 
 
 def test_pullback_kernel_against_principal_pullbacks():

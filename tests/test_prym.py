@@ -50,16 +50,21 @@ def cocycle_value(cover, cycle):
 
 
 def test_homology_action_cube(cube_cover):
-    act = homology_action(cube_cover)
-    J = act.matrix
+    old = oracles.FractionHomologyAction(cube_cover)
+    J = old.matrix
     assert len(J) == 5
     assert mat_mul(J, J) == identity(5)
     assert sum(J[i][i] for i in range(5)) == 1  # eigenvalues: +1 x3, -1 x2
-    assert fixed_complement_rank(act) == 2  # source genus 5 - target genus 3
+    assert fixed_complement_rank(old) == 2  # source genus 5 - target genus 3
+    # the library's Prym has the same dimension: the source genus minus the
+    # rank of the span of Q's rows, which is all of the target's
+    act = homology_action(cube_cover)
+    assert act.lattice.rank - len(act.prym_lattice.pivots) == 2
 
 
 def test_homology_action_respects_involution(cube_cover):
     act = homology_action(cube_cover)
+    J = oracles.FractionHomologyAction(cube_cover).matrix
     sharp = cube_cover.source_sharp()
     rng = random.Random(67)
     pts = [Point.at_vertex(v) for v in sharp.vertex_ids]
@@ -68,7 +73,7 @@ def test_homology_action_respects_involution(cube_cover):
         D = Divisor(sharp, [(a, 1), (b, -1)])
         v = abel_jacobi(act.lattice, D)
         iv = abel_jacobi(act.lattice, involution_divisor(cube_cover, D))
-        diff = [x - y for x, y in zip(oracles.mat_vec(act.matrix, v), iv)]
+        diff = [x - y for x, y in zip(oracles.mat_vec(J, v), iv)]
         from tropcover import lattice_contains
 
         assert lattice_contains(act.lattice, diff)
@@ -276,9 +281,9 @@ def test_pairing_table_reads_each_torsion_class_once(k4, monkeypatch):
 
 def test_pullback_matrix_against_the_push_matrix_and_the_involution():
     # phi_* phi^* = 2 and the involution fixes every pullback, exactly in
-    # integers: push_matrix . Q = 2 Id and matrix . Q = Q, on the trivial,
-    # free and dilated covers of graphs with fractional lengths and loops,
-    # with virtual loops of two lengths
+    # integers: push_matrix . Q = 2 Id, and J . Q = Q for the oracle's
+    # involution matrix J, on the trivial, free and dilated covers of graphs
+    # with fractional lengths and loops, with virtual loops of two lengths
     rng = random.Random(7717)
     kinds = set()
     for _ in range(8):
@@ -291,11 +296,11 @@ def test_pullback_matrix_against_the_push_matrix_and_the_involution():
             for eps in (1, Fraction(1, 3)):
                 act = homology_action(cover, eps)
                 Q = act.pull
-                assert len(Q) == len(act.matrix) and all(len(row) == n for row in Q)
+                assert len(Q) == act.lattice.rank and all(len(row) == n for row in Q)
                 assert mat_mul(act.push_matrix, Q) == [
                     [2 * (i == j) for j in range(n)] for i in range(n)
                 ]
-                assert mat_mul(act.matrix, Q) == Q
+                assert mat_mul(oracles.FractionHomologyAction(cover, eps).matrix, Q) == Q
             sharp = cover.source_sharp()
             kinds.add("dilated" if cover.dilation else "free" if sharp.is_connected() else "trivial")
     assert kinds == {"trivial", "free", "dilated"}
@@ -440,10 +445,12 @@ def test_each_memo_entry_is_built_once(monkeypatch):
 )
 def test_the_pairing_and_the_kernel_of_a_tree(graph):
     # genus 0: one even subgraph, one free cover (two copies of the tree),
-    # and an action whose null space is empty
+    # an empty null space of Id - J, and a Prym that is all of the kernel
     assert pairing_table(graph) == ([frozenset()], [[0]])
     (cover,) = free_covers(graph)
-    assert homology_action(cover).null == []
+    assert oracles.FractionHomologyAction(cover).null == []
+    act = homology_action(cover)
+    assert act.prym_lattice.pivots == [] and act.contains([], 1)
     assert weil_pairing(cover, frozenset()) == 0
     assert pullback_kernel(cover) == [frozenset()]
 

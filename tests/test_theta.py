@@ -92,7 +92,7 @@ def test_unit_loop_and_tree(unit_loop):
         unit_loop, [(Point.at_vertex("p"), -1), (mid("loop"), 1)]
     )
     lloop = next(t for t in chars if t.cycle)
-    assert lloop.divisor.is_zero() and lloop.effective
+    assert lloop.divisor == Divisor.zero(unit_loop) and lloop.effective
 
     tree = MetricGraph(["r", "s"], [("e", "r", "s", 2)])
     chars = enumerate_theta(tree)
