@@ -6,7 +6,6 @@ Prym varieties, and the mod-2 pairing, all in exact rational arithmetic.
 
 from .covers import (
     DoubleCover,
-    cover_class,
     covers_with_dilation,
     free_cover,
     free_covers,

@@ -468,25 +468,3 @@ def involution_divisor(cover: DoubleCover, D: Divisor, eps=1) -> Divisor:
         raise CoverError("divisor does not live on the virtualized source")
     return Divisor(sharp, [(cover.involute_point(p, eps), a) for p, a in D.items()])
 
-
-# -- isomorphism invariant ------------------------------------------------
-
-
-def cover_class(cover: DoubleCover):
-    """Complete isomorphism invariant over a fixed target: the dilation
-    cycle plus the sheet-swap monodromy on the interior fundamental cycles."""
-    interior = cover.frame.interior
-    over_v, over_e = cover.frame.fibers
-    # label the two lifts of each off-cycle vertex by sorted source id
-    label = {}
-    for tv in interior.vertex_ids:
-        lifts = over_v.get(tv, ())
-        if len(lifts) != 2:
-            raise CoverError("vertex %r has %d lifts" % (tv, len(lifts)))
-        label[lifts[0][0]], label[lifts[1][0]] = 0, 1
-    swap = {}
-    for te in interior.edge_ids:
-        st, sh = cover.source.ends(over_e[te][0][0])
-        swap[te] = label[st] ^ label[sh]
-    mono = tuple(sum(swap[e] for e in cyc) % 2 for cyc in interior.cycle_space().basis)
-    return (cover.dilation, mono)

@@ -21,7 +21,15 @@ of Q, and over a connected source the kernel of the norm has [Z^g : row
 span of Q] components.
 
 The mod-2 pairing of a free cover against an even subgraph reads off
-whether the pulled-back two-torsion divisor lands in the Prym.
+whether the pulled-back two-torsion divisor lands in the Prym.  On target
+cycles pi_* pi^* = 2: a target cycle pulls back to its lifts counted with
+their degree, which push forward to twice it.  So P (Q x) = 2 x for every
+cover, and the norm test of the pullback of a target class with coordinates
+x divides 2 x by the target lattice, whatever the cover.  A pairing column,
+the class D_c of an even subgraph c, is then decided once: z_c = Gram_T^-1
+2 AJ(D_c), an integer vector since 2 D_c is principal, and the entry of
+each cover is whether z_c lies in the span of that cover's Q rows.  The
+table costs 2^g target divisions and 4^g Hermite membership tests.
 """
 
 from __future__ import annotations
@@ -86,10 +94,17 @@ class HomologyAction:
         den is an integer vector in the span of Q's rows.  Raises PrymError
         when the pushforward is not principal."""
         push = [sum(map(mul, row, nums)) for row in self.push_matrix]
-        z, r, _ = self.target_lattice.divide(push, den)
-        if any(r):
-            raise PrymError("the pushforward is not principal")
-        return self.prym_lattice.contains(z)
+        return self.prym_lattice.contains(_norm_quotient(self.target_lattice, push, den))
+
+
+def _norm_quotient(lat, nums, den: int) -> List[int]:
+    """Gram_T^-1 nums / den for a norm with target coordinates nums / den
+    in lat, the target's period lattice: an integer vector.  Raises
+    PrymError when the pushforward is not principal."""
+    z, r, _ = lat.divide(nums, den)
+    if any(r):
+        raise PrymError("the pushforward is not principal")
+    return z
 
 
 def pullback_matrix(cover: DoubleCover, lat) -> List[List[int]]:
@@ -144,13 +159,6 @@ def prym_contains(cover: DoubleCover, D: Divisor, eps=1) -> bool:
     return act.contains(*scaled_abel_jacobi(act.lattice, D))
 
 
-def _pullback_in_prym(act: HomologyAction, nums, den: int) -> bool:
-    """prym_contains(cover, pullback(cover, D)) for D with target coordinates
-    nums / den and act the cover's action.  A pullback has degree 0 on each
-    sheet of a disconnected source: the trivial cover needs no parity branch."""
-    return act.contains([sum(map(mul, row, nums)) for row in act.pull], den)
-
-
 def kernel_component_count(cover: DoubleCover, eps=1) -> int:
     """Components of the norm-map kernel over a connected target: over a
     connected source the index of the span of Q's rows in Z^g, the product
@@ -188,13 +196,21 @@ def pullback_kernel(cover: DoubleCover, eps=1):
     return [c for c, label in zip(evens, span(basis_labels, 0)) if not label]
 
 
+def _norm_of_pullback(lat, D) -> List[int]:
+    """z = Gram_T^-1 2 AJ(D) for a class D of the target with period lattice
+    lat: the norm quotient of D's pullback, the same for every cover since
+    P Q = 2 Id.  A cover's pairing entry is whether z is in its prym_lattice."""
+    nums, den = scaled_abel_jacobi(lat, D)
+    return _norm_quotient(lat, [2 * x for x in nums], den)
+
+
 def weil_pairing(cover: DoubleCover, cycle) -> int:
     """Mod-2 pairing of a free cover with an even subgraph's torsion class."""
     if cover.dilation:
         raise CoverError("the pairing is defined for free covers only")
     D = two_torsion_divisor(cover.target, cycle)
-    x = scaled_abel_jacobi(period_lattice(cover.target), D)
-    return 0 if _pullback_in_prym(homology_action(cover), *x) else 1
+    z = _norm_of_pullback(period_lattice(cover.target), D)
+    return 0 if homology_action(cover).prym_lattice.contains(z) else 1
 
 
 def pairing_table(graph):
@@ -203,9 +219,9 @@ def pairing_table(graph):
     covers = free_covers(graph)
     evens, torsion = two_torsion_divisors(graph)
     lat = period_lattice(graph)
-    coords = [scaled_abel_jacobi(lat, D) for D in torsion]  # once per class
+    columns = [_norm_of_pullback(lat, D) for D in torsion]  # one division per class
     table = [
-        [0 if _pullback_in_prym(act, *x) else 1 for x in coords]
+        [0 if act.prym_lattice.contains(z) else 1 for z in columns]
         for act in map(homology_action, covers)
     ]
     return evens, table

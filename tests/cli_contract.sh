@@ -19,6 +19,8 @@ python -m tropcover.cli cover dilated tests/data/k4.json --cycle BC,BD,CD > "$ou
 cmp "$out/dilated_triangle.json" tests/golden/k4_cover_dilated_triangle.json
 python -m tropcover.cli pair tests/data/k4.json > "$out/pair.json"
 cmp "$out/pair.json" tests/golden/k4_pair.json
+python -m tropcover.cli pair tests/data/g5.json > "$out/g5_pair.json"
+cmp "$out/g5_pair.json" tests/golden/g5_pair.json
 # the golden covers parse through a frame of their own maps and verify
 test "$(python -m tropcover.cli cover verify tests/golden/k4_cube.json)" = '{"dilation":[],"ok":true,"problems":[]}'
 test "$(python -m tropcover.cli cover verify tests/golden/k4_cover_dilated_triangle.json)" = '{"dilation":["BC","BD","CD"],"ok":true,"problems":[]}'

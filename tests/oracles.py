@@ -17,9 +17,11 @@ lengths (the library works in its numbered cut's integer metric), the
 Gram determinant by Kirchhoff's weighted matrix-tree theorem, double
 covers assembled one at a time from the target's Fraction lengths (the
 library shares one frame per dilation cycle and derives each source's
-integer metric from the target's), and the pullback kernel by testing
+integer metric from the target's), the pullback kernel by testing
 every one of the 2^g pulled-back torsion classes (the library decides the
-g basis cycles and adds their labels), and the unit subdivision and
+g basis cycles and adds their labels), the pairing table by each cover's
+full membership test on every entry (the library divides once per torsion
+class), and the unit subdivision and
 q-reduction on a refined MetricGraph with string ids (the library numbers
 the lattice points and fires chips on integer lists).  The oracles refine
 through StringIdRefinement, a MetricGraph with generated string ids (the
@@ -27,13 +29,15 @@ library's cut numbers its vertices).  The incidence is rebuilt from the
 edge list by scanning it once per vertex, and what no library caller needs
 lives here: the sum of two PL functions on the cut at both sets of
 breakpoints, Jacobian addition, the Gram matrix in Fractions, the
-isomorphism test of two covers and the dimension of the Prym.
+isomorphism invariant of a cover and the test of two covers it decides, and
+the dimension of the Prym.
 """
 
 import heapq
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 from tropcover import (
     CoverError,
@@ -50,13 +54,15 @@ from tropcover import (
     abel_jacobi,
     canonical,
     cut_at,
+    free_covers,
+    homology_action,
     is_principal,
     linalg,
     period_lattice,
     pullback,
     pushforward,
 )
-from tropcover.covers import cover_class, cover_frame
+from tropcover.covers import cover_frame
 from tropcover.graphs import _fresh
 from tropcover.jacobian import scaled_abel_jacobi
 from tropcover.theta import two_torsion_divisors
@@ -803,6 +809,26 @@ def gram(lat):
     return [[Fraction(x, lat.scale) for x in row] for row in lat.scaled_gram]
 
 
+def cover_class(cover):
+    """Complete isomorphism invariant over a fixed target: the dilation
+    cycle plus the sheet-swap monodromy on the interior fundamental cycles."""
+    interior = cover.frame.interior
+    over_v, over_e = cover.frame.fibers
+    # label the two lifts of each off-cycle vertex by sorted source id
+    label = {}
+    for tv in interior.vertex_ids:
+        lifts = over_v.get(tv, ())
+        if len(lifts) != 2:
+            raise CoverError("vertex %r has %d lifts" % (tv, len(lifts)))
+        label[lifts[0][0]], label[lifts[1][0]] = 0, 1
+    swap = {}
+    for te in interior.edge_ids:
+        st, sh = cover.source.ends(over_e[te][0][0])
+        swap[te] = label[st] ^ label[sh]
+    mono = tuple(sum(swap[e] for e in cyc) % 2 for cyc in interior.cycle_space().basis)
+    return (cover.dilation, mono)
+
+
 def covers_isomorphic(c1, c2):
     """Isomorphism over a common target, commuting with the covering maps."""
     if not c1.target.same_model(c2.target):
@@ -814,3 +840,19 @@ def fixed_complement_rank(act):
     """rank(Id - involution) of a FractionHomologyAction, the dimension of
     the Prym."""
     return len(act.matrix) - len(act.null)
+
+
+def entrywise_pairing_table(graph):
+    """pairing_table entry by entry: each cover pulls each torsion class's
+    target coordinates back through Q and runs its full membership test
+    (push, target division, Hermite test).  The library divides once per
+    torsion class, since P Q = 2 Id."""
+    evens, torsion = two_torsion_divisors(graph)
+    lat = period_lattice(graph)
+    coords = [scaled_abel_jacobi(lat, D) for D in torsion]
+    table = []
+    for cover in free_covers(graph):
+        act = homology_action(cover)
+        pulled = [([sum(map(mul, row, nums)) for row in act.pull], den) for nums, den in coords]
+        table.append([0 if act.contains(*x) else 1 for x in pulled])
+    return evens, table

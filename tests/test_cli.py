@@ -20,6 +20,7 @@ HERE = os.path.dirname(__file__)
 DATA = os.path.join(HERE, "data")
 GOLDEN = os.path.join(HERE, "golden")
 K4 = os.path.join(DATA, "k4.json")
+G5 = os.path.join(DATA, "g5.json")
 ZERO = os.path.join(DATA, "zero.json")
 
 
@@ -116,6 +117,22 @@ def test_pair_golden_and_deterministic():
     cube_row = obj["table"][7]
     for cycle, bit in zip(obj["cycles"], cube_row):
         assert bit == (1 if len(cycle) == 3 else 0)
+
+
+def test_pair_golden_at_genus_5():
+    # the seeded genus-5 graph with fractional lengths and a loop: 32 free
+    # covers against 32 torsion classes, byte for byte
+    with open(G5) as fh:
+        graph = serialize.graph_from_obj(json.load(fh))
+    seeded = random_graph(random.Random(9), max_genus=5, min_genus=5)
+    assert graph.same_model(seeded) and graph.genus() == 5
+    assert any(len(set(graph.ends(e))) == 1 for e in graph.edge_ids)
+    assert any(graph.length(e).denominator > 1 for e in graph.edge_ids)
+    code, out, _ = run("pair", G5)
+    with open(os.path.join(GOLDEN, "g5_pair.json"), "rb") as fh:
+        assert code == 0 and out.encode() == fh.read()
+    table = json.loads(out)["table"]
+    assert len(table) == 32 and {len(row) for row in table} == {32}
 
 
 def test_cover_golden_and_deterministic():

@@ -16,7 +16,6 @@ from tropcover import (
     Point,
     PointError,
     TropcoverError,
-    cover_class,
     covers_with_dilation,
     enumerate_theta,
     equivalent,
@@ -34,7 +33,7 @@ from tropcover import (
 from tropcover.graphs import virtual_loops
 from tropcover.serialize import cover_from_obj, cover_to_obj
 from conftest import random_3regular, random_graph
-from oracles import covers_isomorphic
+from oracles import cover_class, covers_isomorphic
 import oracles
 
 TRIANGLE = frozenset(["BC", "BD", "CD"])

@@ -1,12 +1,15 @@
-"""The Prym answers under subdivision and rescaling of the target graph.
+"""The Prym answers under subdivision, rescaling and relabelling of the
+target graph.
 
-Inserting a degree-2 vertex does not change a metric graph, and scaling
-every length by k scales every Abel-Jacobi coordinate and every lattice
-alike.  So the pairing table, the kernel component counts and the pullback
-kernels must agree through the induced map on cycles.  These checks need no
-second implementation, and they hold at any genus: they test the numbered
-models (cuts, cover frames) that the library builds on a graph which is the
-same up to the transform.
+Inserting a degree-2 vertex does not change a metric graph, scaling every
+length by k scales every Abel-Jacobi coordinate and every lattice alike,
+and renaming the ids changes nothing but the names.  So the pairing table,
+the kernel component counts and the pullback kernels must agree through the
+induced map on cycles, and under renaming the theta characteristics through
+the induced map on points.  These checks need no second implementation, and
+they hold at any genus: they test the numbered models (cuts, cover frames)
+that the library builds on a graph which is the same up to the transform,
+and that ids the caller chooses never collide with the ones it generates.
 """
 
 import random
@@ -14,8 +17,12 @@ from collections import Counter
 from fractions import Fraction
 
 from tropcover import (
+    Divisor,
     MetricGraph,
+    Point,
     covers_with_dilation,
+    enumerate_theta,
+    equivalent,
     free_covers,
     kernel_component_count,
     pairing_table,
@@ -51,6 +58,37 @@ def subdivide(graph, rng):
     split = {first: eid, second: eid}
     sub = MetricGraph(list(graph.vertex_ids) + [mid], edges)
     return sub, lambda cycle: frozenset(split.get(e, e) for e in cycle)
+
+
+# user ids that look like the ones the library generates for cut points
+# (e@t), virtual loops (e#k, v!k) and primed names, or that sort first
+NAMES = ["0", "f@3", "e#0", "l@1/2", "v!0", "t1@1/3'", "x0", "A", "e", "~", "x0#1", "v1!2"]
+
+
+def rename(graph, rng):
+    """(graph with every vertex and every edge id replaced by a name from
+    NAMES, in an order that permutes the sorted order of each where it can,
+    the map on vertex ids, the map on edge ids)."""
+    maps = []
+    for ids in (graph.vertex_ids, graph.edge_ids):
+        names = rng.sample(NAMES, len(ids))
+        if len(ids) > 1 and names == sorted(names):
+            names.reverse()
+        maps.append(dict(zip(ids, names)))
+    vmap, emap = maps
+    edges = [(emap[e], vmap[t], vmap[h], ell) for e, t, h, ell in edges_of(graph)]
+    return MetricGraph([vmap[v] for v in graph.vertex_ids], edges), vmap, emap
+
+
+def renamed_divisor(D, graph, vmap, emap):
+    """D carried to graph, the renamed copy of its host."""
+    return Divisor(
+        graph,
+        [
+            (Point.at_vertex(vmap[p.id]) if p.is_vertex else Point.on_edge(emap[p.id], p.offset), a)
+            for p, a in D.items()
+        ],
+    )
 
 
 def prym_answers(graph, back):
@@ -92,3 +130,25 @@ def test_subdivision_keeps_the_prym_answers_up_to_the_cycle_map():
         sub, back = subdivide(g, rng)
         assert sub.genus() == g.genus()
         assert prym_answers(sub, back) == prym_answers(g, lambda c: c), i
+
+
+def test_relabelling_keeps_every_prym_answer_and_theta_characteristic():
+    graphs, rng = seeded_graphs()
+    moved = 0
+    for i, g in enumerate(graphs):
+        renamed, vmap, emap = rename(g, rng)
+        undo = {new: old for old, new in emap.items()}
+        moved += sorted(vmap.values())[0] != vmap[g.vertex_ids[0]]
+        assert prym_answers(renamed, lambda c: frozenset(undo[e] for e in c)) == prym_answers(
+            g, lambda c: c
+        ), i
+        theirs = {t.cycle: t.divisor for t in enumerate_theta(renamed)}
+        for t in enumerate_theta(g):
+            mapped = renamed_divisor(t.divisor, renamed, vmap, emap)
+            other = theirs[frozenset(emap[e] for e in t.cycle)]
+            if t.cycle:
+                assert other == mapped, (i, t.cycle)
+            else:
+                # the basepoint is the first vertex id, which renaming moves
+                assert equivalent(other, mapped), i
+    assert moved >= 20  # the c = empty basepoint moved on most graphs

@@ -27,6 +27,7 @@ from tropcover import (
     kernel_component_count,
     lattice_contains,
     linalg,
+    pairing_table,
     period_lattice,
     principal_function,
     prym_contains,
@@ -37,16 +38,18 @@ from tropcover import (
     theta_characteristic,
     torsion_points,
     virtualize,
+    weil_pairing,
 )
 from tropcover.divisors import UnitSubdivision, laplacian_image_contains
 from tropcover.jacobian import scaled_abel_jacobi
 from tropcover.theta import two_torsion_divisors
-from conftest import build_k4, random_divisor, random_graph
+from conftest import build_k4, random_3regular, random_divisor, random_graph
 from oracles import (
     FractionHomologyAction,
     divisor_component_count,
     divisor_prym_contains,
     echelon_in_lattice,
+    entrywise_pairing_table,
     exhaustive_pullback_kernel,
     fraction_det,
     fraction_distance_field,
@@ -640,3 +643,22 @@ def test_gram_determinant_is_the_kirchhoff_tree_sum():
         looped += any(len(set(g.ends(e))) == 1 for e in g.edge_ids)
         rescaled += lat.scale > 1
     assert genera == {2, 3, 4, 5} and looped and rescaled
+
+
+def test_pairing_table_against_the_entrywise_route():
+    # one target division per torsion class (P Q = 2 Id) against each
+    # cover's full membership test on every entry, and every entry against
+    # weil_pairing, on graphs with fractional lengths and loops and on two
+    # 3-regular graphs of genus 5 and 6
+    rng = random.Random(2727)
+    graphs = [random_graph(rng, max_genus=4, min_genus=1) for _ in range(40)]
+    assert {g.genus() for g in graphs} == {1, 2, 3, 4}
+    assert any(len(set(g.ends(e))) == 1 for g in graphs for e in g.edge_ids)
+    assert any(g.length(e).denominator > 1 for g in graphs for e in g.edge_ids)
+    graphs += [random_3regular(rng, 8), random_3regular(rng, 10)]
+    assert [g.genus() for g in graphs[-2:]] == [5, 6]
+    for i, g in enumerate(graphs):
+        evens, table = pairing_table(g)
+        assert (evens, table) == entrywise_pairing_table(g), i
+        for cover, row in zip(free_covers(g), table):
+            assert row == [weil_pairing(cover, c) for c in evens], i

@@ -264,8 +264,9 @@ def test_pairing_table_decides_entries_without_divisors(k4, monkeypatch):
 
 
 def test_pairing_table_reads_each_torsion_class_once(k4, monkeypatch):
-    # 2^g Abel-Jacobi evaluations for the 4^g entries: each cover's
-    # pullback matrix carries the target's coordinates to its source
+    # 2^g Abel-Jacobi evaluations for the 4^g entries: each torsion class
+    # is evaluated and divided once, and every cover tests the same quotient
+    # against its own Hermite lattice (P Q = 2 Id)
     calls = []
     original = prym.scaled_abel_jacobi
 
@@ -277,6 +278,38 @@ def test_pairing_table_reads_each_torsion_class_once(k4, monkeypatch):
     evens, table = pairing_table(k4)
     assert len(calls) == 8
     assert all(lat is period_lattice(k4) for lat in calls)
+
+
+def test_pairing_divides_once_per_torsion_class(k4, monkeypatch):
+    # since P Q = 2 Id the norm of a pullback is the same for every cover:
+    # 2^g target divisions for the 4^g entries, none of them through a
+    # cover's full membership test, and one division for weil_pairing
+    g5 = random_graph(random.Random(9), max_genus=5, min_genus=5)
+    assert g5.genus() == 5
+    divided, tested = [], []
+    divide, contains = jacobian.PeriodLattice.divide, prym.HomologyAction.contains
+
+    def counting_divide(lat, nums, den):
+        divided.append(lat)
+        return divide(lat, nums, den)
+
+    def counting_contains(act, nums, den):
+        tested.append(act)
+        return contains(act, nums, den)
+
+    monkeypatch.setattr(jacobian.PeriodLattice, "divide", counting_divide)
+    monkeypatch.setattr(prym.HomologyAction, "contains", counting_contains)
+    for graph in (k4, g5):
+        del divided[:]
+        evens, table = pairing_table(graph)
+        assert len(divided) == 2 ** graph.genus()
+        assert all(lat is period_lattice(graph) for lat in divided)
+        assert tested == []
+        for cover in free_covers(graph)[:4]:  # the trivial cover first
+            del divided[:]
+            weil_pairing(cover, evens[-1])
+            assert divided == [period_lattice(graph)]
+        assert tested == []
 
 
 def test_pullback_matrix_against_the_push_matrix_and_the_involution():
