@@ -12,9 +12,9 @@ likewise for edges.  Every lifted edge maps to its base edge preserving
 orientation, so offsets transport directly.
 
 The covers over one dilation cycle differ only in their sheet-swap bits, so
-the rest is built once per cycle: a CoverFrame, whose maps, fibers and
-interior graph every cover of the cycle holds, and the vertices and
-lifted names and lengths that each source is assembled from.  A built
+the rest is built once per cycle: a CoverFrame, whose maps and fibers
+every cover of the cycle holds, and the vertices and lifted names and
+lengths that each source is assembled from.  A built
 and a parsed cover get their frame from cover_frame alike, which derives
 the dilation set from the edge map.  A built cover's source carries its
 integer metric from the start, derived in integers from the target's
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, List
 
 from .divisors import Divisor
@@ -49,26 +48,17 @@ from .rationals import rat
 HALF = Fraction(1, 2)
 
 
-class CoverFrame(
-    namedtuple(
-        "CoverFrame",
-        "target dilation vertex_map edge_map involution_v involution_e fibers",
-    )
-):
-    """The read-only half of a cover, which every cover over one target and
-    dilation set shares: the maps (vertex_map: source vertex -> target
-    vertex; edge_map: source edge -> (target edge, dilation degree);
-    involution_v and involution_e on source vertices and edges), the
-    dilation set and the fibers (target vertex -> [(source vertex, local
-    degree)], target edge -> [(source edge, dilation degree)], each sorted
-    by source id).  Build one with cover_frame."""
-
-    # not memoized: a _replace copy would share a memo dict held in a field
-    @cached_property
-    def interior(self) -> MetricGraph:
-        """The interior graph off the dilation set, whose spanning forest
-        orders the sheet-swap bits."""
-        return _interior(self.target, self.dilation)
+# The read-only half of a cover, which every cover over one target and
+# dilation set shares: the maps (vertex_map: source vertex -> target
+# vertex; edge_map: source edge -> (target edge, dilation degree);
+# involution_v and involution_e on source vertices and edges), the dilation
+# set and the fibers (target vertex -> [(source vertex, local degree)],
+# target edge -> [(source edge, dilation degree)], each sorted by source
+# id).  Build one with cover_frame.
+CoverFrame = namedtuple(
+    "CoverFrame",
+    "target dilation vertex_map edge_map involution_v involution_e fibers",
+)
 
 
 def cover_frame(target, vertex_map, edge_map, involution_v) -> CoverFrame:
@@ -129,6 +119,13 @@ class DoubleCover:
         """The source with its vertex genus virtualized by loops of length
         eps: the source itself when it has no genus, as a free cover's."""
         return memoized(self._memo, ("sharp", rat(eps)), virtualize, self.source, eps)
+
+    def sharp_host(self, D: Divisor, eps=1) -> MetricGraph:
+        """source_sharp(eps), which D must live on."""
+        sharp = self.source_sharp(eps)
+        if not D.graph.same_model(sharp):
+            raise CoverError("divisor does not live on the virtualized source")
+        return sharp
 
     def loop_vertex(self, eid: str) -> str:
         """The source vertex carrying a virtual loop of source_sharp()."""
@@ -277,7 +274,7 @@ def _covers_over(graph: MetricGraph, cycle: frozenset) -> List[DoubleCover]:
     """The 2^h covers dilated along cycle, in bit-vector order over the
     non-tree edges of the interior."""
     layout = _cover_layout(graph, cycle)
-    nontree = layout.frame.interior.cycle_space().nontree
+    nontree = _interior(graph, cycle).cycle_space().nontree
     return [
         _build_cover(layout, {e: mask >> i & 1 for i, e in enumerate(nontree)})
         for mask in range(1 << len(nontree))
@@ -295,7 +292,7 @@ def free_cover(graph: MetricGraph, bits: Dict[str, int]) -> DoubleCover:
     """One covering space from sheet-swap bits (0 or 1) on the non-tree edges."""
     require_unaugmented(graph)
     layout = _cover_layout(graph, frozenset())
-    unknown = set(bits) - set(layout.frame.interior.cycle_space().nontree)
+    unknown = set(bits) - set(graph.cycle_space().nontree)
     if unknown:
         raise CoverError("bits on tree edges or unknown edges: %s" % sorted(unknown))
     for eid, b in sorted(bits.items()):
@@ -456,15 +453,11 @@ def pullback(cover: DoubleCover, D: Divisor, eps=1) -> Divisor:
 
 def pushforward(cover: DoubleCover, D: Divisor, eps=1) -> Divisor:
     """phi_* D for D on the virtualized source."""
-    sharp = cover.source_sharp(eps)
-    if not D.graph.same_model(sharp):
-        raise CoverError("divisor does not live on the virtualized source")
+    cover.sharp_host(D, eps)
     return Divisor(cover.target, [(cover.project_point(p), a) for p, a in D.items()])
 
 
 def involution_divisor(cover: DoubleCover, D: Divisor, eps=1) -> Divisor:
-    sharp = cover.source_sharp(eps)
-    if not D.graph.same_model(sharp):
-        raise CoverError("divisor does not live on the virtualized source")
+    sharp = cover.sharp_host(D, eps)
     return Divisor(sharp, [(cover.involute_point(p, eps), a) for p, a in D.items()])
 

@@ -1,20 +1,21 @@
 """Divisors and piecewise linear functions on metric graphs.
 
 Linear equivalence is decided two ways: through the period lattice (the
-default, see jacobian.py) and through chip-firing on a unit subdivision,
-which also yields q-reduced representatives via Dhar's burning algorithm.
-A PL function holds its values on the graph's numbered cut (cut_at).
+default, see jacobian.py) and through chip-firing on the unit cut
+(graphs.unit_cut), which also yields q-reduced representatives via Dhar's
+burning algorithm.  A PL function holds its values on the graph's numbered
+cut (cut_at); both models are graphs.Refinement.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from . import linalg
 from .errors import DegreeError, PointError, SlopeError
-from .graphs import MetricGraph, PLFunction, Point, cut_at, refine  # noqa: F401 (see jacobian)
+from .graphs import MetricGraph, PLFunction, Point, cut_at, unit_cut
+from .graphs import refine  # noqa: F401 (see jacobian)
 from .jacobian import period_lattice, scaled_abel_jacobi
 
 
@@ -122,7 +123,7 @@ def canonical_divisor(graph: MetricGraph) -> Divisor:
 def divisor_of(f: PLFunction) -> Divisor:
     """div(f): at each point, the sum of incoming slopes of f."""
     cut = f.refinement
-    ords = [0] * len(cut.points)
+    ords = [0] * cut.size
     for t, h, ell, edge, start in cut.segments:
         slope = (f.values[h] - f.values[t]) * cut.scale / ell
         if slope.denominator != 1:
@@ -136,80 +137,7 @@ def divisor_of(f: PLFunction) -> Divisor:
     return Divisor(f.graph, [(cut.point(i), int(a)) for i, a in enumerate(ords) if a])
 
 
-# -- unit subdivision and chip-firing ------------------------------------
-
-
-class UnitSubdivision:
-    """Integer model: every edge split into segments of equal length 1/scale.
-
-    scale is the lcm of the graph's scale and of the denominators of the
-    offsets of the prescribed points, so all of those become vertices.
-    Vertices are numbered: the base vertices in vertex_ids order, then each
-    edge's interior lattice points from tail to head, edges in edge_ids
-    order.  nbr[i] lists vertex i's (neighbour, multiplicity) pairs; loops
-    are dropped (they never move chips), so a loop of one segment vanishes
-    and a loop of several is a chain.  No refined graph is built.
-    """
-
-    def __init__(self, graph: MetricGraph, points: Iterable[Point] = ()):
-        graph_scale, length = graph.integer_metric()
-        denoms = []
-        for p in points:
-            p = graph.check_point(p)
-            if not p.is_vertex:
-                denoms.append(p.offset.denominator)
-        self.scale = lcm(graph_scale, *denoms)
-        up = self.scale // graph_scale
-        self.graph = graph
-        self._base = {v: i for i, v in enumerate(graph.vertex_ids)}
-        base_nbr = [{} for _ in self._base]
-        nbr = []
-        self._first = {}  # edge id -> the number of its first interior point
-        self._edge_of = []  # interior point's number - len(base) -> its edge id
-        n = len(base_nbr)
-        for eid in graph.edge_ids:
-            t, h = (self._base[v] for v in graph.ends(eid))
-            k = length[eid] * up  # segments
-            if k == 1:
-                if t != h:
-                    base_nbr[t][h] = base_nbr[t].get(h, 0) + 1
-                    base_nbr[h][t] = base_nbr[h].get(t, 0) + 1
-                continue
-            first, last = n, n + k - 2
-            self._first[eid] = first
-            self._edge_of += [eid] * (k - 1)
-            base_nbr[t][first] = 1
-            base_nbr[h][last] = base_nbr[h].get(last, 0) + 1
-            if k == 2:
-                nbr.append(((t, 2),) if t == h else ((t, 1), (h, 1)))
-            else:
-                nbr.append(((t, 1), (first + 1, 1)))
-                nbr += [((i - 1, 1), (i + 1, 1)) for i in range(first + 1, last)]
-                nbr.append(((last - 1, 1), (h, 1)))
-            n = last + 1
-        self.nbr = [tuple(d.items()) for d in base_nbr] + nbr
-
-    def index(self, p: Point) -> int:
-        """The number of the vertex at p."""
-        p = self.graph.check_point(p)
-        if p.is_vertex:
-            return self._base[p.id]
-        den = p.offset.denominator
-        if self.scale % den:
-            raise PointError("point %r is not a lattice point" % (p,))
-        return self._first[p.id] + p.offset.numerator * (self.scale // den) - 1
-
-    def point(self, i: int) -> Point:
-        """The point of vertex i."""
-        n = len(self._base)
-        if i < n:
-            return Point.at_vertex(self.graph.vertex_ids[i])
-        eid = self._edge_of[i - n]
-        return Point("edge", eid, Fraction(i - self._first[eid] + 1, self.scale))
-
-    def to_divisor(self, chips) -> Divisor:
-        """The divisor of a chip list, one entry per vertex."""
-        return Divisor(self.graph, [(self.point(i), a) for i, a in enumerate(chips) if a])
+# -- chip-firing on the unit cut ----------------------------------------
 
 
 def _bfs_order(nbr, q):
@@ -234,16 +162,19 @@ def _fire_set(chips, nbr, fire, inside):
 
 
 def reduce_at(D: Divisor, q: Point) -> Divisor:
-    """The q-reduced representative of D on the unit subdivision."""
+    """The q-reduced representative of D, by firing chips on the unit cut
+    at supp(D) and q: every segment has length 1, so each adjacency entry
+    moves one chip, and a loop segment, whose vertex is its own neighbour,
+    moves none."""
     graph = D.graph
     q = graph.check_point(q)
-    sub = UnitSubdivision(graph, [*D.support(), q])
-    nbr = sub.nbr
-    n = len(nbr)
+    cut = unit_cut(graph, [*D.support(), q])
+    nbr = cut.adjacency
+    n = cut.size
     chips = [0] * n
     for p, a in D.items():
-        chips[sub.index(p)] += a
-    qv = sub.index(q)
+        chips[cut.index(p)] += a
+    qv = cut.index(q)
     order = _bfs_order(nbr, qv)
     if len(order) != n:
         raise PointError("graph is disconnected; reduce_at needs a connected host")
@@ -280,7 +211,7 @@ def reduce_at(D: Divisor, q: Point) -> Divisor:
         unburnt = [not b for b in burnt]
         _fire_set(chips, nbr, [v for v in range(n) if unburnt[v]], unburnt)
 
-    return sub.to_divisor(chips)
+    return Divisor(graph, [(cut.point(i), a) for i, a in enumerate(chips) if a])
 
 
 # -- principality and equivalence ----------------------------------------
@@ -320,7 +251,7 @@ def principal_function(D: Divisor) -> Optional[PLFunction]:
         for e, c in cyc.items():
             flow[e] -= zj * c
     cut = cut_at(graph, D.support())
-    chips = [0] * len(cut.points)
+    chips = [0] * cut.size
     for p, a in D.items():
         chips[cut.index(p)] = a
         if not p.is_vertex:
@@ -337,7 +268,7 @@ def principal_function(D: Divisor) -> Optional[PLFunction]:
         rise[s.edge] += s.length * x
     n = len(graph.vertex_ids)
     values = [sum(c * rise[e] for e, c in chain(v).items()) for v in graph.vertex_ids]
-    values += [0] * (len(cut.points) - n)
+    values += [0] * (cut.size - n)
     for (t, h, ell, _, _), x in zip(cut.segments, slopes):
         if h >= n:  # a cut point, reached from its segment's tail
             values[h] = values[t] + ell * x
@@ -364,18 +295,19 @@ def effective_representative(D: Divisor) -> Optional[Divisor]:
 
 
 def laplacian_image_contains(graph: MetricGraph, D: Divisor) -> bool:
-    """Discrete oracle: D lies in the integer image of the unit-subdivision
-    Laplacian.  Independent of the period-lattice route."""
-    sub = UnitSubdivision(graph, D.support())
-    n = len(sub.nbr)
+    """Discrete oracle: D lies in the integer image of the Laplacian of the
+    unit cut at supp(D).  Independent of the period-lattice route."""
+    cut = unit_cut(graph, D.support())
+    n = cut.size
     chips = [0] * n
     for p, a in D.items():
-        chips[sub.index(p)] += a
+        chips[cut.index(p)] += a
     cols = []
-    for v, row in enumerate(sub.nbr):
+    for v, row in enumerate(cut.adjacency):
         col = [0] * n
-        col[v] = sum(m for _, m in row)
+        # a loop segment lists v twice, and the two entries cancel
         for u, m in row:
-            col[u] = -m
+            col[v] += m
+            col[u] -= m
         cols.append(col)
     return linalg.in_lattice(cols, chips)

@@ -4,13 +4,16 @@ A graph is a finite model: vertices carrying a nonnegative genus, edges
 carrying a positive rational length.  Loops and parallel edges are allowed.
 Everything downstream (divisors, Jacobians, covers) works with points of the
 underlying metric space, which are either vertices or interior edge positions
-at a rational offset from the tail.  cut_at cuts the graph at points into a
-numbered integer model, on which distances and PL functions are computed.
+at a rational offset from the tail.  Every integer model is one numbered
+Refinement, whose vertices are integer positions along the edges: cut_at
+cuts the graph at points, for distances and PL functions, and unit_cut at
+every multiple of 1/scale, for chip-firing.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
@@ -344,74 +347,107 @@ Segment = namedtuple("Segment", "tail head length edge start")
 
 
 class Refinement:
-    """A graph cut at points as a numbered integer model, built by cut_at.
+    """A graph cut at points as a numbered integer model, built by cut_at
+    and unit_cut.
 
-    Vertices are numbered as UnitSubdivision numbers them: the base
-    vertices in vertex_ids order, then each edge's cut points in offset
-    order, edges in edge_ids order; points[i] is vertex i's base point.
-    scale is the lcm of the graph's scale and the cut offsets'
-    denominators, and `segments` lists each edge's pieces from tail to
-    head.  No graph, id or Fraction is built per segment, and no
-    reference to the graph is kept: a caller that needs it passes it.  The
-    cut keeps the graph's genus and edge tables, so that
-    MetricGraph.same_model tells the graphs it is a cut of.
+    cuts maps an edge id to its increasing integer positions, at `scale`,
+    strictly inside the edge.  Vertices are numbered: the base vertices in
+    vertex_ids order, then each edge's positions in order, edges in
+    edge_ids order; `size` counts them.  `segments` lists each edge's
+    pieces from tail to head, and adjacency[i] lists vertex i's
+    (neighbour, segment length) pairs, one per segment end, so a loop
+    segment lists its vertex twice.  No graph, id, Point or Fraction is
+    built per vertex or segment: index(p) and point(i) map between points
+    and numbers on demand.  No reference to the graph is kept (a caller
+    that needs it passes it), but the cut keeps the graph's genus and edge
+    tables, so that MetricGraph.same_model tells the graphs it is a cut of.
     """
 
-    def __init__(self, graph: MetricGraph, points: Iterable[Point]):
-        """points: points of graph in normal form, as cut_at checks them."""
-        cuts = {}  # edge id -> {offset: point}
-        for p in points:
-            if not p.is_vertex:
-                cuts.setdefault(p.id, {})[p.offset] = p
+    def __init__(self, graph: MetricGraph, scale: int, cuts):
         graph_scale, length = graph.integer_metric()
-        scale = lcm(graph_scale, *(t.denominator for at in cuts.values() for t in at))
         up = scale // graph_scale
-        number = {v: i for i, v in enumerate(graph.vertex_ids)}
-        pts = [Point.at_vertex(v) for v in graph.vertex_ids]
-        segments = []
-        self._first = {}  # edge id -> the index of its first segment
+        self._vertex_ids, self._edge_ids = graph.vertex_ids, graph.edge_ids
+        number = self._number = {v: i for i, v in enumerate(graph.vertex_ids)}
+        n = len(number)
+        segments, adjacency = [], [[] for _ in range(n)]
+        edges = self._edge = {}  # edge id -> (first segment, first cut vertex, positions)
+        starts = self._starts = []  # each edge's first cut vertex, in edge_ids order
         for eid in graph.edge_ids:
-            self._first[eid] = len(segments)
-            tail, head = graph.ends(eid)
-            t, a = number[tail], 0
+            tail, head, _ = graph._edges[eid]
             at = cuts.get(eid, ())
-            for offset in sorted(at):
-                x = offset.numerator * (scale // offset.denominator)
-                segments.append(Segment(t, len(pts), x - a, eid, a))
-                t, a = len(pts), x
-                pts.append(at[offset])
-            segments.append(Segment(t, number[head], length[eid] * up - a, eid, a))
+            edges[eid] = (len(segments), n, at)
+            starts.append(n)
+            t, a = number[tail], 0
+            for x in at:
+                segments.append(Segment(t, n, x - a, eid, a))
+                adjacency[t].append((n, x - a))
+                adjacency.append([(t, x - a)])
+                t, a = n, x
+                n += 1
+            h, ell = number[head], length[eid] * up - a
+            segments.append(Segment(t, h, ell, eid, a))
+            adjacency[t].append((h, ell))
+            adjacency[h].append((t, ell))
         self._genus, self._edges = graph._genus, graph._edges
         self.scale = scale
-        self.points = tuple(pts)
+        self.size = n
         self.segments = tuple(segments)
-        self._number = {p: i for i, p in enumerate(pts)}
-        # adjacency[i] lists vertex i's (neighbour, segment length) pairs; a
-        # loop segment lists its vertex twice
-        self.adjacency = [[] for _ in pts]
-        for t, h, ell, _, _ in segments:
-            self.adjacency[t].append((h, ell))
-            self.adjacency[h].append((t, ell))
+        self.adjacency = adjacency
 
     def index(self, p: Point) -> int:
         """The number of the vertex at p, a base point in normal form."""
-        i = self._number.get(p)
+        if p.is_vertex:
+            i = self._number.get(p.id)
+        else:
+            i, edge, den = None, self._edge.get(p.id), p.offset.denominator
+            if edge is not None and not self.scale % den:
+                _, first, at = edge
+                x = p.offset.numerator * (self.scale // den)
+                j = bisect_left(at, x)
+                if j < len(at) and at[j] == x:
+                    i = first + j
         if i is None:
             raise PointError("point %r is not a vertex of the cut" % (p,))
         return i
 
     def point(self, i: int) -> Point:
         """The base graph's point at vertex i."""
-        return self.points[i]
+        if i < len(self._vertex_ids):
+            return Point.at_vertex(self._vertex_ids[i])
+        # an edge without cut points starts where the next one does
+        eid = self._edge_ids[bisect_right(self._starts, i) - 1]
+        _, first, at = self._edge[eid]
+        return Point("edge", eid, Fraction(at[i - first], self.scale))
+
+
+def _scale_at(graph: MetricGraph, points):
+    """(the graph's scale, the scale of its cut at points, the points inside
+    edges), each point checked and in normal form."""
+    graph_scale, _ = graph.integer_metric()
+    inside = [p for p in map(graph.check_point, points) if not p.is_vertex]
+    return graph_scale, lcm(graph_scale, *(p.offset.denominator for p in inside)), inside
 
 
 def cut_at(graph: MetricGraph, points: Iterable[Point]) -> Refinement:
     """The cut of graph at points.  The uncut model, for points that cut no
     edge, is memoized in the graph's memo; no cut refers back to its graph."""
-    points = [graph.check_point(p) for p in points]
-    if any(not p.is_vertex for p in points):
-        return Refinement(graph, points)
-    return memoized(graph._memo, "refinement", Refinement, graph, ())
+    graph_scale, scale, inside = _scale_at(graph, points)
+    if not inside:
+        return memoized(graph._memo, "refinement", Refinement, graph, graph_scale, {})
+    cuts = {}
+    for p in inside:
+        cuts.setdefault(p.id, set()).add(p.offset.numerator * (scale // p.offset.denominator))
+    return Refinement(graph, scale, {eid: sorted(at) for eid, at in cuts.items()})
+
+
+def unit_cut(graph: MetricGraph, points: Iterable[Point]) -> Refinement:
+    """The unit subdivision: the cut of graph at every multiple of 1/scale,
+    scale the lcm of the graph's and of the offsets of points, so that
+    each segment has length 1 and each of points is a vertex."""
+    graph_scale, scale, _ = _scale_at(graph, points)
+    up = scale // graph_scale
+    _, length = graph.integer_metric()
+    return Refinement(graph, scale, {eid: range(1, ell * up) for eid, ell in length.items()})
 
 
 def refine(graph: MetricGraph, points: Iterable[Point]) -> MetricGraph:
@@ -420,12 +456,12 @@ def refine(graph: MetricGraph, points: Iterable[Point]) -> MetricGraph:
     their genus, and no generated id can collide with the graph's.  The
     library computes on the cut and never calls this."""
     model = cut_at(graph, points)
-    genus = [graph.genus_of(v) for v in graph.vertex_ids] + [0] * len(model.points)
+    genus = [graph.genus_of(v) for v in graph.vertex_ids] + [0] * model.size
     edges = [
         (str(k), str(t), str(h), Fraction(ell, model.scale))
         for k, (t, h, ell, _, _) in enumerate(model.segments)
     ]
-    return MetricGraph([(str(i), genus[i]) for i in range(len(model.points))], edges)
+    return MetricGraph([(str(i), genus[i]) for i in range(model.size)], edges)
 
 
 # -- piecewise linear functions ------------------------------------------
@@ -441,8 +477,8 @@ class PLFunction:
         self.graph = graph
         self.refinement = refinement
         self.values = [rat(x) for x in values]
-        if len(self.values) != len(refinement.points):
-            raise PointError("%d values for %d vertices" % (len(self.values), len(refinement.points)))
+        if len(self.values) != refinement.size:
+            raise PointError("%d values for %d vertices" % (len(self.values), refinement.size))
 
     def value(self, p: Point) -> Fraction:
         """f(p), interpolated on the first segment of p's edge that reaches p."""
@@ -451,10 +487,8 @@ class PLFunction:
         if p.is_vertex:
             return self.values[cut.index(p)]
         x = p.offset * cut.scale
-        k = cut._first[p.id]
-        while cut.segments[k].start + cut.segments[k].length < x:
-            k += 1
-        t, h, ell, _, start = cut.segments[k]
+        first, _, at = cut._edge[p.id]
+        t, h, ell, _, start = cut.segments[first + bisect_left(at, x)]
         return self.values[t] + (self.values[h] - self.values[t]) * (x - start) / ell
 
 
@@ -555,13 +589,13 @@ class DistanceField(PLFunction):
         paths = ShortestPaths(graph, source)
         self.source_cycle = paths.cycle
         first, dist = paths.refinement, paths.dist
-        at = {p: Fraction(d, first.scale) for p, d in zip(first.points, dist)}
+        at = {first.point(i): Fraction(d, first.scale) for i, d in enumerate(dist)}
         for k, p in paths.ridges.items():
             t, h, ell, _, _ = first.segments[k]
             at[p] = Fraction(ell + dist[t] + dist[h], 2 * first.scale)
         self.ridge_base_points = tuple(sorted(paths.ridges.values()))
-        cut = cut_at(graph, [*first.points, *self.ridge_base_points])
-        super().__init__(graph, cut, [at[p] for p in cut.points])
+        cut = cut_at(graph, at)
+        super().__init__(graph, cut, [at[cut.point(i)] for i in range(cut.size)])
         self._check_slopes()
 
     def _check_slopes(self):

@@ -143,9 +143,7 @@ def prym_contains(cover: DoubleCover, D: Divisor, eps=1) -> bool:
     degree-0 class under (1 - involution), so its pushforward is principal.
     """
     _require_connected_target(cover)
-    sharp = cover.source_sharp(eps)
-    if not D.graph.same_model(sharp):
-        raise CoverError("divisor does not live on the virtualized source")
+    sharp = cover.sharp_host(D, eps)
     if D.degree() != 0:
         raise DegreeError("prym membership needs a degree-0 divisor")
     if not sharp.is_connected():

@@ -44,7 +44,8 @@ def theta_characteristic(
     # both ends of a ridge's segment are outgoing and both halves come in
     # at the ridge, so the ridge carries one chip
     coeffs = [(x, 1) for x in paths.ridges.values()]
-    coeffs += [(p, n - 1) for p, n in zip(paths.refinement.points, paths.indeg) if n != 1]
+    cut = paths.refinement
+    coeffs += [(cut.point(i), n - 1) for i, n in enumerate(paths.indeg) if n != 1]
     div = Divisor(graph, coeffs)
     if div.degree() != graph.genus() - 1:
         raise DegreeError(

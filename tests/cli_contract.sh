@@ -31,6 +31,10 @@ test "$status" -eq 2
 echo '{"vertices":[{"id":"a"},{"id":"b"}],"edges":[{"id":"e","tail":"a","head":"b","length":"1/2"},{"id":"f","tail":"a","head":"b","length":"1/3"},{"id":"g","tail":"a","head":"b","length":"1"}]}' > "$out/three_lengths.json"
 echo '[{"at":{"vertex":"a"},"coeff":3},{"at":{"vertex":"b"},"coeff":-1},{"at":{"edge":"g","offset":"1/4"},"coeff":1}]' > "$out/three_lengths_div.json"
 test "$(python -m tropcover.cli divisor reduce "$out/three_lengths.json" "$out/three_lengths_div.json" --at f@1/6)" = '[{"at":{"vertex":"b"},"coeff":1},{"at":{"edge":"f","offset":"1/6"},"coeff":1},{"at":{"edge":"g","offset":"3/4"},"coeff":1}]'
+# a reduction at a point inside an edge on loops of 4 and 1 unit segments at a, one of 2 at b, and two parallel edges a-b
+echo '{"vertices":[{"id":"a"},{"id":"b"}],"edges":[{"id":"l","tail":"a","head":"a","length":"1"},{"id":"m","tail":"b","head":"b","length":"1/2"},{"id":"n","tail":"a","head":"a","length":"1/4"},{"id":"p","tail":"a","head":"b","length":"1"},{"id":"q","tail":"a","head":"b","length":"1/2"}]}' > "$out/loop_parallel.json"
+echo '[{"at":{"vertex":"a"},"coeff":3},{"at":{"edge":"l","offset":"1/2"},"coeff":-1},{"at":{"edge":"q","offset":"1/4"},"coeff":1}]' > "$out/loop_parallel_div.json"
+test "$(python -m tropcover.cli divisor reduce "$out/loop_parallel.json" "$out/loop_parallel_div.json" --at p@1/2)" = '[{"at":{"edge":"l","offset":"1/2"},"coeff":1},{"at":{"edge":"p","offset":"1/2"},"coeff":1},{"at":{"edge":"p","offset":"3/4"},"coeff":1}]'
 # a digit separator is not part of a rational: a length of "1_0" exits 2
 sed 's/"length":"1"/"length":"1_0"/' "$out/three_lengths.json" > "$out/separator.json"
 status=0

@@ -22,8 +22,8 @@ every one of the 2^g pulled-back torsion classes (the library decides the
 g basis cycles and adds their labels), the pairing table by each cover's
 full membership test on every entry (the library divides once per torsion
 class), and the unit subdivision and
-q-reduction on a refined MetricGraph with string ids (the library numbers
-the lattice points and fires chips on integer lists).  The oracles refine
+q-reduction on a refined MetricGraph with string ids (the library's unit
+cut numbers the lattice points, and it fires chips on integer lists).  The oracles refine
 through StringIdRefinement, a MetricGraph with generated string ids (the
 library's cut numbers its vertices).  The incidence is rebuilt from the
 edge list by scanning it once per vertex, and what no library caller needs
@@ -62,7 +62,7 @@ from tropcover import (
     pullback,
     pushforward,
 )
-from tropcover.covers import cover_frame
+from tropcover.covers import _interior, cover_frame
 from tropcover.graphs import _fresh
 from tropcover.jacobian import scaled_abel_jacobi
 from tropcover.theta import two_torsion_divisors
@@ -791,12 +791,17 @@ def incidence(graph):
     }
 
 
+def cut_points(cut):
+    """The base point of each vertex of a numbered cut, by number."""
+    return [cut.point(i) for i in range(cut.size)]
+
+
 def pl_combine(f, g, sign=1):
     """f + sign * g on the cut at the breakpoints of both."""
     if not f.graph.same_model(g.graph):
         raise PointError("functions live on different graphs")
-    cut = cut_at(f.graph, f.refinement.points + g.refinement.points)
-    return PLFunction(f.graph, cut, [f.value(p) + sign * g.value(p) for p in cut.points])
+    cut = cut_at(f.graph, cut_points(f.refinement) + cut_points(g.refinement))
+    return PLFunction(f.graph, cut, [f.value(p) + sign * g.value(p) for p in cut_points(cut)])
 
 
 def add_points(lat, v, w):
@@ -812,7 +817,7 @@ def gram(lat):
 def cover_class(cover):
     """Complete isomorphism invariant over a fixed target: the dilation
     cycle plus the sheet-swap monodromy on the interior fundamental cycles."""
-    interior = cover.frame.interior
+    interior = _interior(cover.target, cover.dilation)
     over_v, over_e = cover.frame.fibers
     # label the two lifts of each off-cycle vertex by sorted source id
     label = {}

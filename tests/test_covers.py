@@ -237,7 +237,6 @@ def test_one_forest_orders_the_free_cover_bits():
         cs = g.cycle_space()
         for c in free_covers(g):
             assert tuple(c.bits) == cs.nontree
-            assert c.frame.interior is g
         # the torsion side reads the same forest: its basis cycles are the
         # fundamental cycles of the non-tree edges the bits sit on
         assert period_lattice(g).cycles is cs
@@ -555,7 +554,6 @@ def test_covers_of_one_frame_share_its_maps():
                 # the shared fields are the frame's alone: a cover cannot rebind them
                 with pytest.raises(AttributeError):
                     c.dilation = frozenset()
-            assert frame.interior is frame.interior
             # each cover has its own source and bits
             assert len({id(c.source) for c in covers}) == len(covers)
             assert len({tuple(sorted(c.bits.items())) for c in covers}) == len(covers)
@@ -571,11 +569,6 @@ def test_parsed_covers_equal_frame_built_ones():
             assert parsed.source.same_model(c.source)
             for name in MAPS + ("dilation", "fibers"):
                 assert getattr(parsed.frame, name) == getattr(c.frame, name), name
-            # a parsed frame derives its interior graph when asked, and the
-            # graph its cycle basis
-            interior = parsed.frame.interior
-            assert interior.same_model(c.frame.interior)
-            assert interior.cycle_space().basis == c.frame.interior.cycle_space().basis
             assert cover_class(parsed) == cover_class(c)
             assert covers_isomorphic(parsed, c)
             assert verify_cover(parsed) == verify_cover(c)

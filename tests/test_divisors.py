@@ -1,6 +1,7 @@
 """Divisors, PL functions, reduction, and principality decisions."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,9 +24,10 @@ from tropcover import (
     theta_characteristic,
 )
 from tropcover import divisors, graphs
-from tropcover.divisors import PLFunction, UnitSubdivision, laplacian_image_contains
+from tropcover.divisors import PLFunction, laplacian_image_contains
+from tropcover.graphs import unit_cut
 from conftest import random_divisor, random_graph
-from oracles import pl_combine, refined_reduce_at
+from oracles import RefinedUnitSubdivision, cut_points, pl_combine, refined_reduce_at
 
 
 def mid(eid):
@@ -70,7 +72,7 @@ def test_divisor_of_constant_is_zero(k4):
     from tropcover import cut_at
 
     ref = cut_at(k4, [])
-    f = PLFunction(k4, ref, [Fraction(3)] * len(ref.points))
+    f = PLFunction(k4, ref, [Fraction(3)] * ref.size)
     assert divisor_of(f) == Divisor.zero(k4)
 
 
@@ -201,10 +203,26 @@ def test_reduce_at_refuses_a_disconnected_host():
         reduce_at(D, Point.at_vertex("a"))
 
 
-def test_unit_subdivision_numbers_the_lattice_points():
-    # scale 4: e has one interior point (2), the loop l three (3, 4, 5), the
-    # loop m of two segments one (6) with b twice as its neighbour, and the
-    # loop n of one segment none
+def _check_unit_cut(g, points):
+    """unit_cut numbers the vertices of the refined unit subdivision: the
+    same scale, one number per refined vertex, and at each number the same
+    point with the same neighbours once loops are dropped."""
+    cut, sub = unit_cut(g, points), RefinedUnitSubdivision(g, points)
+    assert cut.scale == sub.scale
+    assert cut.size == len(sub.refinement.graph.vertex_ids)
+    assert {s.length for s in cut.segments} == {1}
+    nbr = sub.neighbors()
+    for i, p in enumerate(cut_points(cut)):
+        assert cut.index(p) == i
+        row = nbr[sub.vertex_of(p)]
+        want = Counter({sub.refinement.to_base(Point.at_vertex(u)): m for u, m in row.items()})
+        assert Counter(cut.point(u) for u, _ in cut.adjacency[i] if u != i) == want
+
+
+def test_unit_cut_against_the_refined_unit_subdivision():
+    # scale 4: e has one interior point, the loop l three, the loop m of two
+    # segments one with b twice as its neighbour, and the loop n of one
+    # segment none
     g = MetricGraph(
         ["a", "b"],
         [
@@ -214,33 +232,47 @@ def test_unit_subdivision_numbers_the_lattice_points():
             ("n", "a", "a", Fraction(1, 4)),
         ],
     )
-    sub = UnitSubdivision(g, [Point.on_edge("e", Fraction(1, 4))])
-    assert sub.scale == 4
-    assert sub.nbr == [
-        ((2, 1), (3, 1), (5, 1)),
-        ((2, 1), (6, 2)),
-        ((0, 1), (1, 1)),
-        ((0, 1), (4, 1)),
-        ((3, 1), (5, 1)),
-        ((4, 1), (0, 1)),
-        ((1, 2),),
-    ]
-    assert [sub.point(i) for i in (1, 2, 5, 6)] == [
+    quarter = Point.on_edge("e", Fraction(1, 4))
+    _check_unit_cut(g, [quarter])
+    cut = unit_cut(g, [quarter])
+    assert (cut.scale, cut.size) == (4, 7)
+    assert [cut.point(i) for i in (1, 2, 5, 6)] == [
         Point.at_vertex("b"),
-        Point.on_edge("e", Fraction(1, 4)),
+        quarter,
         Point.on_edge("l", Fraction(3, 4)),
         Point.on_edge("m", Fraction(1, 4)),
     ]
-    assert [sub.index(sub.point(i)) for i in range(7)] == list(range(7))
-    assert sub.index(Point("edge", "l", Fraction(0))) == 0
-    with pytest.raises(PointError, match="not a lattice point"):
-        sub.index(Point.on_edge("l", Fraction(1, 3)))
-    D = Divisor(g, [(Point.on_edge("l", Fraction(1, 2)), 2), (Point.at_vertex("b"), -1)])
-    assert sub.to_divisor([0, -1, 0, 0, 2, 0, 0]) == D
+    # the loop n of one segment lists a twice, and m's point lists b twice
+    assert Counter(cut.adjacency[0])[(0, 1)] == 2 and cut.adjacency[6] == [(1, 1), (1, 1)]
+    with pytest.raises(PointError, match="not a vertex of the cut"):
+        cut.index(Point.on_edge("l", Fraction(1, 3)))
+    rng = random.Random(4181)
+    for _ in range(40):
+        g = random_graph(rng, max_genus=3)
+        e = rng.choice(g.edge_ids)
+        _check_unit_cut(g, [g.point(e, g.length(e) * Fraction(rng.randint(1, 2), 3))])
+
+
+def test_reduce_at_builds_points_only_for_the_chips_left(k4, monkeypatch):
+    # chips are counted on vertex numbers: reduce_at asks the unit cut for
+    # a Point only to write the reduced divisor
+    calls = []
+    point = graphs.Refinement.point
+
+    def counted_point(self, i):
+        calls.append(i)
+        return point(self, i)
+
+    monkeypatch.setattr(graphs.Refinement, "point", counted_point)
+    q = mid("BC")
+    D = Divisor(k4, [(Point.at_vertex("A"), 3), (mid("CD"), -1), (mid("AB"), 1)])
+    red = reduce_at(D, q)
+    assert sorted(calls) == sorted(map(unit_cut(k4, [q]).index, red.support()))
+    assert len(calls) < unit_cut(k4, [q]).size == 10
 
 
 def test_reduction_builds_no_refined_graph(k4, monkeypatch):
-    # the unit subdivision is a numbered integer model: reducing at a point
+    # the unit cut is a numbered integer model: reducing at a point
     # inside an edge and testing the Laplacian image construct no
     # MetricGraph and call no cut_at
     counts = {"MetricGraph": 0, "cut_at": 0}

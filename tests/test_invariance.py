@@ -1,15 +1,16 @@
-"""The Prym answers under subdivision, rescaling and relabelling of the
-target graph.
+"""The Prym answers, theta characteristics, q-reduction and principality
+under subdivision, rescaling and relabelling of the graph.
 
 Inserting a degree-2 vertex does not change a metric graph, scaling every
 length by k scales every Abel-Jacobi coordinate and every lattice alike,
 and renaming the ids changes nothing but the names.  So the pairing table,
 the kernel component counts and the pullback kernels must agree through the
-induced map on cycles, and under renaming the theta characteristics through
-the induced map on points.  These checks need no second implementation, and
-they hold at any genus: they test the numbered models (cuts, cover frames)
-that the library builds on a graph which is the same up to the transform,
-and that ids the caller chooses never collide with the ones it generates.
+induced map on cycles; the theta characteristics, the q-reduced divisors
+and the principal and equivalent pairs through the induced map on points.
+These checks need no second implementation, and they hold at any genus:
+they test the numbered models (cuts, unit cuts, cover frames) that the
+library builds on a graph which is the same up to the transform, and that
+ids the caller chooses never collide with the ones it generates.
 """
 
 import random
@@ -21,13 +22,18 @@ from tropcover import (
     MetricGraph,
     Point,
     covers_with_dilation,
+    distance_field,
+    divisor_of,
     enumerate_theta,
     equivalent,
     free_covers,
+    is_principal,
     kernel_component_count,
     pairing_table,
     pullback_kernel,
+    reduce_at,
 )
+from tropcover.graphs import unit_cut
 from conftest import random_graph
 
 
@@ -44,20 +50,42 @@ def edges_of(graph, scale=1):
     return [(e, *graph.ends(e), scale * graph.length(e)) for e in graph.edge_ids]
 
 
-def subdivide(graph, rng):
-    """(graph with one random edge split at a random seventh of its length by
-    a vertex with a new id, map from its cycles back to the original's)."""
+def subdivide(graph, rng, parts=7):
+    """(graph with one random edge split at a random multiple of 1/parts of
+    its length by a vertex with a new id, map from its cycles back to the
+    original's, map from the original's points to its)."""
     eid = rng.choice(graph.edge_ids)
     tail, head = graph.ends(eid)
     ell = graph.length(eid)
-    t = ell * Fraction(rng.randint(1, 6), 7)
+    t = ell * Fraction(rng.randint(1, parts - 1), parts)
     mid, first, second = "mid", eid + "/0", eid + "/1"
     assert mid not in graph.vertex_ids and not {first, second} & set(graph.edge_ids)
     edges = [e for e in edges_of(graph) if e[0] != eid]
     edges += [(first, tail, mid, t), (second, mid, head, ell - t)]
     split = {first: eid, second: eid}
     sub = MetricGraph(list(graph.vertex_ids) + [mid], edges)
-    return sub, lambda cycle: frozenset(split.get(e, e) for e in cycle)
+
+    def forward(p):
+        if p.is_vertex or p.id != eid:
+            return p
+        if p.offset == t:
+            return Point.at_vertex(mid)
+        if p.offset < t:
+            return Point.on_edge(first, p.offset)
+        return Point.on_edge(second, p.offset - t)
+
+    return sub, lambda cycle: frozenset(split.get(e, e) for e in cycle), forward
+
+
+def rescale(graph, k):
+    """(graph with every length times k, map from the original's points to its)."""
+    scaled = MetricGraph(list(graph.vertex_ids), edges_of(graph, k))
+    return scaled, lambda p: p if p.is_vertex else Point.on_edge(p.id, k * p.offset)
+
+
+def carry(D, graph, forward):
+    """D carried to graph through a map on points."""
+    return Divisor(graph, [(forward(p), a) for p, a in D.items()])
 
 
 # user ids that look like the ones the library generates for cut points
@@ -80,15 +108,20 @@ def rename(graph, rng):
     return MetricGraph([vmap[v] for v in graph.vertex_ids], edges), vmap, emap
 
 
-def renamed_divisor(D, graph, vmap, emap):
-    """D carried to graph, the renamed copy of its host."""
-    return Divisor(
-        graph,
-        [
-            (Point.at_vertex(vmap[p.id]) if p.is_vertex else Point.on_edge(emap[p.id], p.offset), a)
-            for p, a in D.items()
-        ],
+def relabel(vmap, emap):
+    """The map on points that rename's maps on ids induce."""
+    return lambda p: (
+        Point.at_vertex(vmap[p.id]) if p.is_vertex else Point.on_edge(emap[p.id], p.offset)
     )
+
+
+def random_point(rng, graph):
+    """A vertex, or a point at a half or a third of an edge."""
+    if rng.random() < 0.5:
+        return Point.at_vertex(rng.choice(graph.vertex_ids))
+    e = rng.choice(graph.edge_ids)
+    d = rng.randint(2, 3)
+    return graph.point(e, graph.length(e) * Fraction(rng.randint(1, d - 1), d))
 
 
 def prym_answers(graph, back):
@@ -119,7 +152,7 @@ def test_rescaling_keeps_every_prym_answer():
     graphs, rng = seeded_graphs()
     for i, g in enumerate(graphs):
         k = Fraction(rng.choice([2, 3, 5, 7]), rng.choice([1, 4, 9]))
-        scaled = MetricGraph(list(g.vertex_ids), edges_of(g, k))
+        scaled, _ = rescale(g, k)
         assert pairing_table(scaled) == pairing_table(g), i
         assert cover_answers(scaled) == cover_answers(g), i
 
@@ -127,7 +160,7 @@ def test_rescaling_keeps_every_prym_answer():
 def test_subdivision_keeps_the_prym_answers_up_to_the_cycle_map():
     graphs, rng = seeded_graphs()
     for i, g in enumerate(graphs):
-        sub, back = subdivide(g, rng)
+        sub, back, _ = subdivide(g, rng)
         assert sub.genus() == g.genus()
         assert prym_answers(sub, back) == prym_answers(g, lambda c: c), i
 
@@ -144,7 +177,7 @@ def test_relabelling_keeps_every_prym_answer_and_theta_characteristic():
         ), i
         theirs = {t.cycle: t.divisor for t in enumerate_theta(renamed)}
         for t in enumerate_theta(g):
-            mapped = renamed_divisor(t.divisor, renamed, vmap, emap)
+            mapped = carry(t.divisor, renamed, relabel(vmap, emap))
             other = theirs[frozenset(emap[e] for e in t.cycle)]
             if t.cycle:
                 assert other == mapped, (i, t.cycle)
@@ -152,3 +185,75 @@ def test_relabelling_keeps_every_prym_answer_and_theta_characteristic():
                 # the basepoint is the first vertex id, which renaming moves
                 assert equivalent(other, mapped), i
     assert moved >= 20  # the c = empty basepoint moved on most graphs
+
+
+def test_theta_characteristics_under_subdivision_and_rescaling():
+    # the basepoint of c = empty is passed, a vertex or a point inside an
+    # edge, so that the first vertex id of the subdivided graph does not
+    # move it
+    graphs, rng = seeded_graphs()
+    inside = 0
+    for i, g in enumerate(graphs):
+        p = random_point(rng, g)
+        inside += not p.is_vertex
+        sub, back, forward = subdivide(g, rng)
+        scaled, scale = rescale(g, Fraction(rng.choice([2, 3, 5]), rng.choice([1, 4, 9])))
+        for h, to_h, to_g in ((sub, forward, back), (scaled, scale, frozenset)):
+            theirs = {to_g(t.cycle): t for t in enumerate_theta(h, to_h(p))}
+            ours = enumerate_theta(g, p)
+            assert len(theirs) == len(ours), i
+            for t in ours:
+                other = theirs[t.cycle]
+                assert other.divisor == carry(t.divisor, h, to_h), (i, t.cycle)
+                assert other.effective == t.effective
+    assert inside >= 10
+
+
+# reduce_at runs only where both unit cuts have at most this many vertices:
+# its first phase fires one unit step at a time, exponential in the size of
+# the model (ROADMAP item 2)
+REDUCE_MAX_SIZE = 24
+
+
+def transforms(graph, rng):
+    """(name, transformed graph, map on points) for a split at the midpoint
+    of an edge (a seventh would multiply the unit cut's size by seven), a
+    rescaling and a relabelling."""
+    sub, _, forward = subdivide(graph, rng, parts=2)
+    k = Fraction(*rng.choice([(2, 1), (1, 2), (3, 2), (2, 3), (1, 3)]))
+    renamed, vmap, emap = rename(graph, rng)
+    return [
+        ("subdivision", sub, forward),
+        ("rescaling", *rescale(graph, k)),
+        ("relabelling", renamed, relabel(vmap, emap)),
+    ]
+
+
+def test_reduction_and_principality_under_subdivision_rescaling_and_relabelling():
+    graphs, rng = seeded_graphs()
+    reduced = Counter()
+    outcomes = Counter()
+    for _ in range(3):
+        for i, g in enumerate(graphs):
+            D = Divisor(g, [(random_point(rng, g), rng.randint(-2, 2)) for _ in range(3)])
+            D = D + Divisor(g, [(random_point(rng, g), rng.randint(0, 2) - D.degree())])
+            q = random_point(rng, g)
+            # E is principal when its two points are joined through bridges
+            E = Divisor(g, [(random_point(rng, g), 1), (random_point(rng, g), -1)])
+            P = divisor_of(distance_field(g, random_point(rng, g)))
+            principal = is_principal(E)
+            outcomes[principal] += 1
+            assert is_principal(P)
+            small = unit_cut(g, [*D.support(), q]).size <= REDUCE_MAX_SIZE
+            red = reduce_at(D, q) if small else None
+            for name, h, forward in transforms(g, rng):
+                Dh, qh = carry(D, h, forward), forward(q)
+                assert is_principal(carry(E, h, forward)) == principal, (i, name)
+                assert is_principal(carry(P, h, forward)), (i, name)
+                assert equivalent(Dh, carry(D + P, h, forward)), (i, name)
+                assert equivalent(Dh, carry(D + E, h, forward)) == principal, (i, name)
+                if small and unit_cut(h, [*Dh.support(), qh]).size <= REDUCE_MAX_SIZE:
+                    assert reduce_at(Dh, qh) == carry(red, h, forward), (i, name)
+                    reduced[name] += 1
+    assert min(outcomes.values()) >= 10
+    assert len(reduced) == 3 and min(reduced.values()) >= 20

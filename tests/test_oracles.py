@@ -1,5 +1,5 @@
 """The table-driven Abel-Jacobi map, the integer lattices, the integer
-Prym membership and the chip-firing on the numbered unit subdivision
+Prym membership and the chip-firing on the numbered unit cut
 against the independent implementations in oracles.py, on the acceptance
 instances and on random graphs and covers."""
 
@@ -40,12 +40,14 @@ from tropcover import (
     virtualize,
     weil_pairing,
 )
-from tropcover.divisors import UnitSubdivision, laplacian_image_contains
+from tropcover.divisors import laplacian_image_contains
+from tropcover.graphs import unit_cut
 from tropcover.jacobian import scaled_abel_jacobi
 from tropcover.theta import two_torsion_divisors
 from conftest import build_k4, random_3regular, random_divisor, random_graph
 from oracles import (
     FractionHomologyAction,
+    cut_points,
     divisor_component_count,
     divisor_prym_contains,
     echelon_in_lattice,
@@ -133,7 +135,7 @@ def _reduce_instance(rng, max_points=16):
         D = Divisor(g, [(point(), rng.randint(-2, 2)) for _ in range(3)])
         D = D + Divisor(g, [(point(), rng.randint(0, 2) - D.degree())])
         q = point()
-        if len(UnitSubdivision(g, [*D.support(), q]).nbr) <= max_points:
+        if unit_cut(g, [*D.support(), q]).size <= max_points:
             return g, D, q
 
 
@@ -496,7 +498,7 @@ def test_distance_fields_and_theta_against_the_fraction_route():
             ridges, ref, values = fraction_distance_field(g, source)
             assert field.ridge_base_points == ridges
             # the same cut, and the same value at each of its vertices
-            assert dict(zip(field.refinement.points, field.values)) == ref.base_values(values)
+            assert dict(zip(cut_points(field.refinement), field.values)) == ref.base_values(values)
             ridges_seen += len(ridges)
             rescaled += ref.graph.integer_metric()[0] != g.integer_metric()[0]
         for t in enumerate_theta(g):
@@ -558,7 +560,7 @@ def test_principal_function_against_the_laplacian_route():
         assert (f is None) == (want is None)
         if f is not None:
             # both pin each component's first base vertex to 0
-            assert dict(zip(f.refinement.points, f.values)) == want
+            assert dict(zip(cut_points(f.refinement), f.values)) == want
             assert divisor_of(f) == D
             interior += any(not p.is_vertex for p in D.support())
         found[f is not None] += 1
@@ -602,7 +604,7 @@ def test_the_numbered_cut_against_the_string_id_refinement():
             field = distance_field(g, p)
             ridges, ref, values = fraction_distance_field(g, p)
             assert field.ridge_base_points == ridges
-            assert dict(zip(field.refinement.points, field.values)) == ref.base_values(values)
+            assert dict(zip(cut_points(field.refinement), field.values)) == ref.base_values(values)
             seen["ridges"] += len(ridges)
         # theta needs no vertex genus: it runs on the virtualization
         sharp = virtualize(g)
@@ -621,7 +623,7 @@ def test_the_numbered_cut_against_the_string_id_refinement():
             if f is not None:
                 assert divisor_of(f) == D
                 # both pin each component's first base vertex to 0
-                assert dict(zip(f.refinement.points, f.values)) == want
+                assert dict(zip(cut_points(f.refinement), f.values)) == want
             seen[f is not None] += 1
     assert all(seen.values()), seen
 
