@@ -2,30 +2,34 @@
 
 The Prym variety of a cover is the connected component of the identity in
 the kernel of the norm map, the pushforward on Jacobians.  Membership is an
-exact lattice question that the pushforward alone decides.
+exact lattice question that the pushforward alone decides, and one integer
+matrix per cover carries it.
 
-Notation: P is the push matrix (source coordinates to the target
-coordinates of the pushforward), Q the pullback matrix (target coordinates
-to the source coordinates of the pullback) and L the source period
-lattice.  On source cycles pi^* pi_* = 1 + iota: the pullback counts a lift
-with its degree, and a virtual loop pushes forward to 0.  pi^* is
-injective on coordinates: P Q = 2 Id.
+Notation: Q is the pullback matrix (target coordinates to the source
+coordinates of the pullback), Gram_S and Gram_T the Gram matrices and L =
+Gram_S Z^g_S the source period lattice.  Row k of Q is the source basis
+cycle gamma_k pushed forward, in the target's cycle coordinates, and the
+coordinates of gamma_k are column k of Gram_S.  So by the projection
+formula <pi_* a, c> = <a, pi^* c> the push matrix P, never built, satisfies
+P Gram_S = Gram_T Q^T.
 
-The Prym is the image of 1 - iota, and over the reals that image is the
-kernel of 1 + iota, iota being an involution.  So x lies in im(1 - iota) + L
-iff (1 + iota) x lies in (1 + iota) L, iff P x lies in P L.  By the
-projection formula P L = Gram_T pi_* H_1(source), and the rows of Q span
-pi_* H_1(source) in the target's cycle coordinates.  Hence x is in the Prym
-iff Gram_T^-1 P x is an integer vector (the norm vanishes) in the row span
-of Q, and over a connected source the kernel of the norm has [Z^g : row
-span of Q] components.
+On source cycles pi^* pi_* = 1 + iota: the pullback counts a lift with its
+degree, and a virtual loop pushes forward to 0; pi^* is injective.  The
+Prym is the image of 1 - iota, and over the reals that image is the kernel
+of 1 + iota, iota being an involution.  So x lies in im(1 - iota) + L iff
+(1 + iota) x lies in (1 + iota) L, iff P x lies in P L = Gram_T Q^T Z^g_S,
+iff Gram_T^-1 P x = Q^T Gram_S^-1 x lies in the span of Q's rows.  With
+Gram_S^-1 x = z + r / q, Q^T z lies there already: x is in the Prym iff q
+divides w = Q^T r (else the pushforward is not principal) and w / q lies in
+the span of Q's rows.  Over a connected source the kernel of the norm has
+[Z^g : row span of Q] components.
 
 The mod-2 pairing of a free cover against an even subgraph reads off
 whether the pulled-back two-torsion divisor lands in the Prym.  On target
 cycles pi_* pi^* = 2: a target cycle pulls back to its lifts counted with
-their degree, which push forward to twice it.  So P (Q x) = 2 x for every
-cover, and the norm test of the pullback of a target class with coordinates
-x divides 2 x by the target lattice, whatever the cover.  A pairing column,
+their degree, which push forward to twice it.  So the norm of the pullback
+of a target class with coordinates x is 2 x for every cover, and its test
+divides 2 x by the target lattice, whatever the cover.  A pairing column,
 the class D_c of an even subgraph c, is then decided once: z_c = Gram_T^-1
 2 AJ(D_c), an integer vector since 2 D_c is principal, and the entry of
 each cover is whether z_c lies in the span of that cover's Q rows.  The
@@ -48,63 +52,35 @@ from .rationals import rat
 from .theta import theta_characteristic, two_torsion_divisor, two_torsion_divisors
 
 
-def _cycle_matrix(cycles, image, nontree) -> List[List[int]]:
-    """Row j: cycle j mapped edge by edge, image(e) giving [(edge,
-    multiplicity)], read on the non-tree edges nontree.  A cover's push
-    and pullback matrices are both of this form."""
-    rows = []
-    for cyc in cycles:
-        mapped = {}
-        for e, c in cyc.items():
-            for f, m in image(e):
-                mapped[f] = mapped.get(f, 0) + m * c
-        rows.append([mapped.get(nt, 0) for nt in nontree])
-    return rows
-
-
 class HomologyAction:
     """The integer data that decides Prym membership from source
-    coordinates: both period lattices, the push matrix P, the pullback
-    matrix Q (`pull`) and the lattice its rows span (`prym_lattice`).
+    coordinates: the source period lattice, the pullback matrix Q (`pull`)
+    and the lattice its rows span (`prym_lattice`).
 
-    P and Q are the cover's action on homology; the names HomologyAction
-    and homology_action stay because the benchmark's tracer binds them.
-    Every matrix here holds ints.  Keeps no reference to the cover, whose
-    memo holds the action.
+    Q is the cover's action on homology; the names HomologyAction and
+    homology_action stay because the benchmark's tracer binds them.  Every
+    matrix here holds ints.  Keeps no reference to the cover, whose memo
+    holds the action.
     """
 
     def __init__(self, cover: DoubleCover, eps=1):
         self.lattice = lat = period_lattice(cover.source_sharp(eps))
-        self.target_lattice = period_lattice(cover.target)
-        # row i expresses the target cycle i pulled back along the cover
-        # (degree-weighted) in the source basis, so that P . source coords
-        # = target coords of the pushforward
-        over_e = cover.frame.fibers[1]
-        self.push_matrix = _cycle_matrix(
-            self.target_lattice.basis, lambda te: over_e.get(te, ()), lat.cycles.nontree
-        )
         # pull . target coords = source coords of the pullback
         self.pull = pullback_matrix(cover, lat)
         # pi_* H_1(source) in the target's cycle coordinates
-        self.prym_lattice = linalg.IntegerLattice(self.pull, self.target_lattice.rank)
+        g = len(cover.target.cycle_space().nontree)
+        self.prym_lattice = linalg.IntegerLattice(self.pull, g)
 
     def contains(self, nums, den: int) -> bool:
         """Prym membership of the class with source coordinates nums / den
-        (of degree 0 on every component of the source): Gram_T^-1 P nums /
-        den is an integer vector in the span of Q's rows.  Raises PrymError
-        when the pushforward is not principal."""
-        push = [sum(map(mul, row, nums)) for row in self.push_matrix]
-        return self.prym_lattice.contains(_norm_quotient(self.target_lattice, push, den))
-
-
-def _norm_quotient(lat, nums, den: int) -> List[int]:
-    """Gram_T^-1 nums / den for a norm with target coordinates nums / den
-    in lat, the target's period lattice: an integer vector.  Raises
-    PrymError when the pushforward is not principal."""
-    z, r, _ = lat.divide(nums, den)
-    if any(r):
-        raise PrymError("the pushforward is not principal")
-    return z
+        (of degree 0 on every component of the source): Gram_S^-1 nums / den
+        = z + r / q, and w = Q^T r over q is in the span of Q's rows.  Raises
+        PrymError when the pushforward is not principal."""
+        _, r, q = self.lattice.divide(nums, den)
+        w = [sum(row[j] * x for row, x in zip(self.pull, r)) for j in range(self.prym_lattice.dim)]
+        if any(x % q for x in w):
+            raise PrymError("the pushforward is not principal")
+        return self.prym_lattice.contains([x // q for x in w])
 
 
 def pullback_matrix(cover: DoubleCover, lat) -> List[List[int]]:
@@ -115,14 +91,18 @@ def pullback_matrix(cover: DoubleCover, lat) -> List[List[int]]:
     virtual loop to 0), read on the target's non-tree edges.  Raises
     PointError for any other source edge off the edge map."""
     edge_map = cover.edge_map
-
-    def push(se):
-        if se in edge_map:
-            return ((edge_map[se][0], 1),)
-        cover.loop_vertex(se)  # PointError unless se is a virtual loop
-        return ()
-
-    return _cycle_matrix(lat.basis, push, cover.target.cycle_space().nontree)
+    nontree = cover.target.cycle_space().nontree
+    rows = []
+    for cyc in lat.basis:
+        pushed = {}
+        for se, c in cyc.items():
+            if se in edge_map:
+                te = edge_map[se][0]
+                pushed[te] = pushed.get(te, 0) + c
+            else:
+                cover.loop_vertex(se)  # PointError unless se is a virtual loop
+        rows.append([pushed.get(nt, 0) for nt in nontree])
+    return rows
 
 
 def homology_action(cover: DoubleCover, eps=1) -> HomologyAction:
@@ -186,7 +166,7 @@ def pullback_kernel(cover: DoubleCover, eps=1):
     basis_labels = []
     for i in range(len(cs.basis)):
         D = theta_characteristic(target, evens[1 << i]).divisor - base
-        nums, den = scaled_abel_jacobi(act.target_lattice, D)
+        nums, den = scaled_abel_jacobi(period_lattice(target), D)
         _, r, q = act.lattice.divide([sum(map(mul, row, nums)) for row in act.pull], den)
         if any(2 * x != q for x in r if x):
             raise CoverError("the pullback of a 2-torsion class is not 2-torsion")
@@ -197,9 +177,12 @@ def pullback_kernel(cover: DoubleCover, eps=1):
 def _norm_of_pullback(lat, D) -> List[int]:
     """z = Gram_T^-1 2 AJ(D) for a class D of the target with period lattice
     lat: the norm quotient of D's pullback, the same for every cover since
-    P Q = 2 Id.  A cover's pairing entry is whether z is in its prym_lattice."""
+    pi_* pi^* = 2.  A cover's pairing entry is whether z is in its prym_lattice."""
     nums, den = scaled_abel_jacobi(lat, D)
-    return _norm_quotient(lat, [2 * x for x in nums], den)
+    z, r, _ = lat.divide([2 * x for x in nums], den)
+    if any(r):
+        raise PrymError("the pushforward is not principal")
+    return z
 
 
 def weil_pairing(cover: DoubleCover, cycle) -> int:

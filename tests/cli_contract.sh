@@ -182,3 +182,17 @@ for argv in "prym components $out/theta_loop_cover.json" "prym contains $out/the
   test "$status" -eq 3
   test "$(cat "$out/prym.err")" = "error: prym questions need a connected target graph"
 done
+# Prym answers on the golden covers: on the cube, the Figure 6 divisor lies in the Prym and the
+# Figure 5 divisor does not; A^0 - B^0 has a pushforward that is not principal (exit 3); the cover
+# dilated along a triangle has one kernel component
+echo '[{"at":{"edge":"BC^1","offset":"1/2"},"coeff":1},{"at":{"edge":"AD^1","offset":"1/2"},"coeff":1},{"at":{"edge":"AD^0","offset":"1/2"},"coeff":-1},{"at":{"edge":"BC^0","offset":"1/2"},"coeff":-1}]' > "$out/figure6.json"
+echo '[{"at":{"edge":"BD^0","offset":"1/2"},"coeff":1},{"at":{"edge":"CD^0","offset":"1/2"},"coeff":-1},{"at":{"edge":"CD^1","offset":"1/2"},"coeff":1},{"at":{"edge":"BD^1","offset":"1/2"},"coeff":-1},{"at":{"edge":"BC^1","offset":"1/2"},"coeff":1},{"at":{"edge":"BC^0","offset":"1/2"},"coeff":-1}]' > "$out/figure5.json"
+echo '[{"at":{"vertex":"A^0"},"coeff":1},{"at":{"vertex":"B^0"},"coeff":-1}]' > "$out/a0_minus_b0.json"
+test "$(python -m tropcover.cli prym contains tests/golden/k4_cube.json "$out/figure6.json")" = true
+test "$(python -m tropcover.cli prym contains tests/golden/k4_cube.json "$out/figure5.json")" = false
+status=0
+python -m tropcover.cli prym contains tests/golden/k4_cube.json "$out/a0_minus_b0.json" > "$out/prym.out" 2> "$out/prym.err" || status=$?
+test "$status" -eq 3
+test ! -s "$out/prym.out"
+test "$(cat "$out/prym.err")" = "error: the pushforward is not principal"
+test "$(python -m tropcover.cli prym components tests/golden/k4_cover_dilated_triangle.json)" = 1

@@ -6,7 +6,9 @@ length by k scales every Abel-Jacobi coordinate and every lattice alike,
 and renaming the ids changes nothing but the names.  So the pairing table,
 the kernel component counts and the pullback kernels must agree through the
 induced map on cycles; the theta characteristics, the q-reduced divisors
-and the principal and equivalent pairs through the induced map on points.
+and the principal and equivalent pairs through the induced map on points;
+and Prym membership through the map on a cover's source points, when its
+target and source are split, scaled or renamed together.
 These checks need no second implementation, and they hold at any genus:
 they test the numbered models (cuts, unit cuts, cover frames) that the
 library builds on a graph which is the same up to the transform, and that
@@ -21,19 +23,24 @@ from tropcover import (
     Divisor,
     MetricGraph,
     Point,
+    PrymError,
     covers_with_dilation,
     distance_field,
     divisor_of,
     enumerate_theta,
     equivalent,
     free_covers,
+    involution_divisor,
     is_principal,
     kernel_component_count,
     pairing_table,
+    prym_contains,
     pullback_kernel,
     reduce_at,
+    verify_cover,
 )
-from tropcover.graphs import unit_cut
+from tropcover.covers import DoubleCover, cover_frame
+from tropcover.graphs import unit_cut, virtual_loops
 from conftest import random_graph
 
 
@@ -50,20 +57,18 @@ def edges_of(graph, scale=1):
     return [(e, *graph.ends(e), scale * graph.length(e)) for e in graph.edge_ids]
 
 
-def subdivide(graph, rng, parts=7):
-    """(graph with one random edge split at a random multiple of 1/parts of
-    its length by a vertex with a new id, map from its cycles back to the
-    original's, map from the original's points to its)."""
-    eid = rng.choice(graph.edge_ids)
+def vertices_of(graph):
+    return [(v, graph.genus_of(v)) for v in graph.vertex_ids]
+
+
+def split(graph, eid, t, mid):
+    """(graph with edge eid split at offset t by a vertex with the new id
+    mid into eid/0 and eid/1, map from the original's points to its)."""
     tail, head = graph.ends(eid)
-    ell = graph.length(eid)
-    t = ell * Fraction(rng.randint(1, parts - 1), parts)
-    mid, first, second = "mid", eid + "/0", eid + "/1"
+    first, second = eid + "/0", eid + "/1"
     assert mid not in graph.vertex_ids and not {first, second} & set(graph.edge_ids)
     edges = [e for e in edges_of(graph) if e[0] != eid]
-    edges += [(first, tail, mid, t), (second, mid, head, ell - t)]
-    split = {first: eid, second: eid}
-    sub = MetricGraph(list(graph.vertex_ids) + [mid], edges)
+    edges += [(first, tail, mid, t), (second, mid, head, graph.length(eid) - t)]
 
     def forward(p):
         if p.is_vertex or p.id != eid:
@@ -74,7 +79,18 @@ def subdivide(graph, rng, parts=7):
             return Point.on_edge(first, p.offset)
         return Point.on_edge(second, p.offset - t)
 
-    return sub, lambda cycle: frozenset(split.get(e, e) for e in cycle), forward
+    return MetricGraph(vertices_of(graph) + [mid], edges), forward
+
+
+def subdivide(graph, rng, parts=7):
+    """(graph with one random edge split at a random multiple of 1/parts of
+    its length by a vertex with a new id, map from its cycles back to the
+    original's, map from the original's points to its)."""
+    eid = rng.choice(graph.edge_ids)
+    t = graph.length(eid) * Fraction(rng.randint(1, parts - 1), parts)
+    sub, forward = split(graph, eid, t, "mid")
+    back = {eid + "/0": eid, eid + "/1": eid}
+    return sub, lambda cycle: frozenset(back.get(e, e) for e in cycle), forward
 
 
 def rescale(graph, k):
@@ -257,3 +273,113 @@ def test_reduction_and_principality_under_subdivision_rescaling_and_relabelling(
                     reduced[name] += 1
     assert min(outcomes.values()) >= 10
     assert len(reduced) == 3 and min(reduced.values()) >= 20
+
+
+def subdivide_cover(cover, rng, parts=7):
+    """(cover with one target edge split at a random multiple of 1/parts of
+    its length and each lift of it at the matching offset, each by a vertex
+    with a new id, map from the original source's points to its)."""
+    target = cover.target
+    eid = rng.choice(target.edge_ids)
+    t = target.length(eid) * Fraction(rng.randint(1, parts - 1), parts)
+    sub, _ = split(target, eid, t, "mid")
+    source, forwards, mids = cover.source, [], []
+    vmap, emap, inv = dict(cover.vertex_map), dict(cover.edge_map), dict(cover.involution_v)
+    for se, d in cover.frame.fibers[1][eid]:
+        mid = "mid" + se[len(eid) :]  # mid^0 and mid^1, or mid~ over a dilated edge
+        source, forward = split(source, se, t / d, mid)
+        forwards.append(forward)
+        mids.append(mid)
+        vmap[mid] = "mid"
+        del emap[se]
+        emap[se + "/0"], emap[se + "/1"] = (eid + "/0", d), (eid + "/1", d)
+    inv.update(zip(mids, reversed(mids)))  # two lifts swap, a dilated one is fixed
+
+    def forward(p):
+        for lift in forwards:
+            p = lift(p)
+        return p
+
+    return DoubleCover(cover_frame(sub, vmap, emap, inv), source), forward
+
+
+def rescale_cover(cover, k):
+    """(cover with every target and source length times k, map from the
+    original source's points to its, virtual loops scaled alike)."""
+    target, forward = rescale(cover.target, k)
+    source = MetricGraph(vertices_of(cover.source), edges_of(cover.source, k))
+    frame = cover_frame(target, cover.vertex_map, cover.edge_map, cover.involution_v)
+    return DoubleCover(frame, source), forward
+
+
+def rename_cover(cover, rng):
+    """(cover with the target's ids renamed as rename does and the source's
+    ids through the same maps, a lift keeping its suffix after its image's
+    new name, map from the original virtualized source's points to its)."""
+    target, vmap, emap = rename(cover.target, rng)
+    src = cover.source
+    sv = {v: vmap[tv] + v[len(tv) :] for v, tv in cover.vertex_map.items()}
+    se = {e: emap[te] + e[len(te) :] for e, (te, _) in cover.edge_map.items()}
+    edges = [(se[e], sv[t], sv[h], ell) for e, t, h, ell in edges_of(src)]
+    source = MetricGraph([(sv[v], g) for v, g in vertices_of(src)], edges)
+    frame = cover_frame(
+        target,
+        {sv[v]: vmap[tv] for v, tv in cover.vertex_map.items()},
+        {se[e]: (emap[te], d) for e, (te, d) in cover.edge_map.items()},
+        {sv[a]: sv[b] for a, b in cover.involution_v.items()},
+    )
+    theirs = virtual_loops(source)
+    for v, loops in virtual_loops(src).items():
+        se.update(zip(loops, theirs[sv[v]]))
+    return DoubleCover(frame, source), relabel(sv, se)
+
+
+def degree_zero_divisor(rng, graph):
+    """A divisor of degree 0 on every component of graph."""
+    D = Divisor(graph, [(random_point(rng, graph), rng.randint(-2, 2)) for _ in range(3)])
+    for comp, d in D.component_degrees().items():
+        D += Divisor(graph, [(Point.at_vertex(comp[0]), -d)])
+    return D
+
+
+def prym_outcome(cover, D, eps):
+    """prym_contains(cover, D, eps), None where the pushforward is not principal."""
+    try:
+        return prym_contains(cover, D, eps)
+    except PrymError:
+        return None
+
+
+def test_prym_contains_under_subdivision_rescaling_and_relabelling_of_the_cover():
+    # on two covers per graph (free, trivial or dilated), each with virtual
+    # loops of a random length: E, E - iota(E), the sum of two such, and
+    # over a connected source E - iota(E) + v - iota(v), carried one
+    # divisor at a time through each transformed cover's map on points
+    graphs, rng = seeded_graphs()
+    outcomes = Counter()
+    for i, g in enumerate(graphs):
+        evens = g.cycle_space().even_subgraphs()
+        every = free_covers(g) + [c for cyc in evens if cyc for c in covers_with_dilation(g, cyc)]
+        for cover in rng.sample(every, 2):
+            eps = rng.choice([1, Fraction(1, 2), 3])
+            k = Fraction(*rng.choice([(2, 1), (1, 2), (3, 2), (2, 3), (1, 3)]))
+            sharp = cover.source_sharp(eps)
+            inv = cover.involution_v
+            v = next((v for v in sharp.vertex_ids if inv.get(v, v) != v), sharp.vertex_ids[0])
+            v_iv = Divisor(sharp, [(Point.at_vertex(v), 1), (Point.at_vertex(inv.get(v, v)), -1)])
+            E, F = (degree_zero_divisor(rng, sharp) for _ in range(2))
+            E_iE, F_iF = (D - involution_divisor(cover, D, eps) for D in (E, F))
+            classes = [E, E_iE, E_iE + F_iF] + ([E_iE + v_iv] if sharp.is_connected() else [])
+            answers = [prym_outcome(cover, D, eps) for D in classes]
+            outcomes.update(answers)
+            for name, (other, forward), other_eps in (
+                ("subdivision", subdivide_cover(cover, rng), eps),
+                ("rescaling", rescale_cover(cover, k), k * eps),
+                ("relabelling", rename_cover(cover, rng), eps),
+            ):
+                assert verify_cover(other).ok, (i, name)
+                host = other.source_sharp(other_eps)
+                for D, want in zip(classes, answers):
+                    got = prym_outcome(other, carry(D, host, forward), other_eps)
+                    assert got == want, (i, name)
+    assert min(outcomes[True], outcomes[False], outcomes[None]) >= 10, outcomes

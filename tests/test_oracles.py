@@ -315,7 +315,8 @@ def component_wise_degree_zero(rng, graph):
 
 
 def test_homology_action_matches_the_fraction_construction(k4):
-    # the push matrix, and the membership of E, E - iota(E) and, over a
+    # the oracle's push matrix P against the library's Q (P Gram_S =
+    # Gram_T Q^T), and the membership of E, E - iota(E) and, over a
     # connected source, E - iota(E) + v - iota(v), against the Fraction
     # null space of Id - J after the pushed-forward Divisor's principality
     rng = random.Random(8081)
@@ -324,7 +325,10 @@ def test_homology_action_matches_the_fraction_construction(k4):
     for g in graphs:
         for cover in covers_of(rng, g):
             act, old = homology_action(cover), FractionHomologyAction(cover)
-            assert act.push_matrix == old.push_matrix
+            pull_t = [list(col) for col in zip(*act.pull)]
+            assert mat_mul(old.push_matrix, gram(act.lattice)) == mat_mul(
+                gram(period_lattice(g)), pull_t
+            )
             sharp = old.sharp
             inv = cover.involution_v
             v = next((v for v in sharp.vertex_ids if inv.get(v, v) != v), sharp.vertex_ids[0])

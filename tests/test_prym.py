@@ -92,7 +92,7 @@ def test_pushforward_matrix(cube_cover):
         D = Divisor(sharp, [(a, 1), (b, -1)])
         v = abel_jacobi(act.lattice, D)
         down = abel_jacobi(tlat, pushforward(cube_cover, D))
-        pv = oracles.mat_vec(act.push_matrix, v)
+        pv = oracles.mat_vec(oracles.FractionHomologyAction(cube_cover).push_matrix, v)
         assert lattice_contains(tlat, [x - y for x, y in zip(pv, down)])
 
 
@@ -313,8 +313,8 @@ def test_pairing_divides_once_per_torsion_class(k4, monkeypatch):
 
 
 def test_pullback_matrix_against_the_push_matrix_and_the_involution():
-    # phi_* phi^* = 2 and the involution fixes every pullback, exactly in
-    # integers: push_matrix . Q = 2 Id, and J . Q = Q for the oracle's
+    # phi_* phi^* = 2 and the involution fixes every pullback, exactly:
+    # P . Q = 2 Id and J . Q = Q for the oracle's push matrix P and
     # involution matrix J, on the trivial, free and dilated covers of graphs
     # with fractional lengths and loops, with virtual loops of two lengths
     rng = random.Random(7717)
@@ -330,13 +330,75 @@ def test_pullback_matrix_against_the_push_matrix_and_the_involution():
                 act = homology_action(cover, eps)
                 Q = act.pull
                 assert len(Q) == act.lattice.rank and all(len(row) == n for row in Q)
-                assert mat_mul(act.push_matrix, Q) == [
+                old = oracles.FractionHomologyAction(cover, eps)
+                assert mat_mul(old.push_matrix, Q) == [
                     [2 * (i == j) for j in range(n)] for i in range(n)
                 ]
-                assert mat_mul(oracles.FractionHomologyAction(cover, eps).matrix, Q) == Q
+                assert mat_mul(old.matrix, Q) == Q
             sharp = cover.source_sharp()
             kinds.add("dilated" if cover.dilation else "free" if sharp.is_connected() else "trivial")
     assert kinds == {"trivial", "free", "dilated"}
+
+
+def test_the_push_matrix_is_read_off_the_pullback_matrix():
+    # the projection formula <pi_* a, c> = <a, pi^* c> gives P Gram_S =
+    # Gram_T Q^T, exactly, for the oracle's push matrix P: so membership
+    # needs no P.  With it P Q = 2 Id, on trivial, free and dilated covers
+    # with virtual loops of three lengths
+    rng = random.Random(2929)
+    kinds = set()
+    for _ in range(8):
+        g = random_graph(rng, max_genus=3, min_genus=1)
+        n = g.genus()
+        tgram = oracles.gram(period_lattice(g))
+        evens = CycleSpace(g).even_subgraphs()
+        dilated = [c for cyc in evens if cyc for c in covers_with_dilation(g, cyc)]
+        for cover in free_covers(g) + dilated:
+            for eps in (1, Fraction(1, 2), 3):
+                act = homology_action(cover, eps)
+                P = oracles.FractionHomologyAction(cover, eps).push_matrix
+                pull_t = [list(col) for col in zip(*act.pull)]
+                assert mat_mul(P, oracles.gram(act.lattice)) == mat_mul(tgram, pull_t)
+                assert mat_mul(P, act.pull) == [[2 * (i == j) for j in range(n)] for i in range(n)]
+            sharp = cover.source_sharp()
+            kinds.add("dilated" if cover.dilation else "free" if sharp.is_connected() else "trivial")
+    assert kinds == {"trivial", "free", "dilated"}
+
+
+def test_prym_contains_divides_once_by_the_source_lattice(cube_cover, monkeypatch):
+    # membership reads Gram_S^-1 x and Q alone: one division per question,
+    # by the source lattice, whether the answer is true, false or PrymError
+    divided = count_calls(monkeypatch, jacobian.PeriodLattice, "divide")
+    sharp = cube_cover.source_sharp()
+    m = lambda e: mid(sharp, e)
+    in_prym = Divisor(sharp, [(m("BC^1"), 1), (m("AD^1"), 1), (m("AD^0"), -1), (m("BC^0"), -1)])
+    off_prym = Divisor(
+        sharp,
+        [(m("BD^0"), 1), (m("CD^0"), -1), (m("CD^1"), 1), (m("BD^1"), -1), (m("BC^1"), 1)]
+        + [(m("BC^0"), -1)],
+    )
+    not_principal = Divisor(sharp, [(Point.at_vertex("A^0"), 1), (Point.at_vertex("B^0"), -1)])
+    assert prym_contains(cube_cover, in_prym)
+    assert not prym_contains(cube_cover, off_prym)
+    with pytest.raises(PrymError, match="^the pushforward is not principal$"):
+        prym_contains(cube_cover, not_principal)
+    source = homology_action(cube_cover).lattice
+    assert [lat for lat, *_ in divided] == [source] * 3
+
+
+def test_the_homology_action_builds_no_target_lattice():
+    # Q is read on the target's cycle space, and its Hermite lattice has the
+    # target's genus: neither needs the target's period lattice
+    g = build_k4()
+    cover = free_cover(g, {"BC": 1, "BD": 1, "CD": 1})
+    (dilated,) = covers_with_dilation(g, TRIANGLE)
+    for c, eps in ((cover, 1), (dilated, 1), (dilated, Fraction(1, 2))):
+        act = homology_action(c, eps)
+        assert act.prym_lattice.dim == 3
+        kernel_component_count(c, eps)
+        sharp = c.source_sharp(eps)
+        prym_contains(c, Divisor.zero(sharp), eps)
+    assert "period_lattice" not in g._memo
 
 
 def test_pairing_table_random_graphs():
