@@ -2,9 +2,12 @@
 
 Linear equivalence is decided two ways: through the period lattice (the
 default, see jacobian.py) and through chip-firing on the unit cut
-(graphs.unit_cut), which also yields q-reduced representatives via Dhar's
-burning algorithm.  A PL function holds its values on the graph's numbered
-cut (cut_at); both models are graphs.Refinement.
+(graphs.unit_cut), which also yields q-reduced representatives: prefixes
+of a breadth-first order from q pay every debt away from q, then Dhar's
+burning algorithm fires the unburnt set until everything burns, each set
+as many times as it needs, or may, in one step.  A PL function holds its
+values on the graph's numbered cut (cut_at); both models are
+graphs.Refinement.
 """
 
 from __future__ import annotations
@@ -152,64 +155,73 @@ def _bfs_order(nbr, q):
     return order
 
 
-def _fire_set(chips, nbr, fire, inside):
-    """Fire each vertex of `fire`, the set whose members `inside` marks."""
-    for v in fire:
-        for u, m in nbr[v]:
-            if not inside[u]:
-                chips[v] -= m
-                chips[u] += m
+def _fire(chips, nbr, outside, k):
+    """Fire k times the set of vertices that `outside` does not mark: each
+    marked vertex takes k chips per segment it shares with the set.  The
+    loop runs over the marked side, the burnt one in Dhar's rounds, which
+    is usually the smaller."""
+    for v, row in enumerate(nbr):
+        if outside[v]:
+            for u, m in row:
+                if not outside[u]:
+                    m *= k
+                    chips[u] -= m
+                    chips[v] += m
 
 
 def reduce_at(D: Divisor, q: Point) -> Divisor:
     """The q-reduced representative of D, by firing chips on the unit cut
     at supp(D) and q: every segment has length 1, so each adjacency entry
-    moves one chip, and a loop segment, whose vertex is its own neighbour,
-    moves none."""
+    moves one chip per firing, and a loop segment, whose vertex is its own
+    neighbour, moves none."""
     graph = D.graph
     q = graph.check_point(q)
-    cut = unit_cut(graph, [*D.support(), q])
+    cut = unit_cut(graph, [*D._coeffs, q])
     nbr = cut.adjacency
     n = cut.size
     chips = [0] * n
-    for p, a in D.items():
-        chips[cut.index(p)] += a
+    for p, a in D._coeffs.items():
+        chips[cut.index(p)] = a
     qv = cut.index(q)
     order = _bfs_order(nbr, qv)
     if len(order) != n:
         raise PointError("graph is disconnected; reduce_at needs a connected host")
 
-    # phase 1: make chips nonnegative away from q by firing prefix sets
-    in_prefix = [True] * n
+    # phase 1: make chips nonnegative away from q by firing prefixes of the
+    # order.  Each firing of the prefix before order[j] moves m chips to
+    # order[j], one per segment between them (m >= 1: the order reached
+    # order[j] from the prefix), so the prefix fires ceil(-chips / m) times
+    past = [False] * n
     for j in range(n - 1, 0, -1):
         target = order[j]
-        in_prefix[target] = False
+        past[target] = True
         if chips[target] < 0:
-            prefix = order[:j]
-            while chips[target] < 0:
-                _fire_set(chips, nbr, prefix, in_prefix)
+            m = sum(ell for u, ell in nbr[target] if not past[u])
+            _fire(chips, nbr, past, -(chips[target] // m))
 
-    # phase 2: Dhar's burning algorithm
+    # phase 2: Dhar's burning algorithm.  room[v] is what v holds beyond
+    # its exposure to the fire; v burns when it drops below 0.  The unburnt
+    # set fires as often as each of its vertices can pay its exposure,
+    # chips[v] - room[v]: at least once, unless everything burnt
     while True:
+        room = chips[:]
         burnt = [False] * n
         burnt[qv] = True
         hot = [qv]
-        exposure = [0] * n
-        left = n - 1
         while hot:
-            v = hot.pop()
-            for u, m in nbr[v]:
-                if burnt[u]:
-                    continue
-                exposure[u] += m
-                if exposure[u] > chips[u]:
-                    burnt[u] = True
-                    left -= 1
-                    hot.append(u)
-        if not left:
+            for u, m in nbr[hot.pop()]:
+                if not burnt[u]:
+                    room[u] -= m
+                    if room[u] < 0:
+                        burnt[u] = True
+                        hot.append(u)
+        k = 0
+        for c, r in zip(chips, room):
+            if 0 <= r < c and (not k or c // (c - r) < k):
+                k = c // (c - r)
+        if not k:
             break
-        unburnt = [not b for b in burnt]
-        _fire_set(chips, nbr, [v for v in range(n) if unburnt[v]], unburnt)
+        _fire(chips, nbr, burnt, k)
 
     return Divisor(graph, [(cut.point(i), a) for i, a in enumerate(chips) if a])
 

@@ -353,46 +353,53 @@ class Refinement:
     cuts maps an edge id to its increasing integer positions, at `scale`,
     strictly inside the edge.  Vertices are numbered: the base vertices in
     vertex_ids order, then each edge's positions in order, edges in
-    edge_ids order; `size` counts them.  `segments` lists each edge's
-    pieces from tail to head, and adjacency[i] lists vertex i's
+    edge_ids order; `size` counts them.  adjacency[i] lists vertex i's
     (neighbour, segment length) pairs, one per segment end, so a loop
-    segment lists its vertex twice.  No graph, id, Point or Fraction is
-    built per vertex or segment: index(p) and point(i) map between points
-    and numbers on demand.  No reference to the graph is kept (a caller
-    that needs it passes it), but the cut keeps the graph's genus and edge
-    tables, so that MetricGraph.same_model tells the graphs it is a cut of.
+    segment lists its vertex twice.  `segments` lists each edge's pieces
+    from tail to head, built on first read: chip-firing reads adjacency
+    alone.  No graph, id, Point or Fraction is built per vertex or
+    segment: index(p) and point(i) map between points and numbers on
+    demand.  No reference to the graph is kept (a caller that needs it
+    passes it), but the cut keeps the graph's genus and edge tables, so
+    that MetricGraph.same_model tells the graphs it is a cut of.
     """
 
     def __init__(self, graph: MetricGraph, scale: int, cuts):
         graph_scale, length = graph.integer_metric()
         up = scale // graph_scale
+        self._length, self._up = length, up
         self._vertex_ids, self._edge_ids = graph.vertex_ids, graph.edge_ids
         number = self._number = {v: i for i, v in enumerate(graph.vertex_ids)}
-        n = len(number)
-        segments, adjacency = [], [[] for _ in range(n)]
+        n, k = len(number), 0
+        adjacency = [[] for _ in range(n)]
         edges = self._edge = {}  # edge id -> (first segment, first cut vertex, positions)
         starts = self._starts = []  # each edge's first cut vertex, in edge_ids order
         for eid in graph.edge_ids:
             tail, head, _ = graph._edges[eid]
             at = cuts.get(eid, ())
-            edges[eid] = (len(segments), n, at)
+            edges[eid] = (k, n, at)
             starts.append(n)
+            k += len(at) + 1
             t, a = number[tail], 0
             for x in at:
-                segments.append(Segment(t, n, x - a, eid, a))
                 adjacency[t].append((n, x - a))
                 adjacency.append([(t, x - a)])
                 t, a = n, x
                 n += 1
             h, ell = number[head], length[eid] * up - a
-            segments.append(Segment(t, h, ell, eid, a))
             adjacency[t].append((h, ell))
             adjacency[h].append((t, ell))
         self._genus, self._edges = graph._genus, graph._edges
         self.scale = scale
         self.size = n
-        self.segments = tuple(segments)
         self.adjacency = adjacency
+        self._memo = {}
+
+    @property
+    def segments(self):
+        """Each edge's pieces from tail to head as Segments, edges in
+        edge_ids order, built on first read."""
+        return memoized(self._memo, "segments", _segments, self)
 
     def index(self, p: Point) -> int:
         """The number of the vertex at p, a base point in normal form."""
@@ -418,6 +425,20 @@ class Refinement:
         eid = self._edge_ids[bisect_right(self._starts, i) - 1]
         _, first, at = self._edge[eid]
         return Point("edge", eid, Fraction(at[i - first], self.scale))
+
+
+def _segments(cut: Refinement):
+    segments = []
+    for eid in cut._edge_ids:
+        tail, head, _ = cut._edges[eid]
+        _, n, at = cut._edge[eid]
+        t, a = cut._number[tail], 0
+        for x in at:
+            segments.append(Segment(t, n, x - a, eid, a))
+            t, a = n, x
+            n += 1
+        segments.append(Segment(t, cut._number[head], cut._length[eid] * cut._up - a, eid, a))
+    return tuple(segments)
 
 
 def _scale_at(graph: MetricGraph, points):

@@ -35,6 +35,9 @@ test "$(python -m tropcover.cli divisor reduce "$out/three_lengths.json" "$out/t
 echo '{"vertices":[{"id":"a"},{"id":"b"}],"edges":[{"id":"l","tail":"a","head":"a","length":"1"},{"id":"m","tail":"b","head":"b","length":"1/2"},{"id":"n","tail":"a","head":"a","length":"1/4"},{"id":"p","tail":"a","head":"b","length":"1"},{"id":"q","tail":"a","head":"b","length":"1/2"}]}' > "$out/loop_parallel.json"
 echo '[{"at":{"vertex":"a"},"coeff":3},{"at":{"edge":"l","offset":"1/2"},"coeff":-1},{"at":{"edge":"q","offset":"1/4"},"coeff":1}]' > "$out/loop_parallel_div.json"
 test "$(python -m tropcover.cli divisor reduce "$out/loop_parallel.json" "$out/loop_parallel_div.json" --at p@1/2)" = '[{"at":{"edge":"l","offset":"1/2"},"coeff":1},{"at":{"edge":"p","offset":"1/2"},"coeff":1},{"at":{"edge":"p","offset":"3/4"},"coeff":1}]'
+# unit K4 reduced at a point inside BC, under a deadline so that a slow reduction fails rather than hangs
+echo '[{"at":{"vertex":"A"},"coeff":3},{"at":{"edge":"CD","offset":"1/2"},"coeff":-1}]' > "$out/k4_div.json"
+test "$(timeout 20 python -m tropcover.cli divisor reduce tests/data/k4.json "$out/k4_div.json" --at BC@1/3)" = '[{"at":{"vertex":"B"},"coeff":1},{"at":{"edge":"CD","offset":"1/2"},"coeff":1}]'
 # a digit separator is not part of a rational: a length of "1_0" exits 2
 sed 's/"length":"1"/"length":"1_0"/' "$out/three_lengths.json" > "$out/separator.json"
 status=0

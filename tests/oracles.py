@@ -21,9 +21,11 @@ integer metric from the target's), the pullback kernel by testing
 every one of the 2^g pulled-back torsion classes (the library decides the
 g basis cycles and adds their labels), the pairing table by each cover's
 full membership test on every entry (the library divides once per torsion
-class), and the unit subdivision and
-q-reduction on a refined MetricGraph with string ids (the library's unit
-cut numbers the lattice points, and it fires chips on integer lists).  The oracles refine
+class), the unit subdivision and q-reduction on a refined MetricGraph
+with string ids, one firing at a time (the library's unit cut numbers the
+lattice points, and it fires each set as often as it may in one step),
+and the q-reduced form by one burn and a principality test, with no
+firing.  The oracles refine
 through StringIdRefinement, a MetricGraph with generated string ids (the
 library's cut numbers its vertices).  The incidence is rebuilt from the
 edge list by scanning it once per vertex, and what no library caller needs
@@ -335,6 +337,32 @@ def refined_reduce_at(D, q):
             break
         _refined_fire_set(chips, nbr, set(chips) - burnt)
     return sub.to_divisor(chips)
+
+
+def is_reduced_form(D, R, q):
+    """Whether R is the q-reduced form of D, decided with no firing: R is
+    effective away from q, a burn from q on the refined unit subdivision
+    burns every vertex, and D - R is principal by the period lattice.  The
+    first two make R q-reduced, and a class has one q-reduced divisor."""
+    q = D.graph.check_point(q)
+    if R.degree() != D.degree() or any(a < 0 for p, a in R.items() if p != q):
+        return False
+    sub = RefinedUnitSubdivision(D.graph, [*D.support(), *R.support(), q])
+    nbr = sub.neighbors()
+    chips = dict.fromkeys(nbr, 0)
+    for p, a in R.items():
+        chips[sub.vertex_of(p)] += a
+    qv = sub.vertex_of(q)
+    burnt, hot = {qv}, [qv]
+    exposure = dict.fromkeys(nbr, 0)
+    while hot:
+        for u, m in nbr[hot.pop()].items():
+            if u not in burnt:
+                exposure[u] += m
+                if exposure[u] > chips[u]:
+                    burnt.add(u)
+                    hot.append(u)
+    return len(burnt) == len(nbr) and is_principal(D - R)
 
 
 def laplacian_columns(graph, D):

@@ -26,8 +26,14 @@ from tropcover import (
 from tropcover import divisors, graphs
 from tropcover.divisors import PLFunction, laplacian_image_contains
 from tropcover.graphs import unit_cut
-from conftest import random_divisor, random_graph
-from oracles import RefinedUnitSubdivision, cut_points, pl_combine, refined_reduce_at
+from conftest import build_k4, random_divisor, random_graph
+from oracles import (
+    RefinedUnitSubdivision,
+    cut_points,
+    is_reduced_form,
+    pl_combine,
+    refined_reduce_at,
+)
 
 
 def mid(eid):
@@ -271,11 +277,54 @@ def test_reduce_at_builds_points_only_for_the_chips_left(k4, monkeypatch):
     assert len(calls) < unit_cut(k4, [q]).size == 10
 
 
+def unit_k4_case():
+    """(D, q, the q-reduced form of D) on unit K4, q inside BC."""
+    k4 = build_k4()
+    D = Divisor(k4, [(Point.at_vertex("A"), 3), (mid("CD"), -1)])
+    return D, Point.on_edge("BC", Fraction(1, 3)), Divisor(k4, [(Point.at_vertex("B"), 1), (mid("CD"), 1)])
+
+
+def split_k4_case():
+    """(D, q, the q-reduced form of D) on K4 with BC split by a new vertex
+    X at 1/7 of its length, q at the vertex D."""
+    edges = [("AB", "A", "B", 1), ("AC", "A", "C", 1), ("AD", "A", "D", 1), ("BD", "B", "D", 1), ("CD", "C", "D", 1)]
+    edges += [("BX", "B", "X", Fraction(1, 7)), ("XC", "X", "C", Fraction(6, 7))]
+    g = MetricGraph(["A", "B", "C", "D", "X"], edges)
+    A, B, C, q = (Point.at_vertex(v) for v in "ABCD")
+    return Divisor(g, [(A, 2), (B, -1), (C, 1)]), q, Divisor(g, [(A, 1), (B, 2), (q, -1)])
+
+
+@pytest.mark.parametrize(
+    "case, prefix_firings, dhar_steps",
+    [(unit_k4_case, 22, 29743), (split_k4_case, 19, 290)],
+    ids=["unit k4", "split k4"],
+)
+def test_reduce_at_fires_each_set_in_one_step(monkeypatch, case, prefix_firings, dhar_steps):
+    # work, not wall time: with one firing per step, the split K4 takes
+    # 66,012 prefix firings and 66,012 Dhar steps
+    D, q, want = case()
+    cut = unit_cut(D.graph, [*D.support(), q])
+    qv = cut.index(q)
+    calls = Counter()
+    fire = divisors._fire
+
+    def counted_fire(chips, nbr, outside, k):
+        # a prefix holds q, and an unburnt set does not
+        calls["dhar" if outside[qv] else "prefix"] += 1
+        fire(chips, nbr, outside, k)
+
+    monkeypatch.setattr(divisors, "_fire", counted_fire)
+    red = reduce_at(D, q)
+    assert red == want and is_reduced_form(D, red, q)
+    assert calls["prefix"] == prefix_firings < cut.size
+    assert calls["dhar"] == dhar_steps
+
+
 def test_reduction_builds_no_refined_graph(k4, monkeypatch):
     # the unit cut is a numbered integer model: reducing at a point
     # inside an edge and testing the Laplacian image construct no
-    # MetricGraph and call no cut_at
-    counts = {"MetricGraph": 0, "cut_at": 0}
+    # MetricGraph, call no cut_at and list no segments
+    counts = {"MetricGraph": 0, "cut_at": 0, "segments": 0}
     init = graphs.MetricGraph.__init__
 
     def counted_init(self, *args):
@@ -288,7 +337,14 @@ def test_reduction_builds_no_refined_graph(k4, monkeypatch):
         counts["cut_at"] += 1
         return cut_at(graph, points)
 
+    segments = graphs._segments
+
+    def counted_segments(cut):
+        counts["segments"] += 1
+        return segments(cut)
+
     monkeypatch.setattr(graphs.MetricGraph, "__init__", counted_init)
+    monkeypatch.setattr(graphs, "_segments", counted_segments)
     monkeypatch.setattr(graphs, "cut_at", counted_cut_at)
     monkeypatch.setattr(divisors, "cut_at", counted_cut_at)
     q = mid("BC")
@@ -296,12 +352,12 @@ def test_reduction_builds_no_refined_graph(k4, monkeypatch):
     red = reduce_at(D, q)
     assert laplacian_image_contains(k4, D - red)
     assert not laplacian_image_contains(k4, D - red + Divisor(k4, [(q, 1), (mid("AB"), -1)]))
-    assert counts == {"MetricGraph": 0, "cut_at": 0}
+    assert counts == {"MetricGraph": 0, "cut_at": 0, "segments": 0}
     # the counters are live: the refined oracle builds a graph, and
-    # principal_function cuts at the support
+    # principal_function cuts at the support and reads the cut's segments
     assert refined_reduce_at(D, q) == red
     assert principal_function(D - red) is not None
-    assert counts["MetricGraph"] > 0 and counts["cut_at"] == 1
+    assert counts["MetricGraph"] > 0 and counts["cut_at"] == 1 and counts["segments"] == 1
 
 
 def test_divisors_of_different_graphs_do_not_add(k4, unit_loop):

@@ -226,8 +226,9 @@ def test_theta_characteristics_under_subdivision_and_rescaling():
 
 
 # reduce_at runs only where both unit cuts have at most this many vertices:
-# its first phase fires one unit step at a time, exponential in the size of
-# the model (ROADMAP item 2)
+# Dhar's burning algorithm fires the unburnt set once per burn, and the
+# number of burns grows exponentially with the size of the model (ROADMAP
+# item 2)
 REDUCE_MAX_SIZE = 24
 
 

@@ -57,6 +57,7 @@ from oracles import (
     fraction_distance_field,
     fraction_theta_divisor,
     gram,
+    is_reduced_form,
     kirchhoff_tree_sum,
     laplacian_columns,
     laplacian_principal_function,
@@ -114,10 +115,11 @@ def test_abel_jacobi_and_lattices_on_the_criterion_3_instances():
 def _reduce_instance(rng, max_points=16):
     """A random_graph (fractional lengths, loops, parallel edges) with genus
     at some vertices, a divisor of degree 0-2 on vertices and on points
-    inside edges, and a q at a vertex or inside an edge.  Phase 1 of the
-    reduction fires one unit step at a time, exponential in the size of
-    the model, so an instance whose unit subdivision has more than
-    max_points vertices is drawn again."""
+    inside edges, and a q at a vertex or inside an edge.  refined_reduce_at
+    fires one unit step at a time, exponential in the size of the model,
+    and reduce_at's Dhar steps still grow fast with it, so an instance
+    whose unit subdivision has more than max_points vertices is drawn
+    again."""
     while True:
         g = random_graph(rng, max_genus=3)
         g = MetricGraph(
@@ -162,6 +164,23 @@ def test_reduce_at_against_the_refined_model():
         seen["q inside"] += not q.is_vertex
         seen["D inside"] += any(not p.is_vertex for p in D.support())
     assert min(seen.values()) >= 20, seen
+
+
+def test_reduce_at_against_the_burn_oracle():
+    # the oracle fires no chips, so it also checks instances whose unit
+    # subdivision is too large for refined_reduce_at (more than 16
+    # vertices); it refuses D itself wherever D is not yet reduced
+    rng = random.Random(7)
+    large = refused = 0
+    for _ in range(200):
+        g, D, q = _reduce_instance(rng, max_points=24)
+        red = reduce_at(D, q)
+        assert is_reduced_form(D, red, q)
+        if D != red:
+            assert not is_reduced_form(D, D, q)
+            refused += 1
+        large += unit_cut(g, [*D.support(), q]).size > 16
+    assert large >= 40 and refused >= 100, (large, refused)
 
 
 def test_integer_lattice_against_solve_integrality():
